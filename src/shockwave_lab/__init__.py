@@ -7,7 +7,6 @@ from .riemann import (
     TwoShockData,
     NoTwoShockSolution,
     BracketError,
-    eos_eval,
     char_speeds,
     hugoniot_u,
     in_ss_region,
@@ -24,7 +23,6 @@ from .profile import (
     decay_rates,
     integrate_profile,
     build_profiles,
-    eval_profile,
     sample_uniform,
 )
 from .composite import (
@@ -34,7 +32,6 @@ from .composite import (
     SeparationError,
     TruncationError,
     TruncationWarning,
-    eval_composite,
     compute_shift_inputs,
     solve_shifts,
     w_decay_constants,
@@ -50,11 +47,16 @@ from .solver import (
     semidiscrete_rhs,
     stable_dt,
     rk4_step,
+    advance,
     effective_velocity,
     auto_grid,
+    apply_perturbations,
+    setup_experiment,
+    ExperimentSetup,
     run_simulation,
     SimulationResult,
     Snapshot,
+    write_csv,
 )
 from .diagnostics import (
     PerturbationFields,

@@ -15,23 +15,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import verify as verify_mod
-from .composite import CompositeWave, compute_shift_inputs, solve_shifts
 from .config import ConfigError, parse_config
 from .profile import build_profiles
-from .solver import run_simulation
+from .solver import run_simulation, setup_experiment, write_csv
 
 __all__ = ["main"]
-
-
-def _write_csv(path, names, columns):
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            f.write(",".join("%.17g" % val for val in row) + "\n")
 
 
 def _ensure_out(cfg, override):
@@ -52,8 +41,8 @@ def cmd_riemann(cfg, out_dir):
              "s1", "s2", "chi1", "chi2")
     vals = (ts.left.v, ts.left.u, ts.mid.v, ts.mid.u, ts.right.v, ts.right.u,
             ts.s1, ts.s2, ts.chi1, ts.chi2)
-    _write_csv(os.path.join(out_dir, "riemann.csv"), names,
-               [[v] for v in vals])
+    write_csv(os.path.join(out_dir, "riemann.csv"), names,
+              [[v] for v in vals])
     return 0
 
 
@@ -63,35 +52,24 @@ def cmd_profile(cfg, out_dir):
     for tag, prof in (("1", p1), ("2", p2)):
         xi = prof.xi_table
         V, U, Vx, Ux = prof.evaluate(xi)
-        _write_csv(os.path.join(out_dir, f"profile{tag}.csv"),
-                   ("xi", "V", "U", "Vx", "Ux"), (xi, V, U, Vx, Ux))
+        write_csv(os.path.join(out_dir, f"profile{tag}.csv"),
+                  ("xi", "V", "U", "Vx", "Ux"), (xi, V, U, Vx, Ux))
         print(f"wave {tag}: s = {prof.s:.6f}, chi = {prof.chi:.6f}, "
               f"c_minus = {prof.c_minus:.6f}, c_plus = {prof.c_plus:.6f}")
     return 0
 
 
 def cmd_shifts(cfg, out_dir):
-    ts = cfg.riemann.resolve(cfg.gas)
-    p1, p2 = build_profiles(cfg.gas, ts)
-    cw0 = CompositeWave(p1, p2, cfg.beta)
-    grid = cfg.grid.resolve(cfg.gas, ts, cfg.beta, cfg.time.t_final)
-    x = grid.x
-    V0, U0 = cw0.state_fields(x, 0.0)
-    v0, u0 = V0.copy(), U0.copy()
-    for pert in cfg.perturbations:
-        if pert.target == "v":
-            v0 += pert(x)
-        else:
-            u0 += pert(x)
-    si = compute_shift_inputs(v0, u0, cw0, grid)
-    b1, b2 = solve_shifts(si, ts)
+    exp = setup_experiment(cfg)
+    si = exp.shift_inputs
+    b1, b2 = exp.composite.beta1, exp.composite.beta2
     print(f"I01 = {si.I01:.12g}")
     print(f"I02 = {si.I02:.12g}")
     print(f"beta1 = {b1:.12g}")
     print(f"beta2 = {b2:.12g}")
-    _write_csv(os.path.join(out_dir, "shifts.csv"),
-               ("I01", "I02", "beta1", "beta2"),
-               ([si.I01], [si.I02], [b1], [b2]))
+    write_csv(os.path.join(out_dir, "shifts.csv"),
+              ("I01", "I02", "beta1", "beta2"),
+              ([si.I01], [si.I02], [b1], [b2]))
     return 0
 
 
@@ -115,6 +93,11 @@ def cmd_verify(suite):
         print(f"usage error: unknown suite '{suite}'; "
               f"choose from {', '.join(verify_mod.SUITE_NAMES)}",
               file=sys.stderr)
+        return 2
+    try:
+        verify_mod.thread_cap()
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     results, ok = verify_mod.run_suite(suite)
     for r in results:

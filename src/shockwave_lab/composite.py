@@ -46,7 +46,6 @@ __all__ = [
     "SeparationError",
     "TruncationError",
     "TruncationWarning",
-    "eval_composite",
     "compute_shift_inputs",
     "solve_shifts",
     "w_decay_constants",
@@ -283,12 +282,6 @@ class CompositeWave:
         H = U - V ** (-(gas.alpha + 1.0)) * Vx
         return CompositeFields(V=V, U=U, Vx=Vx, Ux=Ux, H=H, W=W,
                                V1x=v1x, V2x=v2x)
-
-
-def eval_composite(cw: CompositeWave, x, t):
-    """(V, U, V_x, U_x, H, W) of the composite at (x, t)."""
-    f = cw.fields(x, t)
-    return f.V, f.U, f.Vx, f.Ux, f.H, f.W
 
 
 def compute_shift_inputs(v0, u0, cw: CompositeWave, grid) -> ShiftInputs:

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .composite import CompositeWave, TruncationError
-from .solver import FieldState, Grid1D, effective_velocity
+from .composite import BOUNDARY_DECAY_TOL, CompositeWave, TruncationError
+from .solver import FieldState, Grid1D, effective_velocity, write_csv
 
 __all__ = [
     "PerturbationFields",
@@ -41,8 +41,6 @@ __all__ = [
     "pointwise_inequality_report",
     "make_record",
 ]
-
-BOUNDARY_DECAY_TOL = 1e-12
 
 DIAG_CSV_COLUMNS = ("t", "sup_v", "sup_u", "l2_phi", "h1_phi", "h2_phi",
                     "l2_psi", "h1_psi", "l2_Psi", "l2_W", "E0", "E1",
@@ -329,11 +327,7 @@ class DiagnosticsSeries:
         return self.column("t")
 
     def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write(",".join(DIAG_CSV_COLUMNS) + "\n")
-            for r in self.records:
-                f.write(",".join("%.17g" % getattr(r, c)
-                                 for c in DIAG_CSV_COLUMNS) + "\n")
+        write_csv(path, DIAG_CSV_COLUMNS, [self.column(c) for c in DIAG_CSV_COLUMNS])
 
 
 def _p_rel_ratio(p_rel, phi_x):

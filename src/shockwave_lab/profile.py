@@ -48,7 +48,6 @@ __all__ = [
     "decay_rates",
     "integrate_profile",
     "build_profiles",
-    "eval_profile",
     "sample_uniform",
 ]
 
@@ -136,12 +135,14 @@ def _monotone_spline(gas, s, v_end, xi, w):
     return PchipInterpolator(xi, w, extrapolate=False)
 
 
-def _integrate_half(gas, s, v_end, w0, gap_target, xi_max, orient, spacing):
+def _solve_half(gas, s, v_end, w0, gap_target, xi_max, orient):
     """Integrate the gap w = V - v_end from w0 toward 0.
 
     orient = +1 integrates the xi > 0 half, orient = -1 the xi < 0 half
-    (internally tau = orient * xi >= 0 in both cases).  Returns
-    (tau, w, truncated) with tau ascending from 0.
+    (internally tau = orient * xi >= 0 in both cases).  The run stops
+    where |w| falls to gap_target or at tau = xi_max.  Returns the
+    solve_ivp result with its dense solution, the end point tau_end and
+    whether xi_max cut the run short.
     """
     def rhs(tau, y):
         return [orient * _g_from_end(gas, s, v_end, y[0])]
@@ -162,6 +163,14 @@ def _integrate_half(gas, s, v_end, w0, gap_target, xi_max, orient, spacing):
         raise IntegrationError(f"profile integration failed: {sol.message}")
     truncated = sol.t_events[0].size == 0
     tau_end = xi_max if truncated else float(sol.t_events[0][0])
+    return sol, tau_end, truncated
+
+
+def _integrate_half(gas, s, v_end, w0, gap_target, xi_max, orient, spacing):
+    """Gap table (tau, w, truncated) of one half line, tau ascending from 0
+    with at most the given spacing and ending on the stopping point."""
+    sol, tau_end, truncated = _solve_half(gas, s, v_end, w0, gap_target,
+                                          xi_max, orient)
     n = max(int(math.ceil(tau_end / spacing)), 8)
     tau = np.linspace(0.0, tau_end, n + 1)
     w = sol.sol(tau)[0]
@@ -202,14 +211,6 @@ class ShockProfile:
     # -- geometry ----------------------------------------------------
 
     @property
-    def v_mid(self) -> float:
-        return 0.5 * (self.state_l.v + self.state_r.v)
-
-    @property
-    def xi_span(self):
-        return float(self._xi_l[0]), float(self._xi_r[-1])
-
-    @property
     def xi_table(self) -> np.ndarray:
         return np.concatenate([self._xi_l[:-1], self._xi_r])
 
@@ -220,10 +221,6 @@ class ShockProfile:
         right = right.copy()
         right[0] = self.v0
         return np.concatenate([left, right])
-
-    @property
-    def u_table(self) -> np.ndarray:
-        return self.state_l.u - self.s * (self.v_table - self.state_l.v)
 
     # -- evaluation --------------------------------------------------
 
@@ -281,11 +278,6 @@ class ShockProfile:
         if scalar:
             return float(V[0]), float(U[0]), float(vx[0]), float(ux[0])
         return V, U, vx, ux
-
-
-def eval_profile(profile: ShockProfile, xi):
-    """(V, U, V_x, U_x) of a shock profile at xi."""
-    return profile.evaluate(xi)
 
 
 def _default_xi_max(chi, c, gap_target):
@@ -377,20 +369,7 @@ def sample_uniform(gas: GasModel, state_l: EndState, state_r: EndState,
     xi_max_r = xi_max if xi_max is not None else _default_xi_max(chi, c_plus, gap_target)
 
     def half(v_end, w0, cap, orient):
-        def rhs(tau, y):
-            return [orient * _g_from_end(gas, s, v_end, y[0])]
-
-        def reached(tau, y):
-            return abs(y[0]) - gap_target
-
-        reached.terminal = True
-        reached.direction = -1.0
-        sol = solve_ivp(rhs, (0.0, cap), [w0], method="RK45",
-                        rtol=_ODE_RTOL, atol=1e-4 * gap_target,
-                        events=reached, dense_output=True)
-        if not sol.success:
-            raise IntegrationError(f"profile integration failed: {sol.message}")
-        tau_end = cap if sol.t_events[0].size == 0 else float(sol.t_events[0][0])
+        sol, tau_end, _ = _solve_half(gas, s, v_end, w0, gap_target, cap, orient)
         m = int(math.floor(tau_end / h))
         tau = h * np.arange(m + 1)
         w = sol.sol(tau)[0]

@@ -28,7 +28,6 @@ __all__ = [
     "TwoShockData",
     "NoTwoShockSolution",
     "BracketError",
-    "eos_eval",
     "char_speeds",
     "hugoniot_u",
     "in_ss_region",
@@ -112,19 +111,6 @@ class TwoShockData:
 
 def _scalar_or_array(x, scalar):
     return float(x) if scalar else x
-
-
-def eos_eval(gas: GasModel, v):
-    """Pressure and its first two volume derivatives at v."""
-    _check_volume(v)
-    scalar = np.ndim(v) == 0
-    v = np.asarray(v, dtype=np.float64)
-    p = gas.a * v ** (-gas.gamma)
-    p1 = -gas.a * gas.gamma * v ** (-gas.gamma - 1.0)
-    p2 = gas.a * gas.gamma * (gas.gamma + 1.0) * v ** (-gas.gamma - 2.0)
-    return (_scalar_or_array(p, scalar),
-            _scalar_or_array(p1, scalar),
-            _scalar_or_array(p2, scalar))
 
 
 def char_speeds(gas: GasModel, v):

@@ -11,7 +11,7 @@ recomputed every step from the hyperbolic and viscous CFL bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -19,7 +19,8 @@ import numpy as np
 
 from .riemann import GasModel, TwoShockData
 from .profile import build_profiles, decay_rates
-from .composite import CompositeWave, compute_shift_inputs, solve_shifts
+from .composite import (CompositeWave, ShiftInputs, compute_shift_inputs,
+                        solve_shifts)
 
 __all__ = [
     "Grid1D",
@@ -29,11 +30,16 @@ __all__ = [
     "semidiscrete_rhs",
     "stable_dt",
     "rk4_step",
+    "advance",
     "effective_velocity",
     "auto_grid",
+    "apply_perturbations",
+    "setup_experiment",
+    "ExperimentSetup",
     "run_simulation",
     "SimulationResult",
     "Snapshot",
+    "write_csv",
 ]
 
 # absolute-tolerance goal for composite tails at the domain boundary
@@ -87,15 +93,12 @@ class FieldState:
 class SchemeConfig:
     cfl_hyperbolic: float = 0.4
     cfl_viscous: float = 0.4
-    boundary: str = "far-field-dirichlet"
 
     def __post_init__(self):
         for name in ("cfl_hyperbolic", "cfl_viscous"):
             c = getattr(self, name)
             if not 0.0 < c <= 0.9:
                 raise ValueError(f"{name} must lie in (0, 0.9]")
-        if self.boundary != "far-field-dirichlet":
-            raise ValueError("only far-field-dirichlet boundaries are supported")
 
 
 def _face_visc(gas: GasModel, vbar):
@@ -153,6 +156,16 @@ def rk4_step(gas: GasModel, state: FieldState, dt: float, grid: Grid1D) -> Field
     return out
 
 
+def advance(gas: GasModel, state: FieldState, grid: Grid1D, t_target: float,
+            scheme: SchemeConfig) -> FieldState:
+    """RK4 steps at the stable dt from state.t to t_target, the last one
+    clipped to land on t_target; state itself if t_target <= state.t."""
+    while state.t < t_target - 1e-12:
+        dt = min(stable_dt(gas, state, grid, scheme), t_target - state.t)
+        state = rk4_step(gas, state, dt, grid)
+    return state
+
+
 def effective_velocity(gas: GasModel, state: FieldState, grid: Grid1D) -> np.ndarray:
     """h = u - v^-(alpha+1) v_x with central differences for v_x."""
     vx = np.gradient(state.v, grid.dx, edge_order=2)
@@ -178,6 +191,16 @@ def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
     return Grid1D(x_lo, x_hi, n)
 
 
+def write_csv(path, names, columns):
+    """Header of names, then one row per index of the equal-length columns,
+    each value with 17 significant digits so a float64 reads back exactly."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w") as f:
+        f.write(",".join(names) + "\n")
+        for row in zip(*columns):
+            f.write(",".join("%.17g" % val for val in row) + "\n")
+
+
 @dataclass
 class Snapshot:
     """Full-field dump at one time."""
@@ -195,11 +218,7 @@ class Snapshot:
     COLUMNS = ("x", "v", "u", "V", "U", "h", "H", "W")
 
     def write_csv(self, path):
-        cols = [getattr(self, name) for name in self.COLUMNS]
-        with open(path, "w") as f:
-            f.write(",".join(self.COLUMNS) + "\n")
-            for row in zip(*cols):
-                f.write(",".join("%.17g" % val for val in row) + "\n")
+        write_csv(path, self.COLUMNS, [getattr(self, c) for c in self.COLUMNS])
 
 
 @dataclass
@@ -214,17 +233,61 @@ class SimulationResult:
     config: object = None
 
 
-def _resolve_two_shock(cfg):
+@dataclass
+class ExperimentSetup:
+    """Everything before the first time step: the perturbed initial data
+    and the shifted composite it is measured against."""
+
+    two_shock: TwoShockData
+    profiles: tuple
+    grid: Grid1D
+    v0: np.ndarray
+    u0: np.ndarray
+    shift_inputs: ShiftInputs
+    composite: CompositeWave
+
+
+def apply_perturbations(V, U, x, perturbations):
+    """Copies of (V, U) with the bump of each perturbation added to its target."""
+    v, u = V.copy(), U.copy()
+    for pert in perturbations:
+        bump = pert(x)
+        if pert.target == "v":
+            v += bump
+        else:
+            u += bump
+    return v, u
+
+
+def setup_experiment(cfg) -> ExperimentSetup:
+    """Riemann solve, profiles, grid, perturbed initial data and shifts.
+
+    The configured perturbations are added to the unshifted composite.
+    The shifts zero the excess masses of the result: both of them for a
+    two-shock composite, the volume mass alone for a single wave
+    (cfg.single_family), whose shift beta2 is 0.
+    """
     gas = cfg.gas
-    return cfg.riemann.resolve(gas)
-
-
-def _build_composite(cfg, gas, ts):
+    ts = cfg.riemann.resolve(gas)
     p1, p2 = build_profiles(gas, ts)
     if cfg.single_family is None:
-        return (p1, p2), CompositeWave(p1, p2, cfg.beta)
-    wave = p1 if cfg.single_family == 1 else p2
-    return (p1, p2), CompositeWave(wave, None, cfg.beta)
+        cw0 = CompositeWave(p1, p2, cfg.beta)
+    else:
+        cw0 = CompositeWave(p1 if cfg.single_family == 1 else p2, None, cfg.beta)
+
+    grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final)
+    V0, U0 = cw0.state_fields(grid.x, 0.0)
+    v0, u0 = apply_perturbations(V0, U0, grid.x, cfg.perturbations)
+
+    si = compute_shift_inputs(v0, u0, cw0, grid)
+    if cfg.single_family is None:
+        b1, b2 = solve_shifts(si, ts)
+    else:
+        wave = cw0.wave1
+        b1, b2 = si.I01 / (wave.state_r.v - wave.state_l.v), 0.0
+    return ExperimentSetup(two_shock=ts, profiles=(p1, p2), grid=grid,
+                           v0=v0, u0=u0, shift_inputs=si,
+                           composite=cw0.shifted(b1, b2))
 
 
 def _schedule(t_final, record_dt, snapshot_times):
@@ -240,43 +303,18 @@ def _schedule(t_final, record_dt, snapshot_times):
 
 
 def run_simulation(cfg) -> SimulationResult:
-    """Full experiment: Riemann solve, profiles, shifts, evolution.
+    """Full experiment: setup_experiment, then evolution.
 
-    Builds the two-shock datum and profiles, applies the configured
-    Gaussian perturbations to the unshifted composite, computes the
-    shifts from the excess masses, then evolves the perturbed data with
-    RK4, recording diagnostics at the configured cadence and snapshots
-    at the configured times.
+    Evolves the perturbed data with RK4, recording diagnostics at the
+    configured cadence and snapshots at the configured times.
     """
     from . import diagnostics  # deferred: diagnostics imports this module
 
     gas = cfg.gas
-    ts = _resolve_two_shock(cfg)
-    profiles, cw0 = _build_composite(cfg, gas, ts)
-
-    grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final)
+    exp = setup_experiment(cfg)
+    grid, cw = exp.grid, exp.composite
     x = grid.x
-
-    V0, U0 = cw0.state_fields(x, 0.0)
-    v0 = V0.copy()
-    u0 = U0.copy()
-    for pert in cfg.perturbations:
-        bump = pert(x)
-        if pert.target == "v":
-            v0 += bump
-        else:
-            u0 += bump
-
-    si = compute_shift_inputs(v0, u0, cw0, grid)
-    if cfg.single_family is None:
-        b1, b2 = solve_shifts(si, ts)
-    else:
-        wave = cw0.wave1
-        b1 = si.I01 / (wave.state_r.v - wave.state_l.v)
-        b2 = 0.0
-    cw = cw0.shifted(b1, b2)
-
-    state = FieldState(0.0, v0, u0)
+    state = FieldState(0.0, exp.v0, exp.u0)
     series = diagnostics.DiagnosticsSeries()
     snapshots = []
 
@@ -290,15 +328,13 @@ def run_simulation(cfg) -> SimulationResult:
     schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
                          cfg.time.snapshot_times)
     for t_target, flags in schedule:
-        while state.t < t_target - 1e-12:
-            dt = min(stable_dt(gas, state, grid, cfg.scheme),
-                     t_target - state.t)
-            state = rk4_step(gas, state, dt, grid)
+        state = advance(gas, state, grid, t_target, cfg.scheme)
         if flags["record"]:
             series.append(diagnostics.make_record(state, cw, grid))
         if flags["snapshot"]:
             take_snapshot(state)
 
     return SimulationResult(series=series, snapshots=snapshots, composite=cw,
-                            two_shock=ts, grid=grid, profiles=profiles,
-                            shift_inputs=si, config=cfg)
+                            two_shock=exp.two_shock, grid=grid,
+                            profiles=exp.profiles,
+                            shift_inputs=exp.shift_inputs, config=cfg)

@@ -21,8 +21,8 @@ from .riemann import (EndState, GasModel, entropy_margins, hugoniot_u,
 from .profile import build_profiles, sample_uniform
 from .composite import (CompositeWave, compute_shift_inputs, interaction_norm,
                         predicted_w_decay, solve_shifts)
-from .solver import (FieldState, Grid1D, SchemeConfig, rk4_step,
-                     run_simulation, stable_dt)
+from .solver import (FieldState, Grid1D, SchemeConfig, advance,
+                     apply_perturbations, run_simulation)
 from .diagnostics import (antiderivatives, closed_form_Psi,
                           fit_exponential_rate)
 from .config import (ExperimentConfig, GridSpec, Perturbation, RiemannSpec,
@@ -50,10 +50,26 @@ def format_result(r: CriterionResult) -> str:
     return f"{r.name},{r.measured:.6g},{r.threshold},{'PASS' if r.passed else 'FAIL'}"
 
 
-def _max_workers(n_tasks: int) -> int:
+def thread_cap() -> int:
+    """Worker cap: SHOCKWAVE_THREADS if set, else the logical core count.
+
+    Raises ValueError unless SHOCKWAVE_THREADS is a positive integer.
+    """
     env = os.environ.get("SHOCKWAVE_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"SHOCKWAVE_THREADS must be a positive integer, got '{env}'")
+    return cap
+
+
+def _max_workers(n_tasks: int) -> int:
+    return max(1, min(thread_cap(), n_tasks))
 
 
 def canonical_gas() -> GasModel:
@@ -187,18 +203,12 @@ def suite_shifts(n_cases: int = 50, seed: int = 4257):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
-        v0 = V0.copy()
-        u0 = U0.copy()
-        for _ in range(rng.integers(1, 4)):
-            pert = Perturbation(
-                target=("v", "u")[rng.integers(0, 2)],
-                amplitude=rng.uniform(-0.1, 0.1),
-                center=rng.uniform(8.0, 32.0),
-                width=rng.uniform(0.5, 2.0))
-            if pert.target == "v":
-                v0 += pert(x)
-            else:
-                u0 += pert(x)
+        perts = [Perturbation(target=("v", "u")[rng.integers(0, 2)],
+                              amplitude=rng.uniform(-0.1, 0.1),
+                              center=rng.uniform(8.0, 32.0),
+                              width=rng.uniform(0.5, 2.0))
+                 for _ in range(rng.integers(1, 4))]
+        v0, u0 = apply_perturbations(V0, U0, x, perts)
         si = compute_shift_inputs(v0, u0, cw0, grid)
         b1, b2 = solve_shifts(si, ts)
         si2 = compute_shift_inputs(v0, u0, cw0.shifted(b1, b2), grid)
@@ -277,9 +287,7 @@ def _single_shock_run(gas, ts, profile, dx, t_final, sample_dt=0.25):
     times, crossings = [0.0], [crossing(state.v)]
     targets = np.arange(sample_dt, t_final + 1e-9, sample_dt)
     for t_target in targets:
-        while state.t < t_target - 1e-12:
-            dt = min(stable_dt(gas, state, grid, scheme), t_target - state.t)
-            state = rk4_step(gas, state, dt, grid)
+        state = advance(gas, state, grid, t_target, scheme)
         times.append(state.t)
         crossings.append(crossing(state.v))
     V_exact, _, _, _ = profile.evaluate(x - ts.s1 * t_final)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,20 @@ def test_cmd_shifts_zero_perturbation(tmp_path, capsys):
     assert abs(float(values["beta2 "])) <= 1e-12
 
 
+def test_cmd_shifts_single_family_matches_simulate(tmp_path, capsys):
+    cfg_path = _write(tmp_path, SINGLE_SHOCK_RUN)
+    assert main(["simulate", "--config", cfg_path,
+                 "--out", str(tmp_path / "sim")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "shifts: beta1 = -0.0354490770181, beta2 = 0"
+    assert main(["shifts", "--config", cfg_path,
+                 "--out", str(tmp_path / "shifts")]) == 0
+    values = dict(line.split(" = ")
+                  for line in capsys.readouterr().out.strip().splitlines())
+    assert values["beta1"] == "-0.0354490770181"
+    assert values["beta2"] == "0"
+
+
 def test_cmd_simulate_outputs(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main(["simulate", "--config", _write(tmp_path, SINGLE_SHOCK_RUN),
@@ -150,6 +166,21 @@ def test_csv_seventeen_digit_roundtrip(tmp_path):
 def test_cmd_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_cmd_verify_bad_thread_count_is_usage_error(monkeypatch, capsys, threads):
+    from shockwave_lab import verify
+
+    def no_suite(name):
+        raise AssertionError(f"suite '{name}' ran")
+
+    monkeypatch.setenv("SHOCKWAVE_THREADS", threads)
+    monkeypatch.setattr(verify, "run_suite", no_suite)
+    running = threading.active_count()
+    assert main(["verify", "--suite", "convergence"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert threading.active_count() == running
 
 
 def test_cmd_verify_named_suite(capsys):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from shockwave_lab import (CompositeWave, Grid1D, SeparationError, ShiftInputs,
-                           compute_shift_inputs, eval_composite,
-                           interaction_norm, predicted_w_decay, solve_shifts,
-                           w_decay_constants)
+                           compute_shift_inputs, interaction_norm,
+                           predicted_w_decay, solve_shifts, w_decay_constants)
 from shockwave_lab.composite import TruncationError, w_naive
 from shockwave_lab.config import Perturbation
 
@@ -17,7 +16,8 @@ def _shift_grid(beta=40.0, dx=0.02, margin=27.0):
 
 
 def test_far_field_limits(composite40, two_shock):
-    V, U, _, _, _, _ = eval_composite(composite40, np.array([-1e5, 1e5]), 3.0)
+    f = composite40.fields(np.array([-1e5, 1e5]), 3.0)
+    V, U = f.V, f.U
     assert V[0] == pytest.approx(two_shock.left.v, abs=1e-13)
     assert U[0] == pytest.approx(two_shock.left.u, abs=1e-13)
     assert V[1] == pytest.approx(two_shock.right.v, abs=1e-13)

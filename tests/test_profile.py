@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from shockwave_lab import (DegenerateWaveError, EndState, TailTruncatedWarning,
-                           decay_rates, eval_profile, integrate_profile,
-                           profile_rhs, sample_uniform)
+                           decay_rates, integrate_profile, profile_rhs,
+                           sample_uniform)
 from shockwave_lab.verify import _steady_residual_l2, measured_tail_rates
 
 SQ3 = np.sqrt(3.0)
@@ -61,7 +61,7 @@ def test_far_tail_limits(profiles):
 def test_ux_nonpositive_everywhere(profiles):
     xi = np.linspace(-60.0, 60.0, 10000)
     for p in profiles:
-        _, _, _, ux = eval_profile(p, xi)
+        _, _, _, ux = p.evaluate(xi)
         assert np.all(ux <= 0.0)
 
 

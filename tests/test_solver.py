@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from shockwave_lab import (FieldState, Grid1D, PositivityError, SchemeConfig,
-                           auto_grid, effective_velocity, profile_rhs,
+                           advance, auto_grid, effective_velocity, profile_rhs,
                            rk4_step, run_simulation, sample_uniform,
-                           semidiscrete_rhs, stable_dt)
+                           semidiscrete_rhs, solver, stable_dt)
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
                                   RiemannSpec, TimeSpec)
 
@@ -151,6 +151,40 @@ def test_rk4_positivity_abort(gas):
     with pytest.raises(PositivityError) as err:
         rk4_step(gas, state, 0.05, grid)
     assert err.value.state is not None
+
+
+def _recording_steps(monkeypatch):
+    """Route solver.rk4_step through a wrapper that records each dt."""
+    dts = []
+    step = solver.rk4_step
+
+    def recording(gas, state, dt, grid):
+        dts.append(dt)
+        return step(gas, state, dt, grid)
+
+    monkeypatch.setattr(solver, "rk4_step", recording)
+    return dts
+
+
+def test_advance_clips_last_step_onto_target(gas, monkeypatch):
+    grid = Grid1D(0.0, 5.0, 101)
+    state = _const_state(101)
+    dt = stable_dt(gas, state, grid)
+    t_target = 24.6 * dt  # the stable dt does not divide the interval
+    dts = _recording_steps(monkeypatch)
+    out = advance(gas, state, grid, t_target, SchemeConfig())
+    assert abs(out.t - t_target) <= 1e-12
+    assert len(dts) == 25 and dts[:-1] == [dt] * 24
+    assert dts[-1] == pytest.approx(0.6 * dt, rel=1e-9)
+
+
+def test_advance_without_time_to_go_returns_state(gas, monkeypatch):
+    grid = Grid1D(0.0, 5.0, 101)
+    state = FieldState(2.0, np.full(101, 1.3), np.full(101, -0.2))
+    dts = _recording_steps(monkeypatch)
+    for t_target in (2.0, 1.0):
+        assert advance(gas, state, grid, t_target, SchemeConfig()) is state
+    assert dts == []
 
 
 def test_effective_velocity_constant_volume(gas):
