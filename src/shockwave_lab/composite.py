@@ -242,19 +242,19 @@ class CompositeWave:
         between state_fields() and fields()."""
         x = np.asarray(x, dtype=np.float64)
         vm = self.mid.v
-        z1 = self.xi1(x, t)
-        _, U1, v1x, u1x = self.wave1.evaluate(z1)
-        d1 = self.wave1.gap_right(z1)
+        w1 = self.wave1
+        g1, d1, v1x = w1.gaps(self.xi1(x, t))
+        U = w1.state_l.u - w1.s * g1
+        u1x = -w1.s * v1x
         if self.wave2 is not None:
-            z2 = self.xi2(x, t)
-            _, U2, v2x, u2x = self.wave2.evaluate(z2)
-            d2 = self.wave2.gap_left(z2)
-            U = U1 + U2 - self.mid.u
+            w2 = self.wave2
+            d2, _, v2x = w2.gaps(self.xi2(x, t))
+            U = U + (w2.state_l.u - w2.s * d2) - self.mid.u
+            u2x = -w2.s * v2x
         else:
             v2x = np.zeros_like(x)
             u2x = np.zeros_like(x)
             d2 = np.zeros_like(x)
-            U = U1
         V = vm + d1 + d2
         if np.any(V <= 0.0):
             raise ValueError("composite volume is nonpositive; "
@@ -265,9 +265,6 @@ class CompositeWave:
         """(V, U) only; cheaper than fields() when W is not needed."""
         V, U, *_ = self._parts(x, t)
         return V, U
-
-    def volume(self, x, t):
-        return self.state_fields(x, t)[0]
 
     def fields(self, x, t) -> CompositeFields:
         """All composite fields at (x, t): V, U, V_x, U_x, H, W."""

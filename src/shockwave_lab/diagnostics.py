@@ -14,13 +14,14 @@ inequality checks sit at machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .composite import BOUNDARY_DECAY_TOL, CompositeWave, TruncationError
+from .composite import (BOUNDARY_DECAY_TOL, CompositeFields, CompositeWave,
+                        TruncationError)
 from .solver import FieldState, Grid1D, effective_velocity, write_csv
 
 __all__ = [
@@ -42,18 +43,14 @@ __all__ = [
     "make_record",
 ]
 
-DIAG_CSV_COLUMNS = ("t", "sup_v", "sup_u", "l2_phi", "h1_phi", "h2_phi",
-                    "l2_psi", "h1_psi", "l2_Psi", "l2_W", "E0", "E1",
-                    "min_f", "ineq_violation")
-
 
 @dataclass
 class PerturbationFields:
-    """Anti-derivatives of (v-V, u-U, h-H) and their derivative arrays."""
+    """Anti-derivatives of (v-V, u-U, h-H), their derivative arrays, and
+    the composite fields they are measured against."""
 
     x: np.ndarray
-    dx: float
-    t: float
+    composite: CompositeFields
     phi: np.ndarray
     psi: np.ndarray
     Psi: np.ndarray
@@ -74,7 +71,6 @@ class PerturbationTerms:
     F: np.ndarray
     G: np.ndarray
     p_rel: np.ndarray
-    W: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,8 +103,10 @@ class InequalityReport:
 def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> PerturbationFields:
     """Cumulative-trapezoid anti-derivatives of the perturbation from x_lo.
 
-    Raises TruncationError if the perturbation has not decayed below the
-    boundary tolerance at the left edge (the anchor of the integrals).
+    This is the one evaluation of the composite for a record; the other
+    diagnostics read it from the returned fields.  Raises TruncationError
+    if the perturbation has not decayed below the boundary tolerance at
+    the left edge (the anchor of the integrals).
     """
     x = grid.x
     dx = grid.dx
@@ -130,24 +128,22 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     Psi = cumulative_trapezoid(Psi_x, x, initial=0.0)
     v_x = np.gradient(state.v, dx, edge_order=2)
     u_x = np.gradient(state.u, dx, edge_order=2)
-    return PerturbationFields(x=x, dx=dx, t=state.t, phi=phi, psi=psi, Psi=Psi,
+    return PerturbationFields(x=x, composite=flds, phi=phi, psi=psi, Psi=Psi,
                               phi_x=rv, psi_x=ru, Psi_x=Psi_x,
                               phi_xx=v_x - flds.Vx, psi_xx=u_x - flds.Ux,
                               v_x=v_x, u_x=u_x)
 
 
-def closed_form_Psi(state: FieldState, cw: CompositeWave, grid: Grid1D,
-                    fields: Optional[PerturbationFields] = None) -> np.ndarray:
+def closed_form_Psi(state: FieldState, cw: CompositeWave,
+                    fields: PerturbationFields) -> np.ndarray:
     """Psi from the exact integral of the v^-(alpha+1) v_x term.
 
     Psi = psi - ln(v/V) for alpha = 0 and
     Psi = psi + (v^-alpha - V^-alpha)/alpha for alpha > 0, each with its
     value at x_lo subtracted so the anchor matches the quadrature.
     """
-    if fields is None:
-        fields = antiderivatives(state, cw, grid)
     gas = cw.gas
-    V = cw.volume(grid.x, state.t)
+    V = fields.composite.V
     v = state.v
     if gas.alpha == 0.0:
         q = np.log(v / V)
@@ -183,19 +179,17 @@ def sobolev_norms(f, dx: float, order: int = 2) -> SobolevNorms:
                         h1=math.sqrt(h1sq), h2=h2)
 
 
-def perturbation_terms(state: FieldState, cw: CompositeWave, grid: Grid1D,
-                       fields: Optional[PerturbationFields] = None) -> PerturbationTerms:
-    """Pointwise f, F, G, p(v|V) and W on the grid.
+def perturbation_terms(state: FieldState, cw: CompositeWave,
+                       fields: PerturbationFields) -> PerturbationTerms:
+    """Pointwise f, F, G and p(v|V) on the grid.
 
     f = -p'(V) - (alpha+1) U_x / V^(alpha+2) is positive wherever
     U_x <= 0.  F and G use the same discrete derivatives as the fields
     so both vanish identically at zero perturbation.
     """
-    if fields is None:
-        fields = antiderivatives(state, cw, grid)
     gas = cw.gas
     ap1 = gas.alpha + 1.0
-    flds = cw.fields(grid.x, state.t)
+    flds = fields.composite
     V, Vx, Ux = flds.V, flds.Vx, flds.Ux
     v = state.v
     dpV = gas.dpressure(V)
@@ -210,7 +204,7 @@ def perturbation_terms(state: FieldState, cw: CompositeWave, grid: Grid1D,
     G = (fields.v_x * inv_diff
          + ((fields.v_x - Vx) - fields.phi_xx) / V ** ap1
          + ap1 * Vx * fields.phi_x / V ** (gas.alpha + 2.0))
-    return PerturbationTerms(f=f, F=F, G=G, p_rel=p_rel, W=flds.W)
+    return PerturbationTerms(f=f, F=F, G=G, p_rel=p_rel)
 
 
 def energy_functionals(fields: PerturbationFields, cw: CompositeWave):
@@ -218,7 +212,7 @@ def energy_functionals(fields: PerturbationFields, cw: CompositeWave):
 
     Both are nonnegative because p' < 0.
     """
-    dpV = cw.gas.dpressure(cw.volume(fields.x, fields.t))
+    dpV = cw.gas.dpressure(fields.composite.V)
     e0 = float(np.trapezoid(fields.phi ** 2 - fields.Psi ** 2 / dpV, fields.x))
     e1 = float(np.trapezoid(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, fields.x))
     return e0, e1
@@ -247,8 +241,9 @@ def fit_exponential_rate(t, y, window=None) -> RateFit:
                    npoints=int(t.size))
 
 
-def pointwise_inequality_report(cw: CompositeWave, grid: Grid1D, t: float) -> InequalityReport:
-    """Analytic pointwise checks on the composite at time t.
+def pointwise_inequality_report(cw: CompositeWave,
+                                flds: CompositeFields) -> InequalityReport:
+    """Analytic pointwise checks on the composite fields of cw at one time.
 
     Wave steepening: (1/p'(V))_t >= min(-s1, s2) |(1/p'(V))_x| with
     V_t = -s1 V1' - s2 V2' taken analytically from the profiles.
@@ -259,8 +254,6 @@ def pointwise_inequality_report(cw: CompositeWave, grid: Grid1D, t: float) -> In
     inequality holds.
     """
     gas = cw.gas
-    x = grid.x
-    flds = cw.fields(x, t)
     V = flds.V
     dp = gas.dpressure(V)
     d2p = gas.d2pressure(V)
@@ -307,6 +300,9 @@ class DiagnosticsRecord:
     p_rel_ratio: float
 
 
+DIAG_CSV_COLUMNS = tuple(f.name for f in dataclass_fields(DiagnosticsRecord))
+
+
 class DiagnosticsSeries:
     """Append-only list of DiagnosticsRecord with CSV export."""
 
@@ -343,12 +339,12 @@ def _p_rel_ratio(p_rel, phi_x):
 def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> DiagnosticsRecord:
     """Compute the full monitored record for one snapshot in time."""
     fields = antiderivatives(state, cw, grid)
-    terms = perturbation_terms(state, cw, grid, fields)
+    terms = perturbation_terms(state, cw, fields)
     dx = grid.dx
     nphi = sobolev_norms(fields.phi, dx, order=2)
     npsi = sobolev_norms(fields.psi, dx, order=2)
     e0, e1 = energy_functionals(fields, cw)
-    report = pointwise_inequality_report(cw, grid, state.t)
+    report = pointwise_inequality_report(cw, fields.composite)
     l2 = lambda f: float(np.sqrt(np.trapezoid(f * f, dx=dx)))
     return DiagnosticsRecord(
         t=state.t,
@@ -357,7 +353,7 @@ def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Diagnosti
         l2_phi=nphi.l2, h1_phi=nphi.h1, h2_phi=nphi.h2,
         l2_psi=npsi.l2, h1_psi=npsi.h1, h2_psi=npsi.h2,
         l2_Psi=l2(fields.Psi), l2_Psi_x=l2(fields.Psi_x),
-        l2_W=l2(terms.W),
+        l2_W=l2(fields.composite.W),
         E0=e0, E1=e1,
         min_f=float(terms.f.min()),
         ineq_violation=report.max_violation,

@@ -218,24 +218,24 @@ class ShockProfile:
     def v_table(self) -> np.ndarray:
         left = self.state_l.v + self._w_l[:-1]
         right = self.state_r.v + self._w_r
-        right = right.copy()
         right[0] = self.v0
         return np.concatenate([left, right])
 
     # -- evaluation --------------------------------------------------
 
-    def _regions(self, xi):
+    def gaps(self, xi):
+        """(V - v_l, V - v_r, V_x) at array xi from one table lookup.
+
+        Each gap is cancellation-free on its own side, so V - v_l is
+        accurate in relative terms on the left tail and V - v_r on the
+        right tail.
+        """
+        xi = np.asarray(xi, dtype=np.float64)
         lt = xi < self._xi_l[0]
         rt = xi > self._xi_r[-1]
         tl = (~lt) & (xi <= 0.0)
         tr = (~rt) & (xi > 0.0)
-        return lt, tl, tr, rt
-
-    def _gaps(self, xi):
-        """(V - v_l, V - v_r) for array xi, cancellation-free per side."""
-        xi = np.asarray(xi, dtype=np.float64)
         jump = self.state_r.v - self.state_l.v
-        lt, tl, tr, rt = self._regions(xi)
         gl = np.empty(xi.shape)
         gr = np.empty(xi.shape)
         gl[lt] = self._w_l[0] * np.exp(self.c_minus * (xi[lt] - self._xi_l[0]))
@@ -246,33 +246,19 @@ class ShockProfile:
         gr[rt] = self._w_r[-1] * np.exp(-self.c_plus * (xi[rt] - self._xi_r[-1]))
         gl[tr] = gr[tr] + jump
         gl[rt] = gr[rt] + jump
-        return gl, gr
-
-    def gap_left(self, xi):
-        """V(xi) - v_l, accurate in relative terms on the left tail."""
-        scalar = np.ndim(xi) == 0
-        gl, _ = self._gaps(np.atleast_1d(np.asarray(xi, dtype=np.float64)))
-        return float(gl[0]) if scalar else gl
-
-    def gap_right(self, xi):
-        """V(xi) - v_r, accurate in relative terms on the right tail."""
-        scalar = np.ndim(xi) == 0
-        _, gr = self._gaps(np.atleast_1d(np.asarray(xi, dtype=np.float64)))
-        return float(gr[0]) if scalar else gr
-
-    def evaluate(self, xi):
-        """(V, U, V_x, U_x) at xi (scalar or array)."""
-        scalar = np.ndim(xi) == 0
-        xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-        gl, gr = self._gaps(xi)
-        lt, tl, tr, rt = self._regions(xi)
-        left_side = lt | tl
-        V = np.where(left_side, self.state_l.v + gl, self.state_r.v + gr)
         vx = np.empty(xi.shape)
         vx[lt] = self.c_minus * gl[lt]
         vx[tl] = _g_from_end(self.gas, self.s, self.state_l.v, gl[tl])
         vx[tr] = _g_from_end(self.gas, self.s, self.state_r.v, gr[tr])
         vx[rt] = -self.c_plus * gr[rt]
+        return gl, gr, vx
+
+    def evaluate(self, xi):
+        """(V, U, V_x, U_x) at xi (scalar or array)."""
+        scalar = np.ndim(xi) == 0
+        xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+        gl, gr, vx = self.gaps(xi)
+        V = np.where(xi <= 0.0, self.state_l.v + gl, self.state_r.v + gr)
         U = self.state_l.u - self.s * gl
         ux = -self.s * vx
         if scalar:
@@ -280,8 +266,19 @@ class ShockProfile:
         return V, U, vx, ux
 
 
-def _default_xi_max(chi, c, gap_target):
-    return (math.log(max(abs(chi), 1e-3) / gap_target) + 25.0) / c
+def _half_line_setup(gas, state_l, state_r, s, tol, xi_max, start_volume=None):
+    """What both half-line integrations of a wave share: (chi, c_minus,
+    c_plus, gap_target, V(0), (xi cap of the left half, of the right))."""
+    chi = abs(state_r.v - state_l.v)
+    if chi == 0.0:
+        raise DegenerateWaveError("zero-strength wave has no profile")
+    c_minus, c_plus = decay_rates(gas, state_l, state_r, s)
+    gap_target = _GAP_SAFETY * tol
+    mid = 0.5 * (state_l.v + state_r.v) if start_volume is None else start_volume
+    caps = tuple(xi_max if xi_max is not None
+                 else (math.log(max(chi, 1e-3) / gap_target) + 25.0) / c
+                 for c in (c_minus, c_plus))
+    return chi, c_minus, c_plus, gap_target, mid, caps
 
 
 def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
@@ -301,24 +298,16 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
         raise ValueError("family must be 1 or 2")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    chi = abs(state_r.v - state_l.v)
-    if chi == 0.0:
-        raise DegenerateWaveError("zero-strength wave cannot be integrated")
+    chi, c_minus, c_plus, gap_target, mid, (xi_max_l, xi_max_r) = _half_line_setup(
+        gas, state_l, state_r, s, tol, xi_max, start_volume)
     if family == 1 and not (s < 0.0 and state_r.v < state_l.v):
         raise ValueError("family-1 wave needs s < 0 and a decreasing volume")
     if family == 2 and not (s > 0.0 and state_r.v > state_l.v):
         raise ValueError("family-2 wave needs s > 0 and an increasing volume")
-
-    c_minus, c_plus = decay_rates(gas, state_l, state_r, s)
-    gap_target = _GAP_SAFETY * tol
-    spacing = min(0.01, 0.05 / max(c_minus, c_plus))
-    mid = 0.5 * (state_l.v + state_r.v) if start_volume is None else start_volume
     lo, hi = min(state_l.v, state_r.v), max(state_l.v, state_r.v)
     if not lo < mid < hi:
         raise ValueError("start_volume must lie strictly between the end volumes")
-
-    xi_max_l = xi_max if xi_max is not None else _default_xi_max(chi, c_minus, gap_target)
-    xi_max_r = xi_max if xi_max is not None else _default_xi_max(chi, c_plus, gap_target)
+    spacing = min(0.01, 0.05 / max(c_minus, c_plus))
 
     tau_r, w_r, trunc_r = _integrate_half(
         gas, s, state_r.v, mid - state_r.v, gap_target, xi_max_r, +1, spacing)
@@ -359,14 +348,8 @@ def sample_uniform(gas: GasModel, state_l: EndState, state_r: EndState,
     interpolation), which makes the samples suitable for discretization
     order studies of the steady system.
     """
-    chi = abs(state_r.v - state_l.v)
-    if chi == 0.0:
-        raise DegenerateWaveError("zero-strength wave cannot be sampled")
-    c_minus, c_plus = decay_rates(gas, state_l, state_r, s)
-    gap_target = _GAP_SAFETY * tol
-    mid = 0.5 * (state_l.v + state_r.v)
-    xi_max_l = xi_max if xi_max is not None else _default_xi_max(chi, c_minus, gap_target)
-    xi_max_r = xi_max if xi_max is not None else _default_xi_max(chi, c_plus, gap_target)
+    *_, gap_target, mid, (xi_max_l, xi_max_r) = _half_line_setup(
+        gas, state_l, state_r, s, tol, xi_max)
 
     def half(v_end, w0, cap, orient):
         sol, tau_end, _ = _solve_half(gas, s, v_end, w0, gap_target, cap, orient)

@@ -5,9 +5,12 @@ One machine-readable line is printed per criterion:
 Criteria 6-8 share a single stability run (module-scoped fixture).
 """
 
+import dataclasses
+
 import pytest
 
-from shockwave_lab import verify
+from shockwave_lab import run_simulation, verify
+from shockwave_lab.config import TimeSpec
 
 
 def _check(results):
@@ -52,3 +55,16 @@ def test_criterion_7_energy_structure(stability_results):
 
 def test_criterion_8_effective_velocity_consistency(stability_results):
     _check([r for r in stability_results if r.name.startswith("psi.")])
+
+
+def test_stability_v_min_verdict_uses_its_own_bound():
+    """A v_max excursion fails stability.v_max only, not stability.v_min."""
+    cfg = dataclasses.replace(
+        verify.stability_config(),
+        time=TimeSpec(t_final=0.05, record_dt=0.025, snapshot_times=(0.05,)))
+    result = run_simulation(cfg)
+    hi_bound = 1.5 * max(result.two_shock.left.v, result.two_shock.right.v)
+    result.series.records[-1].v_max = hi_bound + 1.0
+    verdicts = {r.name: r.passed for r in verify.suite_stability(result)}
+    assert verdicts["stability.v_min"] is True
+    assert verdicts["stability.v_max"] is False

@@ -141,7 +141,8 @@ def test_cmd_simulate_outputs(tmp_path, capsys):
     assert code == 0
     diag = (out_dir / "diag.csv").read_text().splitlines()
     assert diag[0] == ("t,sup_v,sup_u,l2_phi,h1_phi,h2_phi,l2_psi,h1_psi,"
-                       "l2_Psi,l2_W,E0,E1,min_f,ineq_violation")
+                       "h2_psi,l2_Psi,l2_Psi_x,l2_W,E0,E1,min_f,"
+                       "ineq_violation,v_min,v_max,p_rel_ratio")
     assert len(diag) == 4  # records at t = 0, 0.1, 0.2
     snap = (out_dir / "snap_t0.2.csv").read_text().splitlines()
     assert snap[0] == "x,v,u,V,U,h,H,W"

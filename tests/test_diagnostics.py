@@ -65,8 +65,7 @@ def test_psi_closed_form_alpha0_order(composite40):
             bumps=(Perturbation("v", 0.05, 20.0, 1.0),
                    Perturbation("u", 0.05, 17.0, 1.4)))
         f = antiderivatives(state, composite40, grid)
-        errs.append(np.max(np.abs(f.Psi - closed_form_Psi(state, composite40,
-                                                          grid, f))))
+        errs.append(np.max(np.abs(f.Psi - closed_form_Psi(state, composite40, f))))
     order = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     assert order >= 1.7
 
@@ -89,7 +88,7 @@ def test_psi_closed_form_alpha_positive(gas):
         state = _perturbed_state(cw, grid,
                                  bumps=(Perturbation("v", 0.05, 15.0, 1.0),))
         f = antiderivatives(state, cw, grid)
-        errs.append(np.max(np.abs(f.Psi - closed_form_Psi(state, cw, grid, f))))
+        errs.append(np.max(np.abs(f.Psi - closed_form_Psi(state, cw, f))))
     assert np.log2(errs[0] / errs[1]) >= 1.7
 
 
@@ -121,7 +120,8 @@ def test_sobolev_short_array_rejected():
 def test_perturbation_terms_zero(composite40):
     grid = _grid()
     state = _perturbed_state(composite40, grid)
-    terms = perturbation_terms(state, composite40, grid)
+    terms = perturbation_terms(state, composite40,
+                               antiderivatives(state, composite40, grid))
     assert np.all(terms.F == 0.0)
     assert np.all(terms.G == 0.0)
     assert np.all(terms.p_rel == 0.0)
@@ -131,8 +131,9 @@ def test_f_positivity_floor(composite40, gas):
     grid = _grid()
     state = _perturbed_state(composite40, grid,
                              bumps=(Perturbation("v", 0.05, 20.0, 1.0),))
-    terms = perturbation_terms(state, composite40, grid)
-    V = composite40.volume(grid.x, 0.0)
+    terms = perturbation_terms(state, composite40,
+                               antiderivatives(state, composite40, grid))
+    V = composite40.state_fields(grid.x, 0.0)[0]
     assert terms.f.min() >= np.min(-gas.dpressure(V)) - 1e-14
     assert terms.f.min() > 0.0
 
@@ -143,7 +144,7 @@ def test_p_rel_ratio_bounded(composite40, gas):
                              bumps=(Perturbation("v", 0.05, 20.0, 1.0),))
     rec = make_record(state, composite40, grid)
     # |p(v|V)| <= C phi_x^2 with C comparable to max p''/2
-    V = composite40.volume(grid.x, 0.0)
+    V = composite40.state_fields(grid.x, 0.0)[0]
     assert rec.p_rel_ratio <= 10.0 * np.max(gas.d2pressure(V))
 
 
@@ -154,14 +155,15 @@ def test_energy_zero(composite40):
     assert energy_functionals(f, composite40) == (0.0, 0.0)
 
 
-def _fabricated_fields(grid, phi_fn, Psi_fn):
+def _fabricated_fields(grid, phi_fn, Psi_fn, composite40):
     x = grid.x
     z = np.zeros_like(x)
     phi = phi_fn(x)
     Psi = Psi_fn(x)
     dphi = np.gradient(phi, grid.dx, edge_order=2)
     dPsi = np.gradient(Psi, grid.dx, edge_order=2)
-    return PerturbationFields(x=x, dx=grid.dx, t=0.0, phi=phi, psi=z, Psi=Psi,
+    return PerturbationFields(x=x, composite=composite40.fields(x, 0.0),
+                              phi=phi, psi=z, Psi=Psi,
                               phi_x=dphi, psi_x=z, Psi_x=dPsi,
                               phi_xx=z, psi_xx=z, v_x=z, u_x=z)
 
@@ -169,7 +171,7 @@ def _fabricated_fields(grid, phi_fn, Psi_fn):
 def test_energy_pure_phi(composite40):
     grid = _grid()
     phi_fn = lambda x: 0.3 * np.exp(-((x - 20.0) / 2.0) ** 2)
-    f = _fabricated_fields(grid, phi_fn, lambda x: np.zeros_like(x))
+    f = _fabricated_fields(grid, phi_fn, lambda x: np.zeros_like(x), composite40)
     e0, _ = energy_functionals(f, composite40)
     assert e0 == pytest.approx(0.09 * 2.0 * np.sqrt(np.pi / 2.0), rel=1e-8)
 
@@ -178,11 +180,11 @@ def test_energy_quadrature_oracle(composite40, gas):
     grid = _grid()
     phi_fn = lambda x: 0.2 * np.exp(-((x - 18.0) / 1.5) ** 2)
     Psi_fn = lambda x: -0.1 * np.exp(-((x - 23.0) / 2.5) ** 2)
-    f = _fabricated_fields(grid, phi_fn, Psi_fn)
+    f = _fabricated_fields(grid, phi_fn, Psi_fn, composite40)
     e0, _ = energy_functionals(f, composite40)
 
     def integrand(x):
-        V = composite40.volume(np.array([x]), 0.0)[0]
+        V = composite40.state_fields(np.array([x]), 0.0)[0][0]
         return phi_fn(x) ** 2 - Psi_fn(x) ** 2 / gas.dpressure(V)
 
     expect, _ = quad(integrand, grid.x_lo, grid.x_hi, limit=200)
@@ -222,7 +224,7 @@ def test_fit_rate_windowing_and_errors():
 def test_pointwise_inequalities_canonical(composite40):
     grid = _grid()
     for t in (0.0, 5.0, 20.0):
-        rep = pointwise_inequality_report(composite40, grid, t)
+        rep = pointwise_inequality_report(composite40, composite40.fields(grid.x, t))
         assert rep.steepening <= 1e-12
         assert rep.f_floor <= 1e-12
 
@@ -232,7 +234,7 @@ def test_pointwise_inequality_single_shock(profiles):
     p1, _ = profiles
     cw = CompositeWave(p1, None, 0.0)
     grid = Grid1D(-25.0, 25.0, 1001)
-    rep = pointwise_inequality_report(cw, grid, 0.0)
+    rep = pointwise_inequality_report(cw, cw.fields(grid.x, 0.0))
     assert abs(rep.steepening) <= 1e-12
     assert rep.f_floor <= 1e-12
 
@@ -261,4 +263,26 @@ def test_record_csv_columns(composite40, tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ",".join(DIAG_CSV_COLUMNS)
     assert header == ("t,sup_v,sup_u,l2_phi,h1_phi,h2_phi,l2_psi,h1_psi,"
-                      "l2_Psi,l2_W,E0,E1,min_f,ineq_violation")
+                      "h2_psi,l2_Psi,l2_Psi_x,l2_W,E0,E1,min_f,ineq_violation,"
+                      "v_min,v_max,p_rel_ratio")
+
+
+def test_one_composite_evaluation_per_record(composite40, monkeypatch):
+    """make_record evaluates the composite once and shares the result."""
+    grid = _grid()
+    state = _perturbed_state(composite40, grid,
+                             bumps=(Perturbation("v", 0.02, 20.0, 1.0),))
+    calls = {"fields": 0, "state_fields": 0}
+
+    def counted(name):
+        original = getattr(CompositeWave, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(CompositeWave, name, counted(name))
+    make_record(state, composite40, grid)
+    assert calls == {"fields": 1, "state_fields": 0}
