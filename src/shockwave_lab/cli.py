@@ -94,11 +94,6 @@ def cmd_verify(suite):
               f"choose from {', '.join(verify_mod.SUITE_NAMES)}",
               file=sys.stderr)
         return 2
-    try:
-        verify_mod.thread_cap()
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     results, ok = verify_mod.run_suite(suite)
     for r in results:
         print(verify_mod.format_result(r))

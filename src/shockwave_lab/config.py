@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .riemann import (EndState, GasModel, hugoniot_u, in_ss_region,
-                      solve_intermediate)
-from .solver import Grid1D, SchemeConfig, auto_grid
+from .riemann import (BracketError, EndState, GasModel, hugoniot_u,
+                      in_ss_region, solve_intermediate)
+from .solver import Grid1D, auto_grid
 
 __all__ = [
     "ConfigError",
@@ -111,14 +111,24 @@ class GridSpec:
     n: Optional[int] = None
     dx: float = 0.05
 
+    def __post_init__(self):
+        if (self.x_lo is None) != (self.x_hi is None):
+            raise ConfigError("grid.x_lo and grid.x_hi must be given together")
+        if self.explicit and self.n is None:
+            raise ConfigError("explicit grid needs grid.n")
+        if self.explicit and not self.x_hi > self.x_lo:
+            raise ConfigError("grid.x_hi must exceed grid.x_lo")
+        if self.n is not None and self.n < 16:
+            raise ConfigError("grid.n must be at least 16")
+        if not self.dx > 0.0:
+            raise ConfigError("grid.dx must be positive")
+
     @property
     def explicit(self) -> bool:
         return self.x_lo is not None and self.x_hi is not None
 
     def resolve(self, gas, ts, beta, t_final) -> Grid1D:
         if self.explicit:
-            if self.n is None:
-                raise ConfigError("explicit grid needs grid.n")
             return Grid1D(self.x_lo, self.x_hi, self.n)
         return auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
 
@@ -144,7 +154,6 @@ class ExperimentConfig:
     perturbations: tuple = ()
     grid: GridSpec = GridSpec()
     time: TimeSpec = TimeSpec(1.0, 0.005)
-    scheme: SchemeConfig = SchemeConfig()
     out_dir: str = "out"
     single_family: Optional[int] = None
 
@@ -157,7 +166,7 @@ class ExperimentConfig:
 
 def _read_entries(path):
     entries = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -180,9 +189,12 @@ def _pop_float(entries, key, default=None, required=False):
         return default
     val = entries.pop(key)
     try:
-        return float(val)
+        num = float(val)
     except ValueError:
         raise ConfigError(f"key '{key}' must be a number, got '{val}'") from None
+    if not math.isfinite(num):
+        raise ConfigError(f"key '{key}' must be finite, got '{val}'")
+    return num
 
 
 def _pop_int(entries, key, default=None):
@@ -243,9 +255,12 @@ def parse_config(path) -> ExperimentConfig:
 
     # fail early on impossible data (SS-region violation) in the direct form
     if rspec.u_plus is not None:
-        left = EndState(rspec.v_minus, rspec.u_minus)
-        right = EndState(rspec.v_plus, rspec.u_plus)
-        if not in_ss_region(gas, left, right):
+        try:
+            inside = in_ss_region(gas, EndState(rspec.v_minus, rspec.u_minus),
+                                  EndState(rspec.v_plus, rspec.u_plus))
+        except (ValueError, ArithmeticError, BracketError) as exc:
+            raise ConfigError(f"riemann data: {exc}") from None
+        if not inside:
             raise ConfigError("(v_plus, u_plus) is not in the SS region of "
                               "(v_minus, u_minus): no two-shock solution")
 
@@ -261,8 +276,6 @@ def parse_config(path) -> ExperimentConfig:
         n=_pop_int(entries, "grid.n"),
         dx=_pop_float(entries, "grid.dx", default=0.05),
     )
-    if (grid.x_lo is None) != (grid.x_hi is None):
-        raise ConfigError("grid.x_lo and grid.x_hi must be given together")
 
     t_final = _pop_float(entries, "time.T", required=True)
     record_dt = _pop_float(entries, "time.record_dt", default=t_final / 200.0)
@@ -272,17 +285,9 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError:
         raise ConfigError("time.snapshot_times must be a comma list of numbers") from None
     for t in snaps:
-        if t < 0.0 or t > t_final:
+        if not 0.0 <= t <= t_final:
             raise ConfigError("snapshot times must lie in [0, T]")
     time = TimeSpec(t_final=t_final, record_dt=record_dt, snapshot_times=snaps)
-
-    try:
-        scheme = SchemeConfig(
-            cfl_hyperbolic=_pop_float(entries, "scheme.cfl_hyperbolic", default=0.4),
-            cfl_viscous=_pop_float(entries, "scheme.cfl_viscous", default=0.4),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     out_dir = _pop_str(entries, "output.dir", default="out")
 
@@ -291,5 +296,5 @@ def parse_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(gas=gas, riemann=rspec, beta=beta,
                             perturbations=perts, grid=grid, time=time,
-                            scheme=scheme, out_dir=out_dir,
+                            out_dir=out_dir,
                             single_family=single_family)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -78,7 +77,7 @@ class SobolevNorms:
     l2: float
     linf: float
     h1: float
-    h2: Optional[float] = None
+    h2: float
 
 
 @dataclass(frozen=True)
@@ -160,23 +159,19 @@ def _second_diff(f, dx):
     return out
 
 
-def sobolev_norms(f, dx: float, order: int = 2) -> SobolevNorms:
-    """Discrete L2/Linf/H1 (and H2) norms with central-difference derivatives."""
+def sobolev_norms(f, dx: float) -> SobolevNorms:
+    """Discrete L2/Linf/H1/H2 norms with central-difference derivatives."""
     f = np.asarray(f, dtype=np.float64)
     if f.size < 5:
         raise ValueError("need at least 5 samples for Sobolev norms")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     l2sq = float(np.trapezoid(f * f, dx=dx))
     linf = float(np.max(np.abs(f)))
     d1 = np.gradient(f, dx, edge_order=2)
     h1sq = l2sq + float(np.trapezoid(d1 * d1, dx=dx))
-    h2 = None
-    if order == 2:
-        d2 = _second_diff(f, dx)
-        h2 = math.sqrt(h1sq + float(np.trapezoid(d2 * d2, dx=dx)))
+    d2 = _second_diff(f, dx)
+    h2sq = h1sq + float(np.trapezoid(d2 * d2, dx=dx))
     return SobolevNorms(l2=math.sqrt(l2sq), linf=linf,
-                        h1=math.sqrt(h1sq), h2=h2)
+                        h1=math.sqrt(h1sq), h2=math.sqrt(h2sq))
 
 
 def perturbation_terms(state: FieldState, cw: CompositeWave,
@@ -218,17 +213,14 @@ def energy_functionals(fields: PerturbationFields, cw: CompositeWave):
     return e0, e1
 
 
-def fit_exponential_rate(t, y, window=None) -> RateFit:
+def fit_exponential_rate(t, y) -> RateFit:
     """Least-squares decay rate of a positive series: y ~ C exp(-rate t).
 
     Returns the negative slope of the log-linear fit and the rms
-    residual of the fit over the (optionally windowed) points.
+    residual of the fit over the points.
     """
     t = np.asarray(t, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-        t, y = t[mask], y[mask]
     if t.size < 5:
         raise ValueError("need at least 5 points for a rate fit")
     if np.any(y <= 0.0):
@@ -341,8 +333,8 @@ def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Diagnosti
     fields = antiderivatives(state, cw, grid)
     terms = perturbation_terms(state, cw, fields)
     dx = grid.dx
-    nphi = sobolev_norms(fields.phi, dx, order=2)
-    npsi = sobolev_norms(fields.psi, dx, order=2)
+    nphi = sobolev_norms(fields.phi, dx)
+    npsi = sobolev_norms(fields.psi, dx)
     e0, e1 = energy_functionals(fields, cw)
     report = pointwise_inequality_report(cw, fields.composite)
     l2 = lambda f: float(np.sqrt(np.trapezoid(f * f, dx=dx)))

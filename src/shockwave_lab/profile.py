@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 GAP_TOL = 1e-10        # tail-switch tolerance on |V - v_end|
-_GAP_SAFETY = 0.98     # integration stops just inside the tolerance
+_GAP_TARGET = 0.98 * GAP_TOL   # integration stops just inside the tolerance
 _ODE_RTOL = 1e-12
 
 
@@ -65,7 +65,7 @@ class IntegrationError(RuntimeError):
 
 
 class TailTruncatedWarning(UserWarning):
-    """xi_max was reached before the endpoint gap fell below tol."""
+    """xi_max was reached before the endpoint gap fell below GAP_TOL."""
 
 
 def profile_rhs(gas: GasModel, s: float, v_left: float, V):
@@ -135,12 +135,12 @@ def _monotone_spline(gas, s, v_end, xi, w):
     return PchipInterpolator(xi, w, extrapolate=False)
 
 
-def _solve_half(gas, s, v_end, w0, gap_target, xi_max, orient):
+def _solve_half(gas, s, v_end, w0, xi_max, orient):
     """Integrate the gap w = V - v_end from w0 toward 0.
 
     orient = +1 integrates the xi > 0 half, orient = -1 the xi < 0 half
     (internally tau = orient * xi >= 0 in both cases).  The run stops
-    where |w| falls to gap_target or at tau = xi_max.  Returns the
+    where |w| falls to _GAP_TARGET or at tau = xi_max.  Returns the
     solve_ivp result with its dense solution, the end point tau_end and
     whether xi_max cut the run short.
     """
@@ -151,13 +151,13 @@ def _solve_half(gas, s, v_end, w0, gap_target, xi_max, orient):
         raise IntegrationError("gap does not contract toward the end state")
 
     def reached(tau, y):
-        return abs(y[0]) - gap_target
+        return abs(y[0]) - _GAP_TARGET
 
     reached.terminal = True
     reached.direction = -1.0
 
     sol = solve_ivp(rhs, (0.0, xi_max), [w0], method="RK45",
-                    rtol=_ODE_RTOL, atol=1e-4 * gap_target,
+                    rtol=_ODE_RTOL, atol=1e-4 * _GAP_TARGET,
                     events=reached, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"profile integration failed: {sol.message}")
@@ -166,11 +166,10 @@ def _solve_half(gas, s, v_end, w0, gap_target, xi_max, orient):
     return sol, tau_end, truncated
 
 
-def _integrate_half(gas, s, v_end, w0, gap_target, xi_max, orient, spacing):
+def _integrate_half(gas, s, v_end, w0, xi_max, orient, spacing):
     """Gap table (tau, w, truncated) of one half line, tau ascending from 0
     with at most the given spacing and ending on the stopping point."""
-    sol, tau_end, truncated = _solve_half(gas, s, v_end, w0, gap_target,
-                                          xi_max, orient)
+    sol, tau_end, truncated = _solve_half(gas, s, v_end, w0, xi_max, orient)
     n = max(int(math.ceil(tau_end / spacing)), 8)
     tau = np.linspace(0.0, tau_end, n + 1)
     w = sol.sol(tau)[0]
@@ -266,29 +265,27 @@ class ShockProfile:
         return V, U, vx, ux
 
 
-def _half_line_setup(gas, state_l, state_r, s, tol, xi_max, start_volume=None):
+def _half_line_setup(gas, state_l, state_r, s, xi_max, start_volume=None):
     """What both half-line integrations of a wave share: (chi, c_minus,
-    c_plus, gap_target, V(0), (xi cap of the left half, of the right))."""
+    c_plus, V(0), (xi cap of the left half, of the right))."""
     chi = abs(state_r.v - state_l.v)
     if chi == 0.0:
         raise DegenerateWaveError("zero-strength wave has no profile")
     c_minus, c_plus = decay_rates(gas, state_l, state_r, s)
-    gap_target = _GAP_SAFETY * tol
     mid = 0.5 * (state_l.v + state_r.v) if start_volume is None else start_volume
     caps = tuple(xi_max if xi_max is not None
-                 else (math.log(max(chi, 1e-3) / gap_target) + 25.0) / c
+                 else (math.log(max(chi, 1e-3) / _GAP_TARGET) + 25.0) / c
                  for c in (c_minus, c_plus))
-    return chi, c_minus, c_plus, gap_target, mid, caps
+    return chi, c_minus, c_plus, mid, caps
 
 
 def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
-                      s: float, family: int, tol: float = GAP_TOL,
-                      xi_max: Optional[float] = None,
+                      s: float, family: int, xi_max: Optional[float] = None,
                       start_volume: Optional[float] = None) -> ShockProfile:
     """Integrate the traveling-wave ODE into an evaluable ShockProfile.
 
     Starts from V(0) = (v_l + v_r)/2 and integrates both half lines
-    until the endpoint gap drops below tol (or |xi| exceeds xi_max, in
+    until the endpoint gap drops below GAP_TOL (or |xi| exceeds xi_max, in
     which case the profile is returned flagged and a TailTruncatedWarning
     is issued).  start_volume overrides the midpoint normalization;
     translating a profile is equivalent to re-normalizing it, which the
@@ -296,10 +293,8 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
     """
     if family not in (1, 2):
         raise ValueError("family must be 1 or 2")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    chi, c_minus, c_plus, gap_target, mid, (xi_max_l, xi_max_r) = _half_line_setup(
-        gas, state_l, state_r, s, tol, xi_max, start_volume)
+    chi, c_minus, c_plus, mid, (xi_max_l, xi_max_r) = _half_line_setup(
+        gas, state_l, state_r, s, xi_max, start_volume)
     if family == 1 and not (s < 0.0 and state_r.v < state_l.v):
         raise ValueError("family-1 wave needs s < 0 and a decreasing volume")
     if family == 2 and not (s > 0.0 and state_r.v > state_l.v):
@@ -310,13 +305,13 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
     spacing = min(0.01, 0.05 / max(c_minus, c_plus))
 
     tau_r, w_r, trunc_r = _integrate_half(
-        gas, s, state_r.v, mid - state_r.v, gap_target, xi_max_r, +1, spacing)
+        gas, s, state_r.v, mid - state_r.v, xi_max_r, +1, spacing)
     tau_l, w_l, trunc_l = _integrate_half(
-        gas, s, state_l.v, mid - state_l.v, gap_target, xi_max_l, -1, spacing)
+        gas, s, state_l.v, mid - state_l.v, xi_max_l, -1, spacing)
 
     truncated = trunc_l or trunc_r
     if truncated:
-        warnings.warn("profile tail truncated at xi_max before reaching tol",
+        warnings.warn("profile tail truncated at xi_max before reaching GAP_TOL",
                       TailTruncatedWarning)
 
     xi_l = -tau_l[::-1]
@@ -331,28 +326,26 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
                         _ip_l=ip_l, _ip_r=ip_r)
 
 
-def build_profiles(gas: GasModel, ts: TwoShockData, tol: float = GAP_TOL,
-                   xi_max: Optional[float] = None):
+def build_profiles(gas: GasModel, ts: TwoShockData):
     """Both shock profiles of a two-shock datum."""
-    p1 = integrate_profile(gas, ts.left, ts.mid, ts.s1, 1, tol=tol, xi_max=xi_max)
-    p2 = integrate_profile(gas, ts.mid, ts.right, ts.s2, 2, tol=tol, xi_max=xi_max)
+    p1 = integrate_profile(gas, ts.left, ts.mid, ts.s1, 1)
+    p2 = integrate_profile(gas, ts.mid, ts.right, ts.s2, 2)
     return p1, p2
 
 
 def sample_uniform(gas: GasModel, state_l: EndState, state_r: EndState,
-                   s: float, h: float, tol: float = GAP_TOL,
-                   xi_max: Optional[float] = None):
+                   s: float, h: float):
     """(xi, V, U) on an exactly uniform grid of spacing h spanning the wave.
 
     Node values come straight from the dense ODE solution (no table
     interpolation), which makes the samples suitable for discretization
     order studies of the steady system.
     """
-    *_, gap_target, mid, (xi_max_l, xi_max_r) = _half_line_setup(
-        gas, state_l, state_r, s, tol, xi_max)
+    *_, mid, (xi_max_l, xi_max_r) = _half_line_setup(
+        gas, state_l, state_r, s, None)
 
     def half(v_end, w0, cap, orient):
-        sol, tau_end, _ = _solve_half(gas, s, v_end, w0, gap_target, cap, orient)
+        sol, tau_end, _ = _solve_half(gas, s, v_end, w0, cap, orient)
         m = int(math.floor(tau_end / h))
         tau = h * np.arange(m + 1)
         w = sol.sol(tau)[0]

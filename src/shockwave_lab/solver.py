@@ -156,12 +156,12 @@ def rk4_step(gas: GasModel, state: FieldState, dt: float, grid: Grid1D) -> Field
     return out
 
 
-def advance(gas: GasModel, state: FieldState, grid: Grid1D, t_target: float,
-            scheme: SchemeConfig) -> FieldState:
+def advance(gas: GasModel, state: FieldState, grid: Grid1D,
+            t_target: float) -> FieldState:
     """RK4 steps at the stable dt from state.t to t_target, the last one
     clipped to land on t_target; state itself if t_target <= state.t."""
     while state.t < t_target - 1e-12:
-        dt = min(stable_dt(gas, state, grid, scheme), t_target - state.t)
+        dt = min(stable_dt(gas, state, grid), t_target - state.t)
         state = rk4_step(gas, state, dt, grid)
     return state
 
@@ -328,7 +328,7 @@ def run_simulation(cfg) -> SimulationResult:
     schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
                          cfg.time.snapshot_times)
     for t_target, flags in schedule:
-        state = advance(gas, state, grid, t_target, cfg.scheme)
+        state = advance(gas, state, grid, t_target)
         if flags["record"]:
             series.append(diagnostics.make_record(state, cw, grid))
         if flags["snapshot"]:

@@ -9,9 +9,7 @@ Suites: riemann, profile, shifts, wdecay, convergence, stability, all.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +19,8 @@ from .riemann import (EndState, GasModel, entropy_margins, hugoniot_u,
 from .profile import build_profiles, sample_uniform
 from .composite import (CompositeWave, compute_shift_inputs, interaction_norm,
                         predicted_w_decay, solve_shifts)
-from .solver import (FieldState, Grid1D, SchemeConfig, advance,
-                     apply_perturbations, run_simulation)
+from .solver import (FieldState, Grid1D, advance, apply_perturbations,
+                     run_simulation)
 from .diagnostics import (antiderivatives, closed_form_Psi,
                           fit_exponential_rate)
 from .config import (ExperimentConfig, GridSpec, Perturbation, RiemannSpec,
@@ -34,6 +32,7 @@ SUITE_NAMES = ("riemann", "profile", "shifts", "wdecay", "convergence",
                "stability", "all")
 
 # canonical datum: gamma=2, a=1, alpha=0, v_- = 2, v_m = 1, v_+ = 2
+CANONICAL_RIEMANN = RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=2.0, v_m=1.0)
 C_PLUS_TARGET = 1.443376
 C_MINUS_TARGET = 1.154701
 
@@ -50,38 +49,8 @@ def format_result(r: CriterionResult) -> str:
     return f"{r.name},{r.measured:.6g},{r.threshold},{'PASS' if r.passed else 'FAIL'}"
 
 
-def thread_cap() -> int:
-    """Worker cap: SHOCKWAVE_THREADS if set, else the logical core count.
-
-    Raises ValueError unless SHOCKWAVE_THREADS is a positive integer.
-    """
-    env = os.environ.get("SHOCKWAVE_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(
-            f"SHOCKWAVE_THREADS must be a positive integer, got '{env}'")
-    return cap
-
-
-def _max_workers(n_tasks: int) -> int:
-    return max(1, min(thread_cap(), n_tasks))
-
-
 def canonical_gas() -> GasModel:
     return GasModel(a=1.0, gamma=2.0, alpha=0.0)
-
-
-def canonical_two_shock(gas=None):
-    gas = gas or canonical_gas()
-    left = EndState(2.0, 0.0)
-    u_m = float(hugoniot_u(gas, left, 1.0))
-    u_p = float(hugoniot_u(gas, EndState(1.0, u_m), 2.0))
-    return solve_intermediate(gas, left, EndState(2.0, u_p))
 
 
 # ----------------------------------------------------------------- riemann
@@ -158,7 +127,7 @@ def suite_profile():
     """Criterion 2: canonical profile fidelity (residual order, tail rates)."""
     t0 = time.perf_counter()
     gas = canonical_gas()
-    ts = canonical_two_shock(gas)
+    ts = CANONICAL_RIEMANN.resolve(gas)
     hs = np.array([0.1, 0.05, 0.025])
     res = [_steady_residual_l2(gas, ts.left, ts.mid, ts.s1, h) for h in hs]
     order = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
@@ -193,7 +162,7 @@ def suite_shifts(n_cases: int = 50, seed: int = 4257):
     """Criterion 3: post-shift excess masses vanish."""
     t0 = time.perf_counter()
     gas = canonical_gas()
-    ts = canonical_two_shock(gas)
+    ts = CANONICAL_RIEMANN.resolve(gas)
     p1, p2 = build_profiles(gas, ts)
     beta = 40.0
     cw0 = CompositeWave(p1, p2, beta)
@@ -236,7 +205,7 @@ def suite_wdecay():
     """Criterion 4: interaction-term decay rate and separation gain."""
     t0 = time.perf_counter()
     gas = canonical_gas()
-    ts = canonical_two_shock(gas)
+    ts = CANONICAL_RIEMANN.resolve(gas)
     p1, p2 = build_profiles(gas, ts)
     c_prime, c_minus_const = predicted_w_decay(ts, p1, p2)
     c_min = min(p1.c_minus, p1.c_plus, p2.c_minus, p2.c_plus)
@@ -265,8 +234,9 @@ def suite_wdecay():
 
 # ------------------------------------------------------------ convergence
 
-def _single_shock_run(gas, ts, profile, dx, t_final, sample_dt=0.25):
-    """Evolve the exact family-1 profile; return (l2_error, times, crossings)."""
+def _single_shock_run(gas, ts, profile, dx, t_final):
+    """Evolve the exact family-1 profile; return (l2_error, times, crossings)
+    with the crossings sampled every 0.25."""
     margin = 30.0 / min(profile.c_minus, profile.c_plus)
     x_lo = ts.s1 * t_final - margin
     x_hi = margin
@@ -275,7 +245,6 @@ def _single_shock_run(gas, ts, profile, dx, t_final, sample_dt=0.25):
     x = grid.x
     V, U, _, _ = profile.evaluate(x)
     state = FieldState(0.0, V.copy(), U.copy())
-    scheme = SchemeConfig()
     v_cross = 0.5 * (ts.left.v + ts.mid.v)
 
     def crossing(v):
@@ -285,9 +254,8 @@ def _single_shock_run(gas, ts, profile, dx, t_final, sample_dt=0.25):
         return float(x[i] + frac * grid.dx)
 
     times, crossings = [0.0], [crossing(state.v)]
-    targets = np.arange(sample_dt, t_final + 1e-9, sample_dt)
-    for t_target in targets:
-        state = advance(gas, state, grid, t_target, scheme)
+    for t_target in np.arange(0.25, t_final + 1e-9, 0.25):
+        state = advance(gas, state, grid, t_target)
         times.append(state.t)
         crossings.append(crossing(state.v))
     V_exact, _, _, _ = profile.evaluate(x - ts.s1 * t_final)
@@ -299,13 +267,10 @@ def suite_convergence():
     """Criterion 5: grid convergence and shock-speed fidelity."""
     t0 = time.perf_counter()
     gas = canonical_gas()
-    ts = canonical_two_shock(gas)
+    ts = CANONICAL_RIEMANN.resolve(gas)
     p1, _ = build_profiles(gas, ts)
     dxs = [0.1, 0.05, 0.025]
-    with ThreadPoolExecutor(max_workers=_max_workers(len(dxs))) as pool:
-        futures = [pool.submit(_single_shock_run, gas, ts, p1, dx, 5.0)
-                   for dx in dxs]
-        results = [f.result() for f in futures]
+    results = [_single_shock_run(gas, ts, p1, dx, 5.0) for dx in dxs]
     errors = np.array([r[0] for r in results])
     order = float(np.polyfit(np.log(dxs), np.log(errors), 1)[0])
     times, crossings = results[-1][1], results[-1][2]
@@ -328,7 +293,7 @@ def stability_config() -> ExperimentConfig:
     """The desk-scale composite stability experiment."""
     return ExperimentConfig(
         gas=canonical_gas(),
-        riemann=RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=2.0, v_m=1.0),
+        riemann=CANONICAL_RIEMANN,
         beta=40.0,
         perturbations=(Perturbation("v", 0.05, 20.0, 1.0),
                        Perturbation("u", 0.05, 20.0, 1.0)),

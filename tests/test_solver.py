@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from shockwave_lab import (FieldState, Grid1D, PositivityError, SchemeConfig,
-                           advance, auto_grid, effective_velocity, profile_rhs,
+from shockwave_lab import (FieldState, Grid1D, PositivityError, advance,
+                           auto_grid, effective_velocity, profile_rhs,
                            rk4_step, run_simulation, sample_uniform,
                            semidiscrete_rhs, solver, stable_dt)
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
@@ -172,7 +172,7 @@ def test_advance_clips_last_step_onto_target(gas, monkeypatch):
     dt = stable_dt(gas, state, grid)
     t_target = 24.6 * dt  # the stable dt does not divide the interval
     dts = _recording_steps(monkeypatch)
-    out = advance(gas, state, grid, t_target, SchemeConfig())
+    out = advance(gas, state, grid, t_target)
     assert abs(out.t - t_target) <= 1e-12
     assert len(dts) == 25 and dts[:-1] == [dt] * 24
     assert dts[-1] == pytest.approx(0.6 * dt, rel=1e-9)
@@ -183,7 +183,7 @@ def test_advance_without_time_to_go_returns_state(gas, monkeypatch):
     state = FieldState(2.0, np.full(101, 1.3), np.full(101, -0.2))
     dts = _recording_steps(monkeypatch)
     for t_target in (2.0, 1.0):
-        assert advance(gas, state, grid, t_target, SchemeConfig()) is state
+        assert advance(gas, state, grid, t_target) is state
     assert dts == []
 
 
