@@ -18,7 +18,8 @@ import sys
 from . import verify as verify_mod
 from .config import ConfigError, parse_config
 from .profile import build_profiles
-from .solver import run_simulation, setup_experiment, write_csv
+from .solver import (PositivityError, run_simulation, setup_experiment,
+                     write_csv)
 
 __all__ = ["main"]
 
@@ -73,12 +74,25 @@ def cmd_shifts(cfg, out_dir):
     return 0
 
 
-def cmd_simulate(cfg, out_dir):
-    result = run_simulation(cfg)
+def _write_run(out_dir, series, snapshots):
     diag_path = os.path.join(out_dir, "diag.csv")
-    result.series.to_csv(diag_path)
-    for snap in result.snapshots:
+    series.to_csv(diag_path)
+    for snap in snapshots:
         snap.write_csv(os.path.join(out_dir, f"snap_t{snap.t:g}.csv"))
+    return diag_path
+
+
+def cmd_simulate(cfg, out_dir):
+    try:
+        result = run_simulation(cfg)
+    except PositivityError as exc:  # keep the partial run, then fail
+        if exc.series is not None:
+            diag_path = _write_run(out_dir, exc.series, exc.snapshots)
+            print(f"wrote partial {diag_path} ({len(exc.series)} record(s)) "
+                  f"and {len(exc.snapshots)} snapshot(s), the last at the "
+                  "failure", file=sys.stderr)
+        raise
+    diag_path = _write_run(out_dir, result.series, result.snapshots)
     last = result.series.records[-1]
     print(f"shifts: beta1 = {result.composite.beta1:.12g}, "
           f"beta2 = {result.composite.beta2:.12g}")

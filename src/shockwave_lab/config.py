@@ -130,7 +130,10 @@ class GridSpec:
     def resolve(self, gas, ts, beta, t_final) -> Grid1D:
         if self.explicit:
             return Grid1D(self.x_lo, self.x_hi, self.n)
-        return auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
+        try:
+            return auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
+        except ValueError as exc:  # grid.dx leaves too few points
+            raise ConfigError(f"grid.dx: {exc}") from None
 
 
 @dataclass(frozen=True)

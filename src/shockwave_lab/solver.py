@@ -3,9 +3,17 @@
     v_t = u_x,
     u_t = -p_x + (u_x / v^(alpha+1))_x,
 
-on a truncated domain with far-field Dirichlet boundaries.  Central
-second-order differences in space, classical RK4 in time with the step
-recomputed every step from the hyperbolic and viscous CFL bounds.
+on a truncated domain with far-field Dirichlet boundaries, with central
+second-order differences in space.  Time stepping is Strang-split
+(Strang 1968, SIAM J. Numer. Anal. 5:506): a Crank-Nicolson half step
+of the viscous part with v frozen, one classical RK4 step of the
+inviscid part, and a second viscous half step, at the hyperbolic CFL
+bound recomputed every step.  The implicit half steps lift the explicit
+viscous bound, which on the stability experiment is 31.7x smaller.
+
+Classical RK4 on the full semidiscretization (`rk4_step` at
+`stable_dt`, the min of the hyperbolic and viscous bounds) is kept as
+the explicit reference path that the split step is tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .riemann import GasModel, TwoShockData
 from .profile import build_profiles, decay_rates
@@ -28,8 +37,10 @@ __all__ = [
     "SchemeConfig",
     "PositivityError",
     "semidiscrete_rhs",
+    "hyperbolic_dt",
     "stable_dt",
     "rk4_step",
+    "strang_step",
     "advance",
     "effective_velocity",
     "auto_grid",
@@ -47,11 +58,17 @@ _BOUNDARY_GOAL = 1e-13
 
 
 class PositivityError(RuntimeError):
-    """Specific volume lost positivity; carries the offending state."""
+    """Specific volume lost positivity; carries the offending state.
+
+    Raised out of run_simulation, it also carries the diagnostics
+    series and the snapshots taken before the failure.
+    """
 
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
+        self.series = None
+        self.snapshots = []
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +122,16 @@ def _face_visc(gas: GasModel, vbar):
     return vbar if gas.alpha == 0.0 else vbar ** (gas.alpha + 1.0)
 
 
+def _inviscid_rhs(gas: GasModel, v, u, dx):
+    """(dv/dt, du/dt) = (u_x, -p_x) by central differences; boundary rows 0."""
+    p = gas.pressure(v)
+    dv = np.zeros_like(v)
+    du = np.zeros_like(u)
+    dv[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+    du[1:-1] = -(p[2:] - p[:-2]) / (2.0 * dx)
+    return dv, du
+
+
 def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
     """(dv/dt, du/dt) of the second-order central semidiscretization.
 
@@ -116,24 +143,29 @@ def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
         raise PositivityError("nonpositive specific volume in rhs evaluation",
                               state.copy())
     dx = grid.dx
-    p = gas.pressure(v)
+    dv, du = _inviscid_rhs(gas, v, u, dx)
     vbar = 0.5 * (v[1:] + v[:-1])
     sigma = (u[1:] - u[:-1]) / (dx * _face_visc(gas, vbar))
-    dv = np.zeros_like(v)
-    du = np.zeros_like(u)
-    dv[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    du[1:-1] = -(p[2:] - p[:-2]) / (2.0 * dx) + (sigma[1:] - sigma[:-1]) / dx
+    du[1:-1] += (sigma[1:] - sigma[:-1]) / dx
     return dv, du
+
+
+def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D,
+                  scheme: SchemeConfig = SchemeConfig()) -> float:
+    """Hyperbolic CFL bound cfl dx / max|lambda|, with max|lambda| =
+    sqrt(-p'(v_min)); raises PositivityError if some v <= 0."""
+    vmin = float(state.v.min())
+    if vmin <= 0.0:
+        raise PositivityError("nonpositive specific volume", state.copy())
+    lam_max = math.sqrt(gas.a * gas.gamma) * vmin ** (-0.5 * (gas.gamma + 1.0))
+    return scheme.cfl_hyperbolic * grid.dx / lam_max
 
 
 def stable_dt(gas: GasModel, state: FieldState, grid: Grid1D,
               scheme: SchemeConfig = SchemeConfig()) -> float:
     """Explicit step bound: min of hyperbolic and viscous CFL limits."""
+    dt_h = hyperbolic_dt(gas, state, grid, scheme)
     vmin = float(state.v.min())
-    if vmin <= 0.0:
-        raise PositivityError("nonpositive specific volume", state.copy())
-    lam_max = math.sqrt(gas.a * gas.gamma) * vmin ** (-0.5 * (gas.gamma + 1.0))
-    dt_h = scheme.cfl_hyperbolic * grid.dx / lam_max
     dt_v = scheme.cfl_viscous * grid.dx ** 2 * vmin ** (gas.alpha + 1.0) / 2.0
     return min(dt_h, dt_v)
 
@@ -156,13 +188,58 @@ def rk4_step(gas: GasModel, state: FieldState, dt: float, grid: Grid1D) -> Field
     return out
 
 
+def _crank_nicolson(gas: GasModel, v, u, tau: float, grid: Grid1D):
+    """u advanced by tau under u_t = L u, the viscous part of
+    semidiscrete_rhs with v frozen: (I - tau/2 L) u' = (I + tau/2 L) u,
+    solved for the increment, (I - tau/2 L)(u' - u) = tau L u, so a state
+    with L u = 0 stays exactly as it is.
+
+    L is tridiagonal, with face coefficients 1 / (dx^2 vbar^(alpha+1))
+    and zero boundary rows, so the boundary values stay pinned.
+    """
+    n, dx = u.size, grid.dx
+    r = (0.5 * tau / (dx * dx)) / _face_visc(gas, 0.5 * (v[1:] + v[:-1]))
+    flux = r * (u[1:] - u[:-1])
+    b = np.zeros(n)
+    b[1:-1] = 2.0 * (flux[1:] - flux[:-1])
+    ab = np.zeros((3, n))
+    ab[0, 2:] = -r[1:]
+    ab[1] = 1.0
+    ab[1, 1:-1] += r[1:] + r[:-1]
+    ab[2, :-2] = -r[:-1]
+    return u + solve_banded((1, 1), ab, b, overwrite_ab=True,
+                            overwrite_b=True, check_finite=False)
+
+
+def strang_step(gas: GasModel, state: FieldState, dt: float,
+                grid: Grid1D) -> FieldState:
+    """One Strang-split step, second order in time: a Crank-Nicolson
+    viscous half step, one RK4 step of the inviscid part (stable up to
+    the hyperbolic bound), and a second viscous half step."""
+    dx = grid.dx
+    v = state.v
+    u = _crank_nicolson(gas, v, state.u, 0.5 * dt, grid)
+    k1v, k1u = _inviscid_rhs(gas, v, u, dx)
+    k2v, k2u = _inviscid_rhs(gas, v + 0.5 * dt * k1v, u + 0.5 * dt * k1u, dx)
+    k3v, k3u = _inviscid_rhs(gas, v + 0.5 * dt * k2v, u + 0.5 * dt * k2u, dx)
+    k4v, k4u = _inviscid_rhs(gas, v + dt * k3v, u + dt * k3u, dx)
+    v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    t = state.t + dt
+    if not np.all(v > 0.0):  # also catches a nan from a nonpositive stage
+        raise PositivityError(f"positivity lost at t = {t:.6g}",
+                              FieldState(t, v, u))
+    return FieldState(t, v, _crank_nicolson(gas, v, u, 0.5 * dt, grid))
+
+
 def advance(gas: GasModel, state: FieldState, grid: Grid1D,
             t_target: float) -> FieldState:
-    """RK4 steps at the stable dt from state.t to t_target, the last one
-    clipped to land on t_target; state itself if t_target <= state.t."""
+    """Strang-split steps at the hyperbolic dt from state.t to t_target,
+    the last one clipped to land on t_target; state itself if
+    t_target <= state.t."""
     while state.t < t_target - 1e-12:
-        dt = min(stable_dt(gas, state, grid), t_target - state.t)
-        state = rk4_step(gas, state, dt, grid)
+        dt = min(hyperbolic_dt(gas, state, grid), t_target - state.t)
+        state = strang_step(gas, state, dt, grid)
     return state
 
 
@@ -188,6 +265,10 @@ def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
     x_hi = beta + ts.s2 * t_final + margin
     if n is None:
         n = int(math.ceil((x_hi - x_lo) / dx)) + 1
+        if n < 16:
+            raise ValueError(f"dx = {dx:g} gives {n} points on the auto-sized "
+                             f"domain [{x_lo:.6g}, {x_hi:.6g}]; a grid needs "
+                             "at least 16")
     return Grid1D(x_lo, x_hi, n)
 
 
@@ -285,9 +366,10 @@ def setup_experiment(cfg) -> ExperimentSetup:
     else:
         wave = cw0.wave1
         b1, b2 = si.I01 / (wave.state_r.v - wave.state_l.v), 0.0
+    # + 0.0 turns a zero shift of either sign into +0.0
     return ExperimentSetup(two_shock=ts, profiles=(p1, p2), grid=grid,
                            v0=v0, u0=u0, shift_inputs=si,
-                           composite=cw0.shifted(b1, b2))
+                           composite=cw0.shifted(b1 + 0.0, b2 + 0.0))
 
 
 def _schedule(t_final, record_dt, snapshot_times):
@@ -305,8 +387,10 @@ def _schedule(t_final, record_dt, snapshot_times):
 def run_simulation(cfg) -> SimulationResult:
     """Full experiment: setup_experiment, then evolution.
 
-    Evolves the perturbed data with RK4, recording diagnostics at the
-    configured cadence and snapshots at the configured times.
+    Evolves the perturbed data with advance, recording diagnostics at the
+    configured cadence and snapshots at the configured times.  A
+    PositivityError leaves with the series and snapshots taken so far,
+    and a snapshot of its offending state appended to them.
     """
     from . import diagnostics  # deferred: diagnostics imports this module
 
@@ -318,21 +402,28 @@ def run_simulation(cfg) -> SimulationResult:
     series = diagnostics.DiagnosticsSeries()
     snapshots = []
 
-    def take_snapshot(st):
+    def snapshot(st):
         flds = cw.fields(x, st.t)
         h = effective_velocity(gas, st, grid)
-        snapshots.append(Snapshot(t=st.t, x=x.copy(), v=st.v.copy(),
-                                  u=st.u.copy(), V=flds.V, U=flds.U,
-                                  h=h, H=flds.H, W=flds.W))
+        return Snapshot(t=st.t, x=x.copy(), v=st.v.copy(), u=st.u.copy(),
+                        V=flds.V, U=flds.U, h=h, H=flds.H, W=flds.W)
 
     schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
                          cfg.time.snapshot_times)
     for t_target, flags in schedule:
-        state = advance(gas, state, grid, t_target)
+        try:
+            state = advance(gas, state, grid, t_target)
+        except PositivityError as exc:
+            exc.series, exc.snapshots = series, snapshots
+            if exc.state is not None:
+                # h of a state with v <= 0 may be nan; it is written as is
+                with np.errstate(all="ignore"):
+                    snapshots.append(snapshot(exc.state))
+            raise
         if flags["record"]:
             series.append(diagnostics.make_record(state, cw, grid))
         if flags["snapshot"]:
-            take_snapshot(state)
+            snapshots.append(snapshot(state))
 
     return SimulationResult(series=series, snapshots=snapshots, composite=cw,
                             two_shock=exp.two_shock, grid=grid,

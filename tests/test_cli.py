@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shockwave_lab import solver
 from shockwave_lab.cli import main
 from shockwave_lab.config import ConfigError, parse_config
 
@@ -193,6 +194,55 @@ def test_cmd_shifts_zero_perturbation(tmp_path, capsys):
     values = dict(line.split("=") for line in out.strip().splitlines())
     assert abs(float(values["beta1 "])) <= 1e-12
     assert abs(float(values["beta2 "])) <= 1e-12
+
+
+def test_zero_shifts_print_and_write_positive_zero(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["shifts", "--config", _write(tmp_path, MINIMAL),
+                 "--out", str(out_dir)]) == 0
+    values = dict(line.split(" = ")
+                  for line in capsys.readouterr().out.strip().splitlines())
+    assert values["beta1"] == "0" and values["beta2"] == "0"
+    rows = (out_dir / "shifts.csv").read_text().splitlines()
+    assert rows == ["I01,I02,beta1,beta2", "0,0,0,0"]
+
+
+def test_auto_grid_too_coarse_is_config_error(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL + "grid.dx = 100\n")
+    assert main(["shifts", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.dx")
+    assert re.search(r"gives \d+ points", err)
+
+
+def test_simulate_positivity_failure_keeps_partial_run(tmp_path, capsys,
+                                                        monkeypatch):
+    """A step that loses positivity after t = 0.1 leaves the records at
+    t = 0 and 0.1 and a snapshot of the failing state on disk."""
+    step = solver.strang_step
+
+    def failing(gas, state, dt, grid):
+        out = step(gas, state, dt, grid)
+        if out.t > 0.1 + 1e-9:
+            out.v[3] = -1.0
+            raise solver.PositivityError("injected", out)
+        return out
+
+    monkeypatch.setattr(solver, "strang_step", failing)
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", _write(tmp_path, SINGLE_SHOCK_RUN),
+                 "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "simulate error: PositivityError: injected" in err
+    diag = (out_dir / "diag.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in diag[1:]] == pytest.approx(
+        [0.0, 0.1])
+    (snap,) = out_dir.glob("snap_t*.csv")
+    assert 0.1 < float(snap.name[len("snap_t"):-len(".csv")]) < 0.2
+    rows = snap.read_text().splitlines()
+    assert rows[0] == "x,v,u,V,U,h,H,W"
+    assert float(rows[4].split(",")[1]) == -1.0
 
 
 def test_cmd_shifts_single_family_matches_simulate(tmp_path, capsys):

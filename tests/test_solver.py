@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from shockwave_lab import (FieldState, Grid1D, PositivityError, advance,
-                           auto_grid, effective_velocity, profile_rhs,
-                           rk4_step, run_simulation, sample_uniform,
-                           semidiscrete_rhs, solver, stable_dt)
+from shockwave_lab import (FieldState, GasModel, Grid1D, PositivityError,
+                           advance, auto_grid, effective_velocity,
+                           hyperbolic_dt, profile_rhs, rk4_step,
+                           run_simulation, sample_uniform, semidiscrete_rhs,
+                           solver, stable_dt, strang_step)
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
                                   RiemannSpec, TimeSpec)
 
@@ -85,31 +86,88 @@ def test_rk4_preserves_equilibrium(gas):
     assert out.t == pytest.approx(1e-3)
 
 
-def test_rk4_fourth_order_vs_reference(gas):
-    """Global error against a tightly-resolved independent integration."""
+def _bump_grid_state():
+    """40-point grid on [0, 10] with a v bump and a u bump."""
     grid = Grid1D(0.0, 10.0, 40)
     x = grid.x
     v0 = 1.0 + 0.4 * np.exp(-((x - 5.0) / 1.2) ** 2)
     u0 = 0.3 * np.exp(-((x - 4.2) / 1.0) ** 2)
+    return grid, v0, u0
+
+
+def _reference_solution(gas, grid, v0, u0, t_final):
+    """Tightly-resolved independent integration of semidiscrete_rhs."""
     n = grid.n
 
     def rhs_flat(t, y):
         dv, du = semidiscrete_rhs(gas, FieldState(t, y[:n], y[n:]), grid)
         return np.concatenate([dv, du])
 
-    t_final = 0.4
-    ref = solve_ivp(rhs_flat, (0.0, t_final), np.concatenate([v0, u0]),
-                    method="RK45", rtol=1e-13, atol=1e-14).y[:, -1]
+    return solve_ivp(rhs_flat, (0.0, t_final), np.concatenate([v0, u0]),
+                     method="RK45", rtol=1e-13, atol=1e-14).y[:, -1]
+
+
+def _observed_orders(gas, step, grid, v0, u0, t_final):
+    """log2 ratios of successive global errors against the reference,
+    at 8, 16 and 32 steps."""
+    ref = _reference_solution(gas, grid, v0, u0, t_final)
     errs = []
-    steps = (8, 16, 32)
-    for nsteps in steps:
+    for nsteps in (8, 16, 32):
         state = FieldState(0.0, v0.copy(), u0.copy())
         dt = t_final / nsteps
         for _ in range(nsteps):
-            state = rk4_step(gas, state, dt, grid)
+            state = step(gas, state, dt, grid)
         errs.append(np.max(np.abs(np.concatenate([state.v, state.u]) - ref)))
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    return np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+
+
+def test_rk4_fourth_order_vs_reference(gas):
+    """Global error against a tightly-resolved independent integration."""
+    grid, v0, u0 = _bump_grid_state()
+    orders = _observed_orders(gas, rk4_step, grid, v0, u0, 0.4)
     assert np.all(orders > 3.5) and np.all(orders < 4.6)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_strang_second_order_vs_reference(alpha):
+    """Strang splitting is second order in time.  The two larger steps
+    exceed the explicit viscous bound; all stay below the hyperbolic one."""
+    gas = GasModel(1.0, 2.0, alpha)
+    grid, v0, u0 = _bump_grid_state()
+    state = FieldState(0.0, v0, u0)
+    assert stable_dt(gas, state, grid) < 0.4 / 16
+    assert 0.4 / 8 < hyperbolic_dt(gas, state, grid)
+    orders = _observed_orders(gas, strang_step, grid, v0, u0, 0.4)
+    assert np.all(orders >= 1.7) and np.all(orders <= 2.3)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_crank_nicolson_matches_dense_solve(alpha):
+    """With v frozen, the viscous part of semidiscrete_rhs is a linear map
+    L u (its columns are differences of rhs evaluations); one half step
+    solves (I - dt/2 L) u = (I + dt/2 L) u0."""
+    gas = GasModel(1.0, 2.0, alpha)
+    grid, v, u0 = _bump_grid_state()
+    n, dt = grid.n, 0.05
+    base = semidiscrete_rhs(gas, FieldState(0.0, v, np.zeros(n)), grid)[1]
+    L = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        L[:, j] = semidiscrete_rhs(gas, FieldState(0.0, v, e), grid)[1] - base
+    eye = np.eye(n)
+    dense = np.linalg.solve(eye - 0.5 * dt * L, (eye + 0.5 * dt * L) @ u0)
+    half = solver._crank_nicolson(gas, v, u0, dt, grid)
+    assert np.max(np.abs(half - dense)) <= 1e-14
+    assert half[0] == u0[0] and half[-1] == u0[-1]
+
+
+def test_strang_preserves_equilibrium(gas):
+    grid = Grid1D(0.0, 5.0, 101)
+    state = _const_state(101)
+    out = strang_step(gas, state, 1e-2, grid)
+    assert np.all(out.v == state.v) and np.all(out.u == state.u)
+    assert out.t == pytest.approx(1e-2)
 
 
 def test_mass_conservation_over_step(gas, two_shock, profiles):
@@ -143,33 +201,46 @@ def test_mass_conservation_over_step(gas, two_shock, profiles):
     assert mu1 - mu0 == pytest.approx(dt * fu, abs=1e-12 * max(1.0, abs(dt * fu)))
 
 
-def test_rk4_positivity_abort(gas):
+def _compressed_state():
     grid = Grid1D(0.0, 1.5, 31)
     v = np.full(31, 1e-3)
     u = np.linspace(1.0, -1.0, 31)  # strong compression
-    state = FieldState(0.0, v, u)
+    return grid, FieldState(0.0, v, u)
+
+
+def test_rk4_positivity_abort(gas):
+    grid, state = _compressed_state()
     with pytest.raises(PositivityError) as err:
         rk4_step(gas, state, 0.05, grid)
     assert err.value.state is not None
 
 
+def test_strang_positivity_abort(gas):
+    grid, state = _compressed_state()
+    with pytest.raises(PositivityError) as err:
+        strang_step(gas, state, 0.05, grid)
+    assert err.value.state is not None
+    assert not np.all(err.value.state.v > 0.0)
+
+
 def _recording_steps(monkeypatch):
-    """Route solver.rk4_step through a wrapper that records each dt."""
+    """Route solver.strang_step, the step advance takes, through a wrapper
+    that records each dt."""
     dts = []
-    step = solver.rk4_step
+    step = solver.strang_step
 
     def recording(gas, state, dt, grid):
         dts.append(dt)
         return step(gas, state, dt, grid)
 
-    monkeypatch.setattr(solver, "rk4_step", recording)
+    monkeypatch.setattr(solver, "strang_step", recording)
     return dts
 
 
 def test_advance_clips_last_step_onto_target(gas, monkeypatch):
     grid = Grid1D(0.0, 5.0, 101)
     state = _const_state(101)
-    dt = stable_dt(gas, state, grid)
+    dt = hyperbolic_dt(gas, state, grid)
     t_target = 24.6 * dt  # the stable dt does not divide the interval
     dts = _recording_steps(monkeypatch)
     out = advance(gas, state, grid, t_target)
