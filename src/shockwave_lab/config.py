@@ -47,6 +47,12 @@ class ConfigError(ValueError):
     """Named configuration error (missing/invalid keys, bad physics)."""
 
 
+# Largest dx * c_max a run accepts, c_max being the fastest tail rate of the
+# evolved waves.  On the unperturbed canonical run at t = 1, sup|v - V| / chi
+# is 1.1e-3 at dx * c_max = 0.26, 4.3e-3 at 0.53 and 1.7e-2 at 1.06.
+MAX_DX_RATE = 0.5
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """Gaussian bump A exp(-((x - x0)/w)^2) added to v or u."""
@@ -127,13 +133,24 @@ class GridSpec:
     def explicit(self) -> bool:
         return self.x_lo is not None and self.x_hi is not None
 
-    def resolve(self, gas, ts, beta, t_final) -> Grid1D:
+    def resolve(self, gas, ts, beta, t_final, c_max) -> Grid1D:
+        """The grid; ConfigError unless dx * c_max <= MAX_DX_RATE, so that
+        it resolves profiles whose fastest tail rate is c_max."""
         if self.explicit:
-            return Grid1D(self.x_lo, self.x_hi, self.n)
-        try:
-            return auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
-        except ValueError as exc:  # grid.dx leaves too few points
-            raise ConfigError(f"grid.dx: {exc}") from None
+            grid = Grid1D(self.x_lo, self.x_hi, self.n)
+        else:
+            try:
+                grid = auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
+            except ValueError as exc:  # grid.dx leaves too few points
+                raise ConfigError(f"grid.dx: {exc}") from None
+        if grid.dx * c_max > MAX_DX_RATE:
+            key = "grid.dx" if self.n is None else "grid.n"
+            raise ConfigError(
+                f"{key}: dx = {grid.dx:.6g} does not resolve the shock "
+                f"profiles: dx * c_max = {grid.dx * c_max:.6g} > {MAX_DX_RATE} "
+                f"with c_max = {c_max:.6g}; the largest dx that passes is "
+                f"{MAX_DX_RATE / c_max:.6g}")
+        return grid
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .composite import (BOUNDARY_DECAY_TOL, CompositeFields, CompositeWave,
                         TruncationError)
+from .riemann import pressure_increment
 from .solver import FieldState, Grid1D, effective_velocity, write_csv
 
 __all__ = [
@@ -189,7 +190,9 @@ def perturbation_terms(state: FieldState, cw: CompositeWave,
     v = state.v
     dpV = gas.dpressure(V)
     f = -dpV - ap1 * Ux / V ** (gas.alpha + 2.0)
-    p_rel = (gas.pressure(v) - gas.pressure(V)) - dpV * fields.phi_x
+    # p(V + phi_x) - p(V) without cancellation, so p_rel keeps its digits
+    # where phi_x is small
+    p_rel = pressure_increment(gas, V, fields.phi_x) - dpV * fields.phi_x
     # grouped so every term cancels exactly at zero perturbation
     inv_diff = 1.0 / v ** ap1 - 1.0 / V ** ap1
     F = (fields.u_x * inv_diff

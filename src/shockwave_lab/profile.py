@@ -15,7 +15,9 @@ Integration runs separately on each half line in the gap variable
 w = V - v_end of that half's end state, with the bracket written as
 s^2 w + (p(v_end + w) - p(v_end)) so that both terms are O(w); this
 keeps the exponential tails at full relative accuracy down to the
-tail-switch tolerance.  Beyond the tabulated range the analytic tails
+tail-switch tolerance.  A half line's table is the solver's accepted steps,
+each split into _NODES_PER_STEP equal parts, so its size does not grow
+with 1/chi.  Beyond the tabulated range the analytic tails
 
     V = v_end + w_edge * exp(-+ c_pm (xi - xi_edge))
 
@@ -34,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from .riemann import EndState, GasModel, TwoShockData, pressure_increment
 
@@ -54,6 +56,9 @@ __all__ = [
 GAP_TOL = 1e-10        # tail-switch tolerance on |V - v_end|
 _GAP_TARGET = 0.98 * GAP_TOL   # integration stops just inside the tolerance
 _ODE_RTOL = 1e-12
+# Table nodes per accepted ODE step: the cubic Hermite error scales as h^4,
+# so 4 parts per step take it from 3e-9 chi (bare steps) to 1.5e-11 chi.
+_NODES_PER_STEP = 4
 
 
 class DegenerateWaveError(ValueError):
@@ -121,8 +126,7 @@ def _monotone_spline(gas, s, v_end, xi, w):
     Exact slopes make the interpolant fourth-order, which the shift
     quadratures need.  Monotonicity is verified per interval with the
     Fritsch-Carlson sufficient condition (sign(d) = sign(secant) and
-    |d| <= 3|secant| at both ends); on the rare failure the monotone
-    cubic with approximated slopes is used instead.
+    |d| <= 3|secant| at both ends); a failure raises IntegrationError.
     """
     d = _g_from_end(gas, s, v_end, w)
     sec = np.diff(w) / np.diff(xi)
@@ -130,9 +134,9 @@ def _monotone_spline(gas, s, v_end, xi, w):
           (np.sign(d[1:]) == np.sign(sec)) &
           (np.abs(d[:-1]) <= 3.0 * np.abs(sec)) &
           (np.abs(d[1:]) <= 3.0 * np.abs(sec)))
-    if np.all(ok):
-        return CubicHermiteSpline(xi, w, d, extrapolate=False)
-    return PchipInterpolator(xi, w, extrapolate=False)
+    if not np.all(ok):
+        raise IntegrationError("gap table fails the Fritsch-Carlson monotonicity check")
+    return CubicHermiteSpline(xi, w, d, extrapolate=False)
 
 
 def _solve_half(gas, s, v_end, w0, xi_max, orient):
@@ -141,8 +145,8 @@ def _solve_half(gas, s, v_end, w0, xi_max, orient):
     orient = +1 integrates the xi > 0 half, orient = -1 the xi < 0 half
     (internally tau = orient * xi >= 0 in both cases).  The run stops
     where |w| falls to _GAP_TARGET or at tau = xi_max.  Returns the
-    solve_ivp result with its dense solution, the end point tau_end and
-    whether xi_max cut the run short.
+    solve_ivp result with its dense solution, whose last step ends on the
+    stopping point, and whether xi_max cut the run short.
     """
     def rhs(tau, y):
         return [orient * _g_from_end(gas, s, v_end, y[0])]
@@ -161,21 +165,19 @@ def _solve_half(gas, s, v_end, w0, xi_max, orient):
                     events=reached, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"profile integration failed: {sol.message}")
-    truncated = sol.t_events[0].size == 0
-    tau_end = xi_max if truncated else float(sol.t_events[0][0])
-    return sol, tau_end, truncated
+    return sol, sol.t_events[0].size == 0
 
 
-def _integrate_half(gas, s, v_end, w0, xi_max, orient, spacing):
+def _integrate_half(gas, s, v_end, w0, xi_max, orient):
     """Gap table (tau, w, truncated) of one half line, tau ascending from 0
-    with at most the given spacing and ending on the stopping point."""
-    sol, tau_end, truncated = _solve_half(gas, s, v_end, w0, xi_max, orient)
-    n = max(int(math.ceil(tau_end / spacing)), 8)
-    tau = np.linspace(0.0, tau_end, n + 1)
+    to the stopping point: the accepted ODE steps, each split into
+    _NODES_PER_STEP equal parts read from the dense solution."""
+    sol, truncated = _solve_half(gas, s, v_end, w0, xi_max, orient)
+    frac = np.arange(_NODES_PER_STEP) / _NODES_PER_STEP
+    tau = np.append((sol.t[:-1, None] + np.diff(sol.t)[:, None] * frac).ravel(),
+                    sol.t[-1])
     w = sol.sol(tau)[0]
-    w[0] = w0
-    if not truncated:
-        w[-1] = float(sol.y_events[0][0, 0])
+    w[::_NODES_PER_STEP] = sol.y[0]
     if not _toward_zero(w):
         raise IntegrationError("non-monotone profile table (integration overshoot)")
     return tau, w, truncated
@@ -204,8 +206,8 @@ class ShockProfile:
     _w_l: np.ndarray = field(repr=False)
     _xi_r: np.ndarray = field(repr=False)
     _w_r: np.ndarray = field(repr=False)
-    _ip_l: PchipInterpolator = field(repr=False)
-    _ip_r: PchipInterpolator = field(repr=False)
+    _ip_l: CubicHermiteSpline = field(repr=False)
+    _ip_r: CubicHermiteSpline = field(repr=False)
 
     # -- geometry ----------------------------------------------------
 
@@ -302,12 +304,11 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
     lo, hi = min(state_l.v, state_r.v), max(state_l.v, state_r.v)
     if not lo < mid < hi:
         raise ValueError("start_volume must lie strictly between the end volumes")
-    spacing = min(0.01, 0.05 / max(c_minus, c_plus))
 
     tau_r, w_r, trunc_r = _integrate_half(
-        gas, s, state_r.v, mid - state_r.v, xi_max_r, +1, spacing)
+        gas, s, state_r.v, mid - state_r.v, xi_max_r, +1)
     tau_l, w_l, trunc_l = _integrate_half(
-        gas, s, state_l.v, mid - state_l.v, xi_max_l, -1, spacing)
+        gas, s, state_l.v, mid - state_l.v, xi_max_l, -1)
 
     truncated = trunc_l or trunc_r
     if truncated:
@@ -335,7 +336,7 @@ def build_profiles(gas: GasModel, ts: TwoShockData):
 
 def sample_uniform(gas: GasModel, state_l: EndState, state_r: EndState,
                    s: float, h: float):
-    """(xi, V, U) on an exactly uniform grid of spacing h spanning the wave.
+    """(xi, V, U) on an exactly uniform grid of step h spanning the wave.
 
     Node values come straight from the dense ODE solution (no table
     interpolation), which makes the samples suitable for discretization
@@ -345,12 +346,10 @@ def sample_uniform(gas: GasModel, state_l: EndState, state_r: EndState,
         gas, state_l, state_r, s, None)
 
     def half(v_end, w0, cap, orient):
-        sol, tau_end, _ = _solve_half(gas, s, v_end, w0, cap, orient)
-        m = int(math.floor(tau_end / h))
+        sol, _ = _solve_half(gas, s, v_end, w0, cap, orient)
+        m = int(math.floor(sol.t[-1] / h))
         tau = h * np.arange(m + 1)
-        w = sol.sol(tau)[0]
-        w[0] = w0
-        return tau, w
+        return tau, sol.sol(tau)[0]
 
     tau_r, w_r = half(state_r.v, mid - state_r.v, xi_max_r, +1)
     tau_l, w_l = half(state_l.v, mid - state_l.v, xi_max_l, -1)

@@ -188,24 +188,24 @@ def _branch_volume(gas: GasModel, base: EndState, u_level: float, branch: int):
     with np.errstate(over="ignore"):
         if branch == 1:
             hi, fhi = base.v, f_base
-            lo = base.v
-            for _ in range(2000):
+            lo, flo = base.v, f_base
+            while not flo < 0.0:
+                if lo * 0.5 == 0.0:
+                    raise BracketError(
+                        f"S1 branch bracket expansion reached v = {lo:.3g} "
+                        "without a sign change")
                 lo *= 0.5
                 flo = f(lo)
-                if flo < 0.0:
-                    break
-            else:
-                raise BracketError("S1 branch bracket expansion failed")
         else:
             lo, flo = base.v, f_base
-            hi = base.v
-            for _ in range(2000):
+            hi, fhi = base.v, f_base
+            while not fhi < 0.0:
+                if not math.isfinite(hi * 2.0):
+                    raise BracketError(
+                        f"S2 branch bracket expansion reached v = {hi:.3g} "
+                        "without a sign change")
                 hi *= 2.0
                 fhi = f(hi)
-                if fhi < 0.0:
-                    break
-            else:
-                raise BracketError("S2 branch bracket expansion failed")
         return _bisect_secant(f, lo, hi, flo, fhi,
                               xtol=1e-13 * max(1.0, hi))
 

@@ -352,11 +352,14 @@ def setup_experiment(cfg) -> ExperimentSetup:
     ts = cfg.riemann.resolve(gas)
     p1, p2 = build_profiles(gas, ts)
     if cfg.single_family is None:
+        waves = (p1, p2)
         cw0 = CompositeWave(p1, p2, cfg.beta)
     else:
-        cw0 = CompositeWave(p1 if cfg.single_family == 1 else p2, None, cfg.beta)
+        waves = ((p1, p2)[cfg.single_family - 1],)
+        cw0 = CompositeWave(waves[0], None, cfg.beta)
+    c_max = max(max(p.c_minus, p.c_plus) for p in waves)
 
-    grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final)
+    grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final, c_max)
     V0, U0 = cw0.state_fields(grid.x, 0.0)
     v0, u0 = apply_perturbations(V0, U0, grid.x, cfg.perturbations)
 

@@ -216,6 +216,24 @@ def test_auto_grid_too_coarse_is_config_error(tmp_path, capsys):
     assert re.search(r"gives \d+ points", err)
 
 
+@pytest.mark.parametrize("line, key", [("grid.n = 16", "grid.n"),
+                                       ("grid.dx = 1.0", "grid.dx")])
+def test_unresolved_grid_is_config_error(tmp_path, capsys, line, key):
+    path = _write(tmp_path, MINIMAL + line + "\n")
+    assert main(["shifts", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: dx = ")
+    m = re.search(r"c_max = (\S+); the largest dx that passes is (\S+)$",
+                  err.strip())
+    c_max, dx_pass = float(m[1]), float(m[2])
+    assert c_max == pytest.approx(2.5 / np.sqrt(3.0), rel=1e-5)
+    assert dx_pass == pytest.approx(0.5 / c_max, rel=1e-5)
+    path = _write(tmp_path, MINIMAL + f"grid.dx = {0.999 * dx_pass}\n")
+    assert main(["shifts", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_simulate_positivity_failure_keeps_partial_run(tmp_path, capsys,
                                                         monkeypatch):
     """A step that loses positivity after t = 0.1 leaves the records at

@@ -148,6 +148,18 @@ def test_p_rel_ratio_bounded(composite40, gas):
     assert rec.p_rel_ratio <= 10.0 * np.max(gas.d2pressure(V))
 
 
+def test_p_rel_ratio_at_small_amplitude(composite40, gas):
+    # p(v|V) / phi_x^2 -> p''(V)/2 as phi_x -> 0; at amplitude 1e-6 the
+    # mask admits |phi_x| down to 1e-12, where p(v) - p(V) - p'(V) phi_x
+    # written as a plain difference has lost most of its digits
+    grid = _grid()
+    state = _perturbed_state(composite40, grid,
+                             bumps=(Perturbation("v", 1e-6, 20.0, 1.0),))
+    rec = make_record(state, composite40, grid)
+    V_center = composite40.state_fields(np.array([20.0]), 0.0)[0][0]
+    assert abs(rec.p_rel_ratio - 0.5 * gas.d2pressure(V_center)) <= 1e-3
+
+
 def test_energy_zero(composite40):
     grid = _grid()
     state = _perturbed_state(composite40, grid)

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from shockwave_lab import (DegenerateWaveError, EndState, TailTruncatedWarning,
-                           decay_rates, integrate_profile, profile_rhs,
-                           sample_uniform)
+from shockwave_lab import (DegenerateWaveError, EndState, GasModel,
+                           TailTruncatedWarning, build_profiles, decay_rates,
+                           hugoniot_u, integrate_profile, profile_rhs,
+                           sample_uniform, solve_intermediate)
+from shockwave_lab.riemann import pressure_increment
 from shockwave_lab.verify import _steady_residual_l2, measured_tail_rates
 
 SQ3 = np.sqrt(3.0)
@@ -159,3 +166,57 @@ def test_alpha_positive_profile():
     c_minus_fit, c_plus_fit = measured_tail_rates(p1)
     assert c_plus_fit == pytest.approx(p1.c_plus, rel=0.02)
     assert c_minus_fit == pytest.approx(p1.c_minus, rel=0.02)
+
+
+def _datum(gas, v_m, chi1, chi2):
+    """Two-shock datum with v_minus = v_m + chi1 and v_plus = v_m + chi2."""
+    left = EndState(v_m + chi1, 0.0)
+    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+    right = EndState(v_m + chi2, float(hugoniot_u(gas, mid, v_m + chi2)))
+    return solve_intermediate(gas, left, right)
+
+
+def test_table_size_does_not_grow_with_weakness(gas):
+    p1, p2 = build_profiles(gas, _datum(gas, 1.0, 1e-3, 1e-3))
+    nodes = sum(p._xi_l.size + p._xi_r.size for p in (p1, p2))
+    assert nodes <= 3000
+
+
+def _dop853_gap(gas, s, v_end, w0, tau_end, orient):
+    """Independent dense DOP853 solve of the gap ODE on [0, tau_end]."""
+    def rhs(tau, y):
+        bracket = s * s * y[0] + pressure_increment(gas, v_end, y[0])
+        return [-orient * (v_end + y[0]) ** (gas.alpha + 1.0) * bracket / s]
+
+    return solve_ivp(rhs, (0.0, tau_end), [w0], method="DOP853",
+                     rtol=2.5e-14, atol=1e-24, dense_output=True).sol
+
+
+@pytest.mark.parametrize("chi", [1e-3, 1.0, 3.0])
+def test_interpolant_matches_independent_solve(gas, chi):
+    """At the midpoints of the table intervals, where the Hermite error
+    peaks, both half lines agree with DOP853 to 1e-9 chi."""
+    p1, _ = build_profiles(gas, _datum(gas, 1.0, chi, chi))
+    for xi, ip, v_end, orient in ((p1._xi_l, p1._ip_l, p1.state_l.v, -1.0),
+                                  (p1._xi_r, p1._ip_r, p1.state_r.v, +1.0)):
+        tau = np.sort(orient * xi)
+        ref = _dop853_gap(gas, p1.s, v_end, p1.v0 - v_end, tau[-1], orient)
+        mid = 0.5 * (tau[1:] + tau[:-1])
+        err = np.max(np.abs(ip(orient * mid) - ref(mid)[0]))
+        assert err <= 1e-9 * chi
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True),
+       alpha=st.floats(0.0, 2.0),
+       a=st.floats(0.3, 3.0),
+       v_m=st.floats(0.3, 3.0),
+       log_chi1=st.floats(math.log(1e-3), math.log(5.0)),
+       log_chi2=st.floats(math.log(1e-3), math.log(5.0)))
+def test_profiles_build_across_ss_region(gamma, alpha, a, v_m,
+                                         log_chi1, log_chi2):
+    """Step-node tables pass the monotonicity checks on any SS datum, so
+    build_profiles never raises IntegrationError."""
+    gas = GasModel(a=a, gamma=gamma, alpha=alpha)
+    build_profiles(gas, _datum(gas, v_m, v_m * math.exp(log_chi1),
+                               v_m * math.exp(log_chi2)))

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from shockwave_lab import (EndState, GasModel, NoTwoShockSolution, char_speeds,
+from shockwave_lab import (BracketError, EndState, GasModel,
+                           NoTwoShockSolution, char_speeds,
                            entropy_margins, hugoniot_u, in_ss_region,
                            rh_residuals, solve_intermediate)
 
@@ -149,3 +152,13 @@ def test_speed_formula_equivalence_random():
             du = b.u - a.u
             dv = b.v - a.v
             assert abs(s * s - (du / dv) ** 2) <= 1e-12 * max(1.0, s * s)
+
+
+def test_bracket_expansion_stops_before_overflow():
+    """With v**-gamma underflowing to 0, the S2 curve is flat at u = u_left;
+    the bracket scan must give up while its volume is still finite."""
+    gas = GasModel(a=1.0, gamma=1075.0, alpha=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BracketError, match="S2 branch"):
+            in_ss_region(gas, EndState(2.0, 0.0), EndState(2.0, -1.0))
