@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import verify as verify_mod
+from .composite import TruncationError
 from .config import ConfigError, parse_config
 from .profile import build_profiles
 from .solver import (PositivityError, run_simulation, setup_experiment,
@@ -85,8 +86,8 @@ def _write_run(out_dir, series, snapshots):
 def cmd_simulate(cfg, out_dir):
     try:
         result = run_simulation(cfg)
-    except PositivityError as exc:  # keep the partial run, then fail
-        if exc.series is not None:
+    except (PositivityError, TruncationError) as exc:  # keep the partial run
+        if getattr(exc, "series", None) is not None:
             diag_path = _write_run(out_dir, exc.series, exc.snapshots)
             print(f"wrote partial {diag_path} ({len(exc.series)} record(s)) "
                   f"and {len(exc.snapshots)} snapshot(s), the last at the "

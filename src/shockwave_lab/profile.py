@@ -15,9 +15,12 @@ Integration runs separately on each half line in the gap variable
 w = V - v_end of that half's end state, with the bracket written as
 s^2 w + (p(v_end + w) - p(v_end)) so that both terms are O(w); this
 keeps the exponential tails at full relative accuracy down to the
-tail-switch tolerance.  A half line's table is the solver's accepted steps,
-each split into _NODES_PER_STEP equal parts, so its size does not grow
-with 1/chi.  Beyond the tabulated range the analytic tails
+tail-switch tolerance.  The ODE is scalar and autonomous, so a half
+line's table is a quadrature, xi(w) = int dw / g(w): its nodes are
+uniform in sigma = ln(|w| / (chi - |w|)), spaced _DSIGMA apart, and xi
+at each node sums 8-point Gauss-Legendre panels.  dxi/dsigma stays
+bounded at both ends, so the node count grows only like ln(chi / GAP_TOL).
+Beyond the tabulated range the analytic tails
 
     V = v_end + w_edge * exp(-+ c_pm (xi - xi_edge))
 
@@ -56,9 +59,11 @@ __all__ = [
 GAP_TOL = 1e-10        # tail-switch tolerance on |V - v_end|
 _GAP_TARGET = 0.98 * GAP_TOL   # integration stops just inside the tolerance
 _ODE_RTOL = 1e-12
-# Table nodes per accepted ODE step: the cubic Hermite error scales as h^4,
-# so 4 parts per step take it from 3e-9 chi (bare steps) to 1.5e-11 chi.
-_NODES_PER_STEP = 4
+# Table node spacing in sigma: the cubic Hermite error scales as dsigma^4,
+# 1.3e-10 chi at 0.025 (5.3e-11 chi at 0.02 costs 3,232 nodes at chi = 1e-3,
+# 2.7e-10 chi at 0.03).
+_DSIGMA = 0.025
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
 class DegenerateWaveError(ValueError):
@@ -139,6 +144,12 @@ def _monotone_spline(gas, s, v_end, xi, w):
     return CubicHermiteSpline(xi, w, d, extrapolate=False)
 
 
+def _check_contracts(gas, s, v_end, w0, orient):
+    """Reject a start gap w0 that the ODE does not carry toward 0."""
+    if not orient * _g_from_end(gas, s, v_end, w0) * w0 < 0.0:
+        raise IntegrationError("gap does not contract toward the end state")
+
+
 def _solve_half(gas, s, v_end, w0, xi_max, orient):
     """Integrate the gap w = V - v_end from w0 toward 0.
 
@@ -146,13 +157,12 @@ def _solve_half(gas, s, v_end, w0, xi_max, orient):
     (internally tau = orient * xi >= 0 in both cases).  The run stops
     where |w| falls to _GAP_TARGET or at tau = xi_max.  Returns the
     solve_ivp result with its dense solution, whose last step ends on the
-    stopping point, and whether xi_max cut the run short.
+    stopping point.
     """
     def rhs(tau, y):
         return [orient * _g_from_end(gas, s, v_end, y[0])]
 
-    if not rhs(0.0, [w0])[0] * w0 < 0.0:
-        raise IntegrationError("gap does not contract toward the end state")
+    _check_contracts(gas, s, v_end, w0, orient)
 
     def reached(tau, y):
         return abs(y[0]) - _GAP_TARGET
@@ -165,22 +175,46 @@ def _solve_half(gas, s, v_end, w0, xi_max, orient):
                     events=reached, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"profile integration failed: {sol.message}")
-    return sol, sol.t_events[0].size == 0
+    return sol
 
 
-def _integrate_half(gas, s, v_end, w0, xi_max, orient):
-    """Gap table (tau, w, truncated) of one half line, tau ascending from 0
-    to the stopping point: the accepted ODE steps, each split into
-    _NODES_PER_STEP equal parts read from the dense solution."""
-    sol, truncated = _solve_half(gas, s, v_end, w0, xi_max, orient)
-    frac = np.arange(_NODES_PER_STEP) / _NODES_PER_STEP
-    tau = np.append((sol.t[:-1, None] + np.diff(sol.t)[:, None] * frac).ravel(),
-                    sol.t[-1])
-    w = sol.sol(tau)[0]
-    w[::_NODES_PER_STEP] = sol.y[0]
+def _integrate_half(gas, s, v_end, w0, chi, xi_max, orient):
+    """Gap table (tau, w, truncated) of one half line, tau = orient * xi
+    ascending from 0, by quadrature of tau(w) = int dw / (orient g(w)).
+
+    With a = |w| and sigma = ln(a / (chi - a)), dtau/dsigma =
+    (w / (orient g)) (chi - a) / chi stays bounded at both ends, and
+    w / g = -s / (V**(alpha+1) (s^2 + dp(w) / w)) has no cancellation.
+    Nodes run uniformly in sigma from |w0| down to _GAP_TARGET, their w
+    set exactly; tau sums 8-point Gauss-Legendre panels.  Nodes beyond
+    xi_max are dropped, and truncated says whether any were.
+    """
+    _check_contracts(gas, s, v_end, w0, orient)
+    sign, a0 = math.copysign(1.0, w0), abs(w0)
+    sig0 = math.log(a0 / (chi - a0))
+    sig1 = math.log(_GAP_TARGET / (chi - _GAP_TARGET))
+    sig = np.linspace(sig0, sig1, max(1, math.ceil((sig0 - sig1) / _DSIGMA)) + 1)
+    w = sign * chi / (1.0 + np.exp(-sig))
+    w[0], w[-1] = w0, sign * _GAP_TARGET
+
+    half = 0.5 * np.diff(sig)
+    sq = (sig[:-1] + half)[:, None] + half[:, None] * _GL_X   # panel points
+    with np.errstate(all="ignore"):
+        aq = chi / (1.0 + np.exp(-sq))
+        wq = sign * aq
+        dtau = (-s * (chi - aq) /
+                (orient * chi * (v_end + wq) ** (gas.alpha + 1.0) *
+                 (s * s + pressure_increment(gas, v_end, wq) / wq)))
+        tau = np.append(0.0, np.cumsum(half * (dtau @ _GL_W)))
+    if not (np.all(np.isfinite(tau)) and np.all(np.diff(tau) > 0.0)):
+        raise IntegrationError("non-finite or non-increasing profile quadrature")
     if not _toward_zero(w):
-        raise IntegrationError("non-monotone profile table (integration overshoot)")
-    return tau, w, truncated
+        raise IntegrationError("non-monotone profile table")
+    keep = tau <= xi_max
+    if not keep[1]:
+        raise IntegrationError(f"xi_max = {xi_max:g} ends before the first "
+                               f"table node at {tau[1]:.3g}")
+    return tau[keep], w[keep], not keep[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,9 +340,9 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
         raise ValueError("start_volume must lie strictly between the end volumes")
 
     tau_r, w_r, trunc_r = _integrate_half(
-        gas, s, state_r.v, mid - state_r.v, xi_max_r, +1)
+        gas, s, state_r.v, mid - state_r.v, chi, xi_max_r, +1)
     tau_l, w_l, trunc_l = _integrate_half(
-        gas, s, state_l.v, mid - state_l.v, xi_max_l, -1)
+        gas, s, state_l.v, mid - state_l.v, chi, xi_max_l, -1)
 
     truncated = trunc_l or trunc_r
     if truncated:
@@ -346,7 +380,7 @@ def sample_uniform(gas: GasModel, state_l: EndState, state_r: EndState,
         gas, state_l, state_r, s, None)
 
     def half(v_end, w0, cap, orient):
-        sol, _ = _solve_half(gas, s, v_end, w0, cap, orient)
+        sol = _solve_half(gas, s, v_end, w0, cap, orient)
         m = int(math.floor(sol.t[-1] / h))
         tau = h * np.arange(m + 1)
         return tau, sol.sol(tau)[0]

@@ -28,8 +28,8 @@ from scipy.linalg import solve_banded
 
 from .riemann import GasModel, TwoShockData
 from .profile import build_profiles, decay_rates
-from .composite import (CompositeWave, ShiftInputs, compute_shift_inputs,
-                        solve_shifts)
+from .composite import (CompositeWave, ShiftInputs, TruncationError,
+                        compute_shift_inputs, solve_shifts)
 
 __all__ = [
     "Grid1D",
@@ -392,8 +392,9 @@ def run_simulation(cfg) -> SimulationResult:
 
     Evolves the perturbed data with advance, recording diagnostics at the
     configured cadence and snapshots at the configured times.  A
-    PositivityError leaves with the series and snapshots taken so far,
-    and a snapshot of its offending state appended to them.
+    PositivityError or a TruncationError of the diagnostics leaves with
+    the series and snapshots taken so far as its `series` and
+    `snapshots`, and a snapshot of the failing state appended to them.
     """
     from . import diagnostics  # deferred: diagnostics imports this module
 
@@ -413,20 +414,22 @@ def run_simulation(cfg) -> SimulationResult:
 
     schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
                          cfg.time.snapshot_times)
-    for t_target, flags in schedule:
-        try:
+    try:
+        for t_target, flags in schedule:
             state = advance(gas, state, grid, t_target)
-        except PositivityError as exc:
-            exc.series, exc.snapshots = series, snapshots
-            if exc.state is not None:
-                # h of a state with v <= 0 may be nan; it is written as is
-                with np.errstate(all="ignore"):
-                    snapshots.append(snapshot(exc.state))
-            raise
-        if flags["record"]:
-            series.append(diagnostics.make_record(state, cw, grid))
-        if flags["snapshot"]:
-            snapshots.append(snapshot(state))
+            if flags["record"]:
+                series.append(diagnostics.make_record(state, cw, grid))
+            if flags["snapshot"]:
+                snapshots.append(snapshot(state))
+    except (PositivityError, TruncationError) as exc:
+        exc.series, exc.snapshots = series, snapshots
+        # a PositivityError carries the state it rejected (or None)
+        last = getattr(exc, "state", state)
+        if last is not None:
+            # h of a state with v <= 0 may be nan; it is written as is
+            with np.errstate(all="ignore"):
+                snapshots.append(snapshot(last))
+        raise
 
     return SimulationResult(series=series, snapshots=snapshots, composite=cw,
                             two_shock=exp.two_shock, grid=grid,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockwave_lab import solver
+from shockwave_lab import diagnostics, solver
+from shockwave_lab.composite import TruncationError
 from shockwave_lab.cli import main
 from shockwave_lab.config import ConfigError, parse_config
 
@@ -261,6 +262,31 @@ def test_simulate_positivity_failure_keeps_partial_run(tmp_path, capsys,
     rows = snap.read_text().splitlines()
     assert rows[0] == "x,v,u,V,U,h,H,W"
     assert float(rows[4].split(",")[1]) == -1.0
+
+
+def test_simulate_truncation_failure_keeps_partial_run(tmp_path, capsys,
+                                                        monkeypatch):
+    """A record that fails with TruncationError at t = 0.2 leaves the
+    records at t = 0 and 0.1 and a snapshot of the state at t = 0.2."""
+    make_record = diagnostics.make_record
+    calls = []
+
+    def failing(state, cw, grid):
+        calls.append(state.t)
+        if len(calls) == 3:
+            raise TruncationError("injected")
+        return make_record(state, cw, grid)
+
+    monkeypatch.setattr(diagnostics, "make_record", failing)
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", _write(tmp_path, SINGLE_SHOCK_RUN),
+                 "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "simulate error: TruncationError: injected" in err
+    diag = (out_dir / "diag.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in diag[1:]] == pytest.approx(
+        [0.0, 0.1])
+    assert [p.name for p in out_dir.glob("snap_t*.csv")] == ["snap_t0.2.csv"]
 
 
 def test_cmd_shifts_single_family_matches_simulate(tmp_path, capsys):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from shockwave_lab import (DegenerateWaveError, EndState, GasModel,
-                           TailTruncatedWarning, build_profiles, decay_rates,
-                           hugoniot_u, integrate_profile, profile_rhs,
-                           sample_uniform, solve_intermediate)
+                           IntegrationError, TailTruncatedWarning,
+                           build_profiles, decay_rates, hugoniot_u,
+                           integrate_profile, profile_rhs, sample_uniform,
+                           solve_intermediate)
+from shockwave_lab import profile as profile_mod
 from shockwave_lab.riemann import pressure_increment
 from shockwave_lab.verify import _steady_residual_l2, measured_tail_rates
 
@@ -136,6 +138,13 @@ def test_tail_truncated_flag(gas, two_shock):
         p = integrate_profile(gas, two_shock.left, two_shock.mid,
                               two_shock.s1, 1, xi_max=3.0)
     assert p.truncated
+    assert p._xi_l[0] >= -3.0 and p._xi_r[-1] <= 3.0
+
+
+def test_xi_max_before_first_node_is_integration_error(gas, two_shock):
+    with pytest.raises(IntegrationError, match="xi_max = 0.01"):
+        integrate_profile(gas, two_shock.left, two_shock.mid,
+                          two_shock.s1, 1, xi_max=0.01)
 
 
 def test_family_validation(gas, two_shock):
@@ -192,18 +201,39 @@ def _dop853_gap(gas, s, v_end, w0, tau_end, orient):
                      rtol=2.5e-14, atol=1e-24, dense_output=True).sol
 
 
-@pytest.mark.parametrize("chi", [1e-3, 1.0, 3.0])
-def test_interpolant_matches_independent_solve(gas, chi):
-    """At the midpoints of the table intervals, where the Hermite error
-    peaks, both half lines agree with DOP853 to 1e-9 chi."""
-    p1, _ = build_profiles(gas, _datum(gas, 1.0, chi, chi))
-    for xi, ip, v_end, orient in ((p1._xi_l, p1._ip_l, p1.state_l.v, -1.0),
-                                  (p1._xi_r, p1._ip_r, p1.state_r.v, +1.0)):
-        tau = np.sort(orient * xi)
-        ref = _dop853_gap(gas, p1.s, v_end, p1.v0 - v_end, tau[-1], orient)
-        mid = 0.5 * (tau[1:] + tau[:-1])
-        err = np.max(np.abs(ip(orient * mid) - ref(mid)[0]))
-        assert err <= 1e-9 * chi
+@pytest.mark.parametrize("gas_model, chi", [
+    pytest.param(GasModel(), 1e-3, id="0.001"),
+    pytest.param(GasModel(), 1.0, id="1.0"),
+    pytest.param(GasModel(), 3.0, id="3.0"),
+    pytest.param(GasModel(a=0.5, gamma=3.0, alpha=2.0), 3.0, id="extreme-3.0")])
+def test_interpolant_matches_independent_solve(gas_model, chi):
+    """On every half line of both profiles the table nodes agree with
+    DOP853 to 1e-12 chi, and at the midpoints of the table intervals,
+    where the Hermite error peaks, the interpolant agrees to 1e-9 chi."""
+    for p in build_profiles(gas_model, _datum(gas_model, 1.0, chi, chi)):
+        for xi, w, ip, v_end, orient in (
+                (p._xi_l, p._w_l, p._ip_l, p.state_l.v, -1.0),
+                (p._xi_r, p._w_r, p._ip_r, p.state_r.v, +1.0)):
+            order = np.argsort(orient * xi)
+            tau, w = orient * xi[order], w[order]
+            ref = _dop853_gap(gas_model, p.s, v_end, p.v0 - v_end, tau[-1],
+                              orient)
+            assert np.max(np.abs(w - ref(tau)[0])) <= 1e-12 * chi
+            mid = 0.5 * (tau[1:] + tau[:-1])
+            err = np.max(np.abs(ip(orient * mid) - ref(mid)[0]))
+            assert err <= 1e-9 * chi
+
+
+def test_build_profiles_needs_no_ode_solve(gas, two_shock, monkeypatch):
+    """The tables are a quadrature; solve_ivp serves only sample_uniform."""
+    def no_ode(*args, **kwargs):
+        raise AssertionError("build_profiles called solve_ivp")
+
+    monkeypatch.setattr(profile_mod, "solve_ivp", no_ode)
+    p1, p2 = build_profiles(gas, two_shock)
+    assert p1.evaluate(0.0)[0] == p2.evaluate(0.0)[0] == 1.5
+    with pytest.raises(AssertionError, match="solve_ivp"):
+        sample_uniform(gas, two_shock.left, two_shock.mid, two_shock.s1, 0.1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -215,7 +245,7 @@ def test_interpolant_matches_independent_solve(gas, chi):
        log_chi2=st.floats(math.log(1e-3), math.log(5.0)))
 def test_profiles_build_across_ss_region(gamma, alpha, a, v_m,
                                          log_chi1, log_chi2):
-    """Step-node tables pass the monotonicity checks on any SS datum, so
+    """Quadrature tables pass the monotonicity checks on any SS datum, so
     build_profiles never raises IntegrationError."""
     gas = GasModel(a=a, gamma=gamma, alpha=alpha)
     build_profiles(gas, _datum(gas, v_m, v_m * math.exp(log_chi1),

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockwave_lab import (BracketError, EndState, GasModel,
                            NoTwoShockSolution, char_speeds,
@@ -140,6 +143,32 @@ def test_lax_entropy_strict_random():
         gas, left, _, right = _random_ss_case(rng)
         m1, m2 = entropy_margins(gas, solve_intermediate(gas, left, right))
         assert min(m1) > 0.0 and min(m2) > 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True),
+       alpha=st.floats(0.0, 2.0),
+       a=st.floats(0.3, 3.0),
+       v_m=st.floats(0.3, 3.0),
+       log_chi1=st.floats(math.log(1e-3), math.log(5.0)),
+       log_chi2=st.floats(math.log(1e-3), math.log(5.0)))
+def test_round_trip_and_exactness_across_ss_region(gamma, alpha, a, v_m,
+                                                   log_chi1, log_chi2):
+    """A datum built on the shock curves through v_m, with chi_i / v_m
+    from 1e-3 to 5, solves back to v_m with RH residuals at rounding
+    level and strictly positive entropy margins."""
+    gas = GasModel(a=a, gamma=gamma, alpha=alpha)
+    left = EndState(v_m * (1.0 + math.exp(log_chi1)), 0.0)
+    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+    v_plus = v_m * (1.0 + math.exp(log_chi2))
+    right = EndState(v_plus, float(hugoniot_u(gas, mid, v_plus)))
+    ts = solve_intermediate(gas, left, right)
+    assert abs(ts.mid.v - v_m) <= 1e-10 * v_m
+    assert abs(ts.mid.u - mid.u) <= 1e-10 * max(1.0, abs(mid.u))
+    scale = max(1.0, abs(left.u), abs(right.u))
+    assert max(abs(r) for r in rh_residuals(gas, ts)) <= 1e-12 * scale
+    m1, m2 = entropy_margins(gas, ts)
+    assert min(*m1, *m2) > 0.0
 
 
 def test_speed_formula_equivalence_random():
