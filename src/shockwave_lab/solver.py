@@ -9,7 +9,16 @@ second-order differences in space.  Time stepping is Strang-split
 of the viscous part with v frozen, one classical RK4 step of the
 inviscid part, and a second viscous half step, at the hyperbolic CFL
 bound recomputed every step.  The implicit half steps lift the explicit
-viscous bound, which on the stability experiment is 31.7x smaller.
+viscous bound, which on the stability experiment is 63x smaller.
+
+The hyperbolic CFL number, 0.8, is the largest of those measured that
+keeps the temporal error within 10% of the spatial error on the shipped
+grids.  Strang splitting is second order, so that error grows like
+dt^2.  Measured against CFL 0.1 on the convergence suite's dx = 0.025
+run, it is 2.0% of the L2 error at CFL 0.4, 8.0% at 0.8 and 17.6% at
+1.2 (test_solver.py::test_temporal_error_within_budget pins it).  At
+0.8 Crank-Nicolson still damps the odd-even mode of the stability grid
+by 0.73 per step (test_crank_nicolson_damps_odd_even_mode).
 
 Classical RK4 on the full semidiscretization (`rk4_step` at
 `stable_dt`, the min of the hyperbolic and viscous bounds) is kept as
@@ -55,6 +64,9 @@ __all__ = [
 
 # absolute-tolerance goal for composite tails at the domain boundary
 _BOUNDARY_GOAL = 1e-13
+# rows per block in write_csv: the block's Python floats (~32 bytes each)
+# are all alive at once, so whole 4000-row snapshots would add ~1 MB
+_CSV_BLOCK = 512
 
 
 class PositivityError(RuntimeError):
@@ -108,7 +120,13 @@ class FieldState:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    cfl_hyperbolic: float = 0.4
+    """CFL numbers.  cfl_hyperbolic sets the step advance takes; 0.8 keeps
+    the dt^2 temporal error of the split step within 10% of the spatial
+    error (module docstring; test_temporal_error_within_budget).
+    cfl_viscous is used only by stable_dt, the bound of the explicit RK4
+    reference path."""
+
+    cfl_hyperbolic: float = 0.8
     cfl_viscous: float = 0.4
 
     def __post_init__(self):
@@ -153,7 +171,11 @@ def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
 def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D,
                   scheme: SchemeConfig = SchemeConfig()) -> float:
     """Hyperbolic CFL bound cfl dx / max|lambda|, with max|lambda| =
-    sqrt(-p'(v_min)); raises PositivityError if some v <= 0."""
+    sqrt(-p'(v_min)); raises PositivityError if some v <= 0.
+
+    The step advance takes.  Classical RK4 with central differences is
+    linearly stable up to cfl = 2 sqrt(2); the shipped 0.8 is set by the
+    temporal error budget instead (module docstring)."""
     vmin = float(state.v.min())
     if vmin <= 0.0:
         raise PositivityError("nonpositive specific volume", state.copy())
@@ -276,10 +298,13 @@ def write_csv(path, names, columns):
     """Header of names, then one row per index of the equal-length columns,
     each value with 17 significant digits so a float64 reads back exactly."""
     columns = [np.asarray(c) for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    n = min((c.size for c in columns), default=0)
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            f.write(",".join("%.17g" % val for val in row) + "\n")
+        for i in range(0, n, _CSV_BLOCK):
+            block = [c[i:i + _CSV_BLOCK].tolist() for c in columns]
+            f.writelines(row % values for values in zip(*block))
 
 
 @dataclass

@@ -6,7 +6,7 @@ from shockwave_lab import (FieldState, GasModel, Grid1D, PositivityError,
                            advance, auto_grid, effective_velocity,
                            hyperbolic_dt, profile_rhs, rk4_step,
                            run_simulation, sample_uniform, semidiscrete_rhs,
-                           solver, stable_dt, strang_step)
+                           solver, stable_dt, strang_step, verify, write_csv)
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
                                   RiemannSpec, TimeSpec)
 
@@ -73,7 +73,7 @@ def test_stable_dt_volume_rescale(gas):
     for vref in (1.0, 2.0):
         state = FieldState(0.0, np.full(101, vref), np.zeros(101))
         lam = np.sqrt(gas.a * gas.gamma) * vref ** (-0.5 * (gas.gamma + 1.0))
-        expect = min(0.4 * grid.dx / lam,
+        expect = min(0.8 * grid.dx / lam,
                      0.4 * grid.dx ** 2 * vref ** (gas.alpha + 1.0) / 2.0)
         assert stable_dt(gas, state, grid) == pytest.approx(expect, rel=1e-12)
 
@@ -160,6 +160,87 @@ def test_crank_nicolson_matches_dense_solve(alpha):
     half = solver._crank_nicolson(gas, v, u0, dt, grid)
     assert np.max(np.abs(half - dense)) <= 1e-14
     assert half[0] == u0[0] and half[-1] == u0[-1]
+
+
+def test_temporal_error_within_budget(gas, two_shock, profiles, monkeypatch):
+    """The shipped hyperbolic CFL keeps the split step's temporal error
+    within 10% of the spatial error: the convergence suite's dx = 0.025
+    run at the shipped dt and at dt / 4, whose dt^2 error is 16x smaller,
+    differ by at most a tenth of the L2 error of the latter."""
+    p1, _ = profiles
+    err = verify._single_shock_run(gas, two_shock, p1, 0.025, 5.0)[0]
+    dt_h = solver.hyperbolic_dt
+    monkeypatch.setattr(solver, "hyperbolic_dt", lambda *a: 0.25 * dt_h(*a))
+    err_ref = verify._single_shock_run(gas, two_shock, p1, 0.025, 5.0)[0]
+    assert abs(err - err_ref) <= 0.1 * err_ref
+
+
+@pytest.mark.parametrize("alpha, v", [(0.0, 1.0), (0.7, 1.3)])
+def test_crank_nicolson_damps_odd_even_mode(gas, two_shock, alpha, v):
+    """An odd-even mode of u on a constant state has a zero inviscid RHS
+    in the interior, so one split step at hyperbolic_dt multiplies it by
+    the Crank-Nicolson factor of two half steps, ((1 - 2r) / (1 + 2r))^2,
+    r = (dt/2) / (dx^2 v^(alpha+1)), on the stability grid's dx."""
+    dx = auto_grid(gas, two_shock, 40.0, 50.0, n=4000).dx
+    gas_alpha = GasModel(1.0, 2.0, alpha)
+    grid = Grid1D(0.0, 300 * dx, 301)
+    sign = (-1.0) ** np.arange(grid.n)
+    state = FieldState(0.0, np.full(grid.n, v), -0.2 + 1e-3 * sign)
+    dt = hyperbolic_dt(gas_alpha, state, grid)
+    r = 0.5 * dt / (grid.dx ** 2 * v ** (alpha + 1.0))
+    factor = ((1.0 - 2.0 * r) / (1.0 + 2.0 * r)) ** 2
+    assert factor < 1.0
+    out = strang_step(gas_alpha, state, dt, grid)
+    # the pinned boundary rows perturb the mode only near the ends
+    mode = ((out.u + 0.2) * sign / 1e-3)[20:-20]
+    assert np.allclose(mode, factor, rtol=0.01, atol=0.0)
+
+
+def _second_difference(a):
+    return np.linalg.norm(a[2:] - 2.0 * a[1:-1] + a[:-2])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_split_step_adds_no_grid_scale_content(alpha):
+    """After a short smooth run the split step at the hyperbolic bound
+    carries no more grid-scale content than RK4 at the explicit bound."""
+    gas = GasModel(1.0, 2.0, alpha)
+    grid, v0, u0 = _bump_grid_state()
+    t_final = 1.0
+    split = advance(gas, FieldState(0.0, v0, u0), grid, t_final)
+    ref = FieldState(0.0, v0, u0)
+    while ref.t < t_final - 1e-12:
+        dt = min(stable_dt(gas, ref, grid), t_final - ref.t)
+        ref = rk4_step(gas, ref, dt, grid)
+    for a, b in ((split.v, ref.v), (split.u, ref.u)):
+        assert _second_difference(a) <= 1.1 * _second_difference(b) + 1e-12
+
+
+def _write_csv_per_value(path, names, columns):
+    """The per-value formatting loop write_csv replaced, kept as its oracle."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w") as f:
+        f.write(",".join(names) + "\n")
+        for row in zip(*columns):
+            f.write(",".join("%.17g" % val for val in row) + "\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1100])
+def test_write_csv_matches_per_value_formatting(tmp_path, rows):
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                        -2.2250738585072e-309, 2.0 ** -1022, 1.0 / 3.0,
+                        np.pi, -1e300, 1.7976931348623157e308])
+    rng = np.random.default_rng(3)
+    columns = [np.resize(special, rows),
+               rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows),
+               np.arange(rows, dtype=np.int64) * (2 ** 50 + 1) - 7,
+               np.resize(special[::-1], rows).tolist()]
+    names = ["a", "b", "i", "c"]
+    write_csv(tmp_path / "new.csv", names, columns)
+    _write_csv_per_value(tmp_path / "old.csv", names, columns)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\n") == rows + 1
 
 
 def test_strang_preserves_equilibrium(gas):
