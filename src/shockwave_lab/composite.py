@@ -107,7 +107,14 @@ def _p_second_difference(gas: GasModel, vm: float, d1, d2):
 
     Grouped into single-gap increments when at least one gap is O(vm);
     Taylor series through sixth order in (d1, d2) when both are below
-    1e-3 * vm (truncation error ~1e-12 relative there).
+    1e-3 * vm (truncation error ~1e-12 relative there).  With
+    c_k = p^(k)(vm)/k!, the series sum_k c_k [(d1+d2)^k - d1^k - d2^k]
+    factors as d1 d2 q(sigma, pi) in sigma = d1 + d2, pi = d1 d2:
+
+        q = 2 c2 + 3 c3 sigma + c4 (4 sigma^2 - 2 pi)
+            + 5 c5 sigma (sigma^2 - pi) + c6 (6 sigma^4 - 9 pi sigma^2 + 2 pi^2),
+
+    evaluated by Horner's rule in sigma.
     """
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
@@ -118,34 +125,30 @@ def _p_second_difference(gas: GasModel, vm: float, d1, d2):
     small = dmax <= 1e-3 * vm
 
     if np.any(small):
-        s1 = d1[small]
-        s2 = d2[small]
-        acc = np.zeros_like(s1)
         # p^(k)(vm)/k! = a (-1)^k gamma(gamma+1)...(gamma+k-1)/k! vm^-(gamma+k)
         g = gas.gamma
-        for k in range(2, 7):
-            coef_k = gas.a * vm ** (-g - k)
-            rising = 1.0
-            for j in range(k):
-                rising *= (g + j)
-            coef_k *= ((-1.0) ** k) * rising / math.factorial(k)
-            inner = np.zeros_like(s1)
-            for j in range(1, k):
-                inner += math.comb(k, j) * s1 ** j * s2 ** (k - j)
-            acc += coef_k * inner
-        out[small] = acc
+        c = [0.0] * 7
+        rising = 1.0
+        for k in range(1, 7):
+            rising *= g + k - 1
+            c[k] = gas.a * vm ** (-g - k) * ((-1.0) ** k * rising / math.factorial(k))
+        s1 = d1[small]
+        s2 = d2[small]
+        pi = s1 * s2
+        sigma = s1 + s2
+        q = 5.0 * c[5] + 6.0 * c[6] * sigma
+        q = (4.0 * c[4] - 9.0 * c[6] * pi) + sigma * q
+        q = (3.0 * c[3] - 5.0 * c[5] * pi) + sigma * q
+        q = (2.0 * c[2] + pi * (2.0 * c[6] * pi - 2.0 * c[4])) + sigma * q
+        out[small] = pi * q
 
     big = ~small
     if np.any(big):
         b1 = d1[big]
         b2 = d2[big]
         use_b1 = np.abs(b1) <= np.abs(b2)
-        res = np.empty_like(b1)
-        if np.any(use_b1):
-            res[use_b1] = _grouped(gas, vm, b2[use_b1], b1[use_b1])
-        if np.any(~use_b1):
-            res[~use_b1] = _grouped(gas, vm, b1[~use_b1], b2[~use_b1])
-        out[big] = res
+        out[big] = _grouped(gas, vm, np.where(use_b1, b2, b1),
+                            np.where(use_b1, b1, b2))
     return out
 
 
@@ -289,10 +292,15 @@ def compute_shift_inputs(v0, u0, cw: CompositeWave, grid) -> ShiftInputs:
     Raises TruncationError when the integrands have not decayed below
     the boundary tolerance at the grid edges.
     """
+    V, U = cw.state_fields(grid.x, 0.0)
+    return _shift_inputs(np.asarray(v0, dtype=np.float64) - V,
+                         np.asarray(u0, dtype=np.float64) - U, cw, grid)
+
+
+def _shift_inputs(rv, ru, cw: CompositeWave, grid) -> ShiftInputs:
+    """compute_shift_inputs from the residuals rv = v0 - V, ru = u0 - U
+    of an evaluation the caller already holds."""
     x = grid.x
-    V, U = cw.state_fields(x, 0.0)
-    rv = np.asarray(v0, dtype=np.float64) - V
-    ru = np.asarray(u0, dtype=np.float64) - U
     worst = max(abs(rv[0]), abs(rv[-1]), abs(ru[0]), abs(ru[-1]))
     if worst > BOUNDARY_DECAY_TOL:
         raise TruncationError(

@@ -259,37 +259,47 @@ class ShockProfile:
     # -- evaluation --------------------------------------------------
 
     def gaps(self, xi):
-        """(V - v_l, V - v_r, V_x) at array xi from one table lookup.
+        """(V - v_l, V - v_r, V_x) at xi from one table lookup.
 
-        Each gap is cancellation-free on its own side, so V - v_l is
-        accurate in relative terms on the left tail and V - v_r on the
-        right tail.
+        xi is a scalar or a 1-D array in ascending order (ties allowed)
+        without nan; anything else raises ValueError.  The left tail,
+        left table, right table and right tail are then contiguous
+        slices, found by binary search.  Each gap is cancellation-free
+        on its own side, so V - v_l is accurate in relative terms on the
+        left tail and V - v_r on the right tail.
         """
         xi = np.asarray(xi, dtype=np.float64)
-        lt = xi < self._xi_l[0]
-        rt = xi > self._xi_r[-1]
-        tl = (~lt) & (xi <= 0.0)
-        tr = (~rt) & (xi > 0.0)
+        if xi.ndim > 1:
+            raise ValueError("xi must be a scalar or a 1-D array")
+        flat = xi.reshape(-1)
+        # both comparisons are False wherever a nan takes part
+        if flat.size and not (flat[0] <= flat[-1]
+                              and np.all(flat[1:] >= flat[:-1])):
+            raise ValueError("xi must be ascending and free of nan")
+        i0 = np.searchsorted(flat, self._xi_l[0], "left")
+        j1 = np.searchsorted(flat, 0.0, "right")
+        j2 = np.searchsorted(flat, self._xi_r[-1], "right")
+        lt, tl, tr, rt = (slice(0, i0), slice(i0, j1), slice(j1, j2),
+                          slice(j2, None))
         jump = self.state_r.v - self.state_l.v
-        gl = np.empty(xi.shape)
-        gr = np.empty(xi.shape)
-        gl[lt] = self._w_l[0] * np.exp(self.c_minus * (xi[lt] - self._xi_l[0]))
-        gl[tl] = self._ip_l(xi[tl])
-        gr[lt] = gl[lt] - jump
-        gr[tl] = gl[tl] - jump
-        gr[tr] = self._ip_r(xi[tr])
-        gr[rt] = self._w_r[-1] * np.exp(-self.c_plus * (xi[rt] - self._xi_r[-1]))
-        gl[tr] = gr[tr] + jump
-        gl[rt] = gr[rt] + jump
-        vx = np.empty(xi.shape)
+        gl = np.empty(flat.shape)
+        gr = np.empty(flat.shape)
+        vx = np.empty(flat.shape)
+        gl[lt] = self._w_l[0] * np.exp(self.c_minus * (flat[lt] - self._xi_l[0]))
+        gl[tl] = self._ip_l(flat[tl])
+        gr[tr] = self._ip_r(flat[tr])
+        gr[rt] = self._w_r[-1] * np.exp(-self.c_plus * (flat[rt] - self._xi_r[-1]))
+        np.subtract(gl[:j1], jump, out=gr[:j1])
+        np.add(gr[j1:], jump, out=gl[j1:])
         vx[lt] = self.c_minus * gl[lt]
         vx[tl] = _g_from_end(self.gas, self.s, self.state_l.v, gl[tl])
         vx[tr] = _g_from_end(self.gas, self.s, self.state_r.v, gr[tr])
         vx[rt] = -self.c_plus * gr[rt]
-        return gl, gr, vx
+        return gl.reshape(xi.shape), gr.reshape(xi.shape), vx.reshape(xi.shape)
 
     def evaluate(self, xi):
-        """(V, U, V_x, U_x) at xi (scalar or array)."""
+        """(V, U, V_x, U_x) at xi: a scalar or an ascending 1-D array
+        without nan (see gaps)."""
         scalar = np.ndim(xi) == 0
         xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
         gl, gr, vx = self.gaps(xi)

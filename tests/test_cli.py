@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shockwave_lab import diagnostics, solver
-from shockwave_lab.composite import TruncationError
+from shockwave_lab.composite import (CompositeWave, TruncationError,
+                                     compute_shift_inputs)
 from shockwave_lab.cli import main
 from shockwave_lab.config import ConfigError, parse_config
 
@@ -206,6 +207,30 @@ def test_zero_shifts_print_and_write_positive_zero(tmp_path, capsys):
     assert values["beta1"] == "0" and values["beta2"] == "0"
     rows = (out_dir / "shifts.csv").read_text().splitlines()
     assert rows == ["I01,I02,beta1,beta2", "0,0,0,0"]
+
+
+@pytest.mark.parametrize("text", [
+    MINIMAL + "perturbation.1.target = v\nperturbation.1.amplitude = 0.05\n"
+    "perturbation.1.center = 20.0\nperturbation.1.width = 1.0\ngrid.dx = 0.1\n",
+    SINGLE_SHOCK_RUN], ids=["two-shock", "single-family"])
+def test_setup_experiment_evaluates_composite_once(tmp_path, monkeypatch, text):
+    """The initial data and the shift inputs share one evaluation of the
+    unshifted composite, and the shifts match compute_shift_inputs'."""
+    cfg = parse_config(_write(tmp_path, text))
+    calls = {"state_fields": 0}
+    original = CompositeWave.state_fields
+
+    def counted(self, *args, **kwargs):
+        calls["state_fields"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompositeWave, "state_fields", counted)
+    setup = solver.setup_experiment(cfg)
+    assert calls == {"state_fields": 1}
+    cw0 = setup.composite.shifted(0.0, 0.0)
+    assert setup.shift_inputs == compute_shift_inputs(setup.v0, setup.u0,
+                                                      cw0, setup.grid)
+    assert setup.shift_inputs.I01 != 0.0
 
 
 def test_auto_grid_too_coarse_is_config_error(tmp_path, capsys):

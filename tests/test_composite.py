@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shockwave_lab import (CompositeWave, Grid1D, SeparationError, ShiftInputs,
-                           compute_shift_inputs, interaction_norm,
+from shockwave_lab import (CompositeWave, GasModel, Grid1D, SeparationError,
+                           ShiftInputs, compute_shift_inputs, interaction_norm,
                            predicted_w_decay, solve_shifts, w_decay_constants)
-from shockwave_lab.composite import TruncationError, w_naive
+from shockwave_lab.composite import (TruncationError, _grouped,
+                                     _p_second_difference, w_naive)
 from shockwave_lab.config import Perturbation
 
 SQ3 = np.sqrt(3.0)
@@ -213,6 +218,67 @@ def test_pressure_second_difference_mpmath_oracle(gas):
             exact = float(p_exact(mv + m1 + m2) - p_exact(mv + m1)
                           - p_exact(mv + m2) + p_exact(mv))
             assert got == pytest.approx(exact, rel=1e-9, abs=1e-300)
+
+
+def _p_second_difference_loops(gas, vm, d1, d2):
+    """Reference second difference: the term-by-term Taylor double loop
+    below the 1e-3 vm switch, separately masked _grouped calls above it."""
+    out = np.empty(d1.shape)
+    small = np.maximum(np.abs(d1), np.abs(d2)) <= 1e-3 * vm
+    s1, s2 = d1[small], d2[small]
+    acc = np.zeros_like(s1)
+    g = gas.gamma
+    for k in range(2, 7):
+        coef_k = gas.a * vm ** (-g - k)
+        rising = 1.0
+        for j in range(k):
+            rising *= (g + j)
+        coef_k *= ((-1.0) ** k) * rising / math.factorial(k)
+        inner = np.zeros_like(s1)
+        for j in range(1, k):
+            inner += math.comb(k, j) * s1 ** j * s2 ** (k - j)
+        acc += coef_k * inner
+    out[small] = acc
+    b1, b2 = d1[~small], d2[~small]
+    use_b1 = np.abs(b1) <= np.abs(b2)
+    res = np.empty_like(b1)
+    res[use_b1] = _grouped(gas, vm, b2[use_b1], b1[use_b1])
+    res[~use_b1] = _grouped(gas, vm, b1[~use_b1], b2[~use_b1])
+    out[~small] = res
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True),
+       a=st.floats(0.3, 3.0),
+       v_m=st.floats(0.3, 3.0),
+       sign=st.sampled_from([-1.0, 1.0]),
+       log_gaps=st.lists(st.tuples(st.floats(-10.0, -1.5), st.floats(-10.0, -1.5)),
+                         min_size=1, max_size=16))
+@example(gamma=3.0, a=1.0, v_m=1.0, sign=-1.0,
+         log_gaps=[(-3.0, -3.0), (-3.0001, -3.0), (-2.9999, -3.0)])
+def test_pressure_second_difference_matches_loop_series(gamma, a, v_m, sign,
+                                                        log_gaps):
+    """Same-sign gaps on both sides of the 1e-3 v_m switch, mixed in one
+    call: the factored series and the single _grouped call agree with the
+    reference to 1e-13 relative, and the first pair with 50-digit
+    arithmetic to 1e-9."""
+    import mpmath
+    gas = GasModel(a=a, gamma=gamma, alpha=0.0)
+    d1, d2 = (sign * v_m * 10.0 ** np.array(e) for e in zip(*log_gaps))
+    got = _p_second_difference(gas, v_m, d1, d2)
+    ref = _p_second_difference_loops(gas, v_m, d1, d2)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    with mpmath.workdps(50):
+        m1, m2, mv = (mpmath.mpf(float(v)) for v in (d1[0], d2[0], v_m))
+
+        def p_exact(v):
+            return mpmath.mpf(a) * v ** (-mpmath.mpf(gamma))
+
+        exact = float(p_exact(mv + m1 + m2) - p_exact(mv + m1)
+                      - p_exact(mv + m2) + p_exact(mv))
+    assert got[0] == pytest.approx(exact, rel=1e-9, abs=1e-300)
 
 
 def test_mid_state_mismatch_rejected(gas, profiles):

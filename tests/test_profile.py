@@ -162,6 +162,34 @@ def test_vx_matches_rhs_inside_table(gas, profiles):
     assert np.max(np.abs(vx - g)) <= 1e-10
 
 
+def test_gaps_slices_match_pointwise(profiles):
+    """Each table and tail boundary, its float neighbours, -0.0 and points
+    in all four regions: gaps on the ascending array equals gaps taken
+    one element at a time, bit for bit."""
+    for p in profiles:
+        edges = [p._xi_l[0], -0.0, 0.0, p._xi_r[-1]]
+        near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        inner = [2.0 * p._xi_l[0], 0.5 * p._xi_l[0], 0.5 * p._xi_r[-1],
+                 2.0 * p._xi_r[-1]]
+        xi = np.sort(np.array(edges + near + inner))
+        whole = p.gaps(xi)
+        for k, x in enumerate(xi):
+            single = p.gaps(xi[k:k + 1])
+            assert all(np.array_equal(a[k:k + 1], b)
+                       for a, b in zip(whole, single)), x
+
+
+@pytest.mark.parametrize("xi", [[0.0, np.nan, 1.0], np.nan, [1.0, 0.0],
+                                [-3.0, 2.0, 1.0, 4.0]],
+                         ids=["nan", "scalar-nan", "descending", "unsorted"])
+def test_gaps_reject_nan_and_unsorted(profiles, xi):
+    p1, _ = profiles
+    with pytest.raises(ValueError, match="ascending and free of nan"):
+        p1.gaps(np.array(xi))
+    with pytest.raises(ValueError, match="ascending and free of nan"):
+        p1.evaluate(xi)
+
+
 def test_alpha_positive_profile():
     """Viscosity exponent > 0 exercises the general mu(v) branch."""
     from shockwave_lab import GasModel, hugoniot_u, solve_intermediate
