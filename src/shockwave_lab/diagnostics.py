@@ -9,6 +9,13 @@ phi_x = v - V and psi_x = u - U are identities (not differenced);
 perturbation second derivatives use the same central stencils as the
 solver, while every composite-wave derivative is analytic so the
 inequality checks sit at machine precision.
+
+Derivatives and integrals on the grid go through the kernels of
+`kernels`, which repeat the arithmetic of numpy's gradient and trapezoid
+and scipy's cumulative trapezoid bit for bit without their argument
+handling.  A record computes only what it stores: it differentiates v
+once, evaluates each power of V once per function, and takes f and
+p(v|V) from the helper of `perturbation_terms` without forming F and G.
 """
 
 from __future__ import annotations
@@ -17,12 +24,12 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .composite import (BOUNDARY_DECAY_TOL, CompositeFields, CompositeWave,
                         TruncationError)
+from .kernels import cumtrapz, gradient, trapz
 from .riemann import pressure_increment
-from .solver import FieldState, Grid1D, effective_velocity, write_csv
+from .solver import FieldState, Grid1D, _effective_velocity, write_csv
 
 __all__ = [
     "PerturbationFields",
@@ -118,16 +125,17 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     if worst > BOUNDARY_DECAY_TOL:
         raise TruncationError(
             f"perturbation {worst:.3e} at x_lo exceeds {BOUNDARY_DECAY_TOL:.0e}")
-    phi = cumulative_trapezoid(rv, x, initial=0.0)
-    psi = cumulative_trapezoid(ru, x, initial=0.0)
+    d = np.diff(x)
+    phi = cumtrapz(rv, d)
+    psi = cumtrapz(ru, d)
+    v_x = gradient(state.v, dx)
     # h - H with the same central stencil on both sides, so the field
     # vanishes identically at zero perturbation
-    h = effective_velocity(gas, state, grid)
-    H_disc = effective_velocity(gas, FieldState(state.t, flds.V, flds.U), grid)
+    h = _effective_velocity(gas, state.v, state.u, v_x)
+    H_disc = _effective_velocity(gas, flds.V, flds.U, gradient(flds.V, dx))
     Psi_x = h - H_disc
-    Psi = cumulative_trapezoid(Psi_x, x, initial=0.0)
-    v_x = np.gradient(state.v, dx, edge_order=2)
-    u_x = np.gradient(state.u, dx, edge_order=2)
+    Psi = cumtrapz(Psi_x, d)
+    u_x = gradient(state.u, dx)
     return PerturbationFields(x=x, composite=flds, phi=phi, psi=psi, Psi=Psi,
                               phi_x=rv, psi_x=ru, Psi_x=Psi_x,
                               phi_xx=v_x - flds.Vx, psi_xx=u_x - flds.Ux,
@@ -165,12 +173,12 @@ def sobolev_norms(f, dx: float) -> SobolevNorms:
     f = np.asarray(f, dtype=np.float64)
     if f.size < 5:
         raise ValueError("need at least 5 samples for Sobolev norms")
-    l2sq = float(np.trapezoid(f * f, dx=dx))
+    l2sq = trapz(f * f, dx)
     linf = float(np.max(np.abs(f)))
-    d1 = np.gradient(f, dx, edge_order=2)
-    h1sq = l2sq + float(np.trapezoid(d1 * d1, dx=dx))
+    d1 = gradient(f, dx)
+    h1sq = l2sq + trapz(d1 * d1, dx)
     d2 = _second_diff(f, dx)
-    h2sq = h1sq + float(np.trapezoid(d2 * d2, dx=dx))
+    h2sq = h1sq + trapz(d2 * d2, dx)
     return SobolevNorms(l2=math.sqrt(l2sq), linf=linf,
                         h1=math.sqrt(h1sq), h2=math.sqrt(h2sq))
 
@@ -187,22 +195,29 @@ def perturbation_terms(state: FieldState, cw: CompositeWave,
     ap1 = gas.alpha + 1.0
     flds = fields.composite
     V, Vx, Ux = flds.V, flds.Vx, flds.Ux
-    v = state.v
-    dpV = gas.dpressure(V)
-    f = -dpV - ap1 * Ux / V ** (gas.alpha + 2.0)
-    # p(V + phi_x) - p(V) without cancellation, so p_rel keeps its digits
-    # where phi_x is small
-    p_rel = pressure_increment(gas, V, fields.phi_x) - dpV * fields.phi_x
+    V_ap1 = V ** ap1
+    V_ap2 = V ** (gas.alpha + 2.0)
+    f, p_rel = _f_and_p_rel(gas, V, Ux, V_ap2, fields.phi_x)
     # grouped so every term cancels exactly at zero perturbation
-    inv_diff = 1.0 / v ** ap1 - 1.0 / V ** ap1
+    inv_diff = 1.0 / state.v ** ap1 - 1.0 / V_ap1
     F = (fields.u_x * inv_diff
-         + ((fields.u_x - Ux) - fields.psi_xx) / V ** ap1
-         + ap1 * Ux * fields.phi_x / V ** (gas.alpha + 2.0)
+         + ((fields.u_x - Ux) - fields.psi_xx) / V_ap1
+         + ap1 * Ux * fields.phi_x / V_ap2
          - p_rel)
     G = (fields.v_x * inv_diff
-         + ((fields.v_x - Vx) - fields.phi_xx) / V ** ap1
-         + ap1 * Vx * fields.phi_x / V ** (gas.alpha + 2.0))
+         + ((fields.v_x - Vx) - fields.phi_xx) / V_ap1
+         + ap1 * Vx * fields.phi_x / V_ap2)
     return PerturbationTerms(f=f, F=F, G=G, p_rel=p_rel)
+
+
+def _f_and_p_rel(gas, V, Ux, V_ap2, phi_x):
+    """f and p(v|V) of perturbation_terms, V_ap2 = V^(alpha+2)."""
+    dpV = gas.dpressure(V)
+    f = -dpV - (gas.alpha + 1.0) * Ux / V_ap2
+    # p(V + phi_x) - p(V) without cancellation, so p_rel keeps its digits
+    # where phi_x is small
+    p_rel = pressure_increment(gas, V, phi_x) - dpV * phi_x
+    return f, p_rel
 
 
 def energy_functionals(fields: PerturbationFields, cw: CompositeWave):
@@ -211,8 +226,9 @@ def energy_functionals(fields: PerturbationFields, cw: CompositeWave):
     Both are nonnegative because p' < 0.
     """
     dpV = cw.gas.dpressure(fields.composite.V)
-    e0 = float(np.trapezoid(fields.phi ** 2 - fields.Psi ** 2 / dpV, fields.x))
-    e1 = float(np.trapezoid(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, fields.x))
+    d = np.diff(fields.x)
+    e0 = trapz(fields.phi ** 2 - fields.Psi ** 2 / dpV, d)
+    e1 = trapz(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, d)
     return e0, e1
 
 
@@ -334,13 +350,16 @@ def _p_rel_ratio(p_rel, phi_x):
 def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> DiagnosticsRecord:
     """Compute the full monitored record for one snapshot in time."""
     fields = antiderivatives(state, cw, grid)
-    terms = perturbation_terms(state, cw, fields)
+    flds = fields.composite
+    gas = cw.gas
+    f, p_rel = _f_and_p_rel(gas, flds.V, flds.Ux, flds.V ** (gas.alpha + 2.0),
+                            fields.phi_x)
     dx = grid.dx
     nphi = sobolev_norms(fields.phi, dx)
     npsi = sobolev_norms(fields.psi, dx)
     e0, e1 = energy_functionals(fields, cw)
-    report = pointwise_inequality_report(cw, fields.composite)
-    l2 = lambda f: float(np.sqrt(np.trapezoid(f * f, dx=dx)))
+    report = pointwise_inequality_report(cw, flds)
+    l2 = lambda y: math.sqrt(trapz(y * y, dx))
     return DiagnosticsRecord(
         t=state.t,
         sup_v=float(np.max(np.abs(fields.phi_x))),
@@ -348,10 +367,10 @@ def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Diagnosti
         l2_phi=nphi.l2, h1_phi=nphi.h1, h2_phi=nphi.h2,
         l2_psi=npsi.l2, h1_psi=npsi.h1, h2_psi=npsi.h2,
         l2_Psi=l2(fields.Psi), l2_Psi_x=l2(fields.Psi_x),
-        l2_W=l2(fields.composite.W),
+        l2_W=l2(flds.W),
         E0=e0, E1=e1,
-        min_f=float(terms.f.min()),
+        min_f=float(f.min()),
         ineq_violation=report.max_violation,
         v_min=float(state.v.min()), v_max=float(state.v.max()),
-        p_rel_ratio=_p_rel_ratio(terms.p_rel, fields.phi_x),
+        p_rel_ratio=_p_rel_ratio(p_rel, fields.phi_x),
     )

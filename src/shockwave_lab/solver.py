@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .kernels import gradient
 from .riemann import GasModel, TwoShockData
 from .profile import build_profiles, decay_rates
 # compute_shift_inputs is unused here, but perfbench's tracer wraps it in
@@ -269,8 +270,11 @@ def advance(gas: GasModel, state: FieldState, grid: Grid1D,
 
 def effective_velocity(gas: GasModel, state: FieldState, grid: Grid1D) -> np.ndarray:
     """h = u - v^-(alpha+1) v_x with central differences for v_x."""
-    vx = np.gradient(state.v, grid.dx, edge_order=2)
-    return state.u - vx / state.v ** (gas.alpha + 1.0)
+    return _effective_velocity(gas, state.v, state.u, gradient(state.v, grid.dx))
+
+
+def _effective_velocity(gas: GasModel, v, u, v_x):
+    return u - v_x / v ** (gas.alpha + 1.0)
 
 
 def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,

@@ -6,6 +6,7 @@ Criteria 6-8 share a single stability run (module-scoped fixture).
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -68,3 +69,24 @@ def test_stability_v_min_verdict_uses_its_own_bound():
     verdicts = {r.name: r.passed for r in verify.suite_stability(result)}
     assert verdicts["stability.v_min"] is True
     assert verdicts["stability.v_max"] is False
+
+
+def test_psi_order_without_a_later_snapshot_is_a_failed_nan():
+    """No snapshot after t = 0 leaves psi.consistency_order nothing to
+    measure: it fails with nan at its own threshold, and every other
+    criterion is still reported."""
+    cfg = dataclasses.replace(
+        verify.stability_config(),
+        time=TimeSpec(t_final=0.5, record_dt=0.25, snapshot_times=(0.0,)))
+    results = {r.name: r for r in verify.suite_stability(run_simulation(cfg))}
+    psi = results["psi.consistency_order"]
+    assert math.isnan(psi.measured)
+    assert psi.threshold == ">=1.7"
+    assert psi.passed is False
+    assert list(results) == [
+        "stability.sup_v_ratio", "stability.sup_u_ratio", "stability.v_min",
+        "stability.v_max", "energy.bound_ratio", "energy.min_f",
+        "energy.pointwise_violation", "psi.consistency_order",
+        "stability.runtime_s"]
+    assert results["energy.min_f"].passed
+    assert results["energy.pointwise_violation"].passed

@@ -1,16 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
-from shockwave_lab import (CompositeWave, FieldState, Grid1D,
-                           antiderivatives, closed_form_Psi,
+from shockwave_lab import (CompositeWave, FieldState, GasModel, Grid1D,
+                           advance, antiderivatives, closed_form_Psi,
                            energy_functionals, fit_exponential_rate,
-                           integrate_profile, make_record,
+                           hyperbolic_dt, integrate_profile, make_record,
                            perturbation_terms, pointwise_inequality_report,
-                           sobolev_norms)
+                           setup_experiment, sobolev_norms)
 from shockwave_lab.composite import TruncationError
-from shockwave_lab.config import Perturbation
-from shockwave_lab.diagnostics import PerturbationFields
+from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
+                                  RiemannSpec, TimeSpec)
+from shockwave_lab.diagnostics import DiagnosticsRecord, PerturbationFields
 
 
 def _grid(beta=40.0, dx=0.05, margin=27.0):
@@ -296,3 +299,79 @@ def test_one_composite_evaluation_per_record(composite40, monkeypatch):
         monkeypatch.setattr(CompositeWave, name, counted(name))
     make_record(state, composite40, grid)
     assert calls == {"fields": 1, "state_fields": 0}
+
+
+def _record_reference(state, cw, grid):
+    """The record composed as before the grid kernels: scipy's
+    cumulative_trapezoid, np.gradient(edge_order=2), np.trapezoid and the
+    full perturbation_terms, each quantity computed where it was."""
+    x, dx, gas = grid.x, grid.dx, cw.gas
+    flds = cw.fields(x, state.t)
+    grad = lambda f: np.gradient(f, dx, edge_order=2)
+    cumint = lambda f: cumulative_trapezoid(f, x, initial=0.0)
+    l2sq = lambda f: np.trapezoid(f * f, dx=dx)
+    rv, ru = state.v - flds.V, state.u - flds.U
+    v_x, u_x = grad(state.v), grad(state.u)
+    h = state.u - grad(state.v) / state.v ** (gas.alpha + 1.0)
+    H_disc = flds.U - grad(flds.V) / flds.V ** (gas.alpha + 1.0)
+    Psi_x = h - H_disc
+    fields = PerturbationFields(
+        x=x, composite=flds, phi=cumint(rv), psi=cumint(ru),
+        Psi=cumint(Psi_x), phi_x=rv, psi_x=ru, Psi_x=Psi_x,
+        phi_xx=v_x - flds.Vx, psi_xx=u_x - flds.Ux, v_x=v_x, u_x=u_x)
+    terms = perturbation_terms(state, cw, fields)
+
+    def norms(f):
+        d2 = np.empty_like(f)
+        d2[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx ** 2
+        d2[0], d2[-1] = d2[1], d2[-2]
+        l2 = float(l2sq(f))
+        h1 = l2 + float(l2sq(grad(f)))
+        h2 = h1 + float(l2sq(d2))
+        return [float(np.sqrt(q)) for q in (l2, h1, h2)]
+
+    dpV = gas.dpressure(flds.V)
+    mag = np.abs(rv)
+    mask = mag >= 1e-6 * mag.max()
+    return DiagnosticsRecord(
+        state.t, float(mag.max()), float(np.max(np.abs(ru))),
+        *norms(fields.phi), *norms(fields.psi),
+        float(np.sqrt(l2sq(fields.Psi))), float(np.sqrt(l2sq(Psi_x))),
+        float(np.sqrt(l2sq(flds.W))),
+        float(np.trapezoid(fields.phi ** 2 - fields.Psi ** 2 / dpV, x)),
+        float(np.trapezoid(rv ** 2 - Psi_x ** 2 / dpV, x)),
+        float(terms.f.min()),
+        pointwise_inequality_report(cw, flds).max_violation,
+        float(state.v.min()), float(state.v.max()),
+        float(np.max(np.abs(terms.p_rel[mask]) / rv[mask] ** 2)))
+
+
+@pytest.mark.parametrize("family", (None, 1, 2), ids=("two-shock", "family1",
+                                                      "family2"))
+@pytest.mark.parametrize("gas_model", (GasModel(1.0, 2.0, 0.0),
+                                       GasModel(1.0, 1.4, 0.7),
+                                       GasModel(0.5, 3.0, 2.0)),
+                         ids=("canonical", "alpha0.7", "alpha2"))
+def test_record_equals_reference(gas_model, family):
+    """Every field of make_record equals the reference composition, at
+    t = 0 and after a few steps."""
+    beta = 20.0 if family is None else 0.0
+    cfg = ExperimentConfig(
+        gas=gas_model,
+        riemann=RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=2.0, v_m=1.0),
+        beta=beta,
+        perturbations=(Perturbation("v", 0.05, 0.5 * beta, 1.0),
+                       Perturbation("u", 0.05, 0.5 * beta + 0.5, 1.0)),
+        grid=GridSpec(dx=0.05),
+        time=TimeSpec(t_final=1.0, record_dt=0.5),
+        single_family=family)
+    setup = setup_experiment(cfg)
+    grid, cw = setup.grid, setup.composite
+    state = FieldState(0.0, setup.v0, setup.u0)
+    later = advance(gas_model, state, grid,
+                    4.0 * hyperbolic_dt(gas_model, state, grid))
+    for st in (state, later):
+        got = dataclasses.asdict(make_record(st, cw, grid))
+        want = dataclasses.asdict(_record_reference(st, cw, grid))
+        assert len(got) == 19
+        assert got == want
