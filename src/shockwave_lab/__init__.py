@@ -48,7 +48,6 @@ from .solver import (
     hyperbolic_dt,
     stable_dt,
     rk4_step,
-    strang_step,
     advance,
     effective_velocity,
     auto_grid,

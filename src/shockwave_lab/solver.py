@@ -5,20 +5,27 @@
 
 on a truncated domain with far-field Dirichlet boundaries, with central
 second-order differences in space.  Time stepping is Strang-split
-(Strang 1968, SIAM J. Numer. Anal. 5:506): a Crank-Nicolson half step
-of the viscous part with v frozen, one classical RK4 step of the
-inviscid part, and a second viscous half step, at the hyperbolic CFL
-bound recomputed every step.  The implicit half steps lift the explicit
-viscous bound, which on the stability experiment is 63x smaller.
+(Strang 1968, SIAM J. Numer. Anal. 5:506): one classical RK4 step of
+the inviscid part between Crank-Nicolson steps of the viscous part with
+v frozen, at the hyperbolic CFL bound recomputed every step.  The
+viscous half steps that end one step and open the next see the same v,
+so advance takes them as one Crank-Nicolson step, with half steps only
+at the two ends of its interval (Hundsdorfer & Verwer 2003, Numerical
+Solution of Time-Dependent Advection-Diffusion-Reaction Equations, on
+operator splitting): one tridiagonal solve per step.  The implicit steps lift the
+explicit viscous bound, which on the stability experiment is 63x
+smaller.
 
 The hyperbolic CFL number, 0.8, is the largest of those measured that
 keeps the temporal error within 10% of the spatial error on the shipped
 grids.  Strang splitting is second order, so that error grows like
 dt^2.  Measured against CFL 0.1 on the convergence suite's dx = 0.025
-run, it is 2.0% of the L2 error at CFL 0.4, 8.0% at 0.8 and 17.6% at
+run, it is 1.9% of the L2 error at CFL 0.4, 7.7% at 0.8 and 17.2% at
 1.2 (test_solver.py::test_temporal_error_within_budget pins it).  At
-0.8 Crank-Nicolson still damps the odd-even mode of the stability grid
-by 0.73 per step (test_crank_nicolson_damps_odd_even_mode).
+0.8 one merged Crank-Nicolson step damps the odd-even mode of the
+stability grid by 0.924 per step, against 0.73 for two half steps
+(test_merged_steps_damp_odd_even_mode,
+test_crank_nicolson_damps_odd_even_mode).
 
 Classical RK4 on the full semidiscretization (`rk4_step` at
 `stable_dt`, the min of the hyperbolic and viscous bounds) is kept as
@@ -33,7 +40,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from .kernels import gradient
 from .riemann import GasModel, TwoShockData
@@ -52,7 +59,6 @@ __all__ = [
     "hyperbolic_dt",
     "stable_dt",
     "rk4_step",
-    "strang_step",
     "advance",
     "effective_velocity",
     "auto_grid",
@@ -174,13 +180,13 @@ def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
 def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D,
                   scheme: SchemeConfig = SchemeConfig()) -> float:
     """Hyperbolic CFL bound cfl dx / max|lambda|, with max|lambda| =
-    sqrt(-p'(v_min)); raises PositivityError if some v <= 0.
+    sqrt(-p'(v_min)); raises PositivityError if some v <= 0 or is nan.
 
     The step advance takes.  Classical RK4 with central differences is
     linearly stable up to cfl = 2 sqrt(2); the shipped 0.8 is set by the
     temporal error budget instead (module docstring)."""
     vmin = float(state.v.min())
-    if vmin <= 0.0:
+    if not vmin > 0.0:  # also catches a nan, which min propagates
         raise PositivityError("nonpositive specific volume", state.copy())
     lam_max = math.sqrt(gas.a * gas.gamma) * vmin ** (-0.5 * (gas.gamma + 1.0))
     return scheme.cfl_hyperbolic * grid.dx / lam_max
@@ -220,52 +226,63 @@ def _crank_nicolson(gas: GasModel, v, u, tau: float, grid: Grid1D):
     with L u = 0 stays exactly as it is.
 
     L is tridiagonal, with face coefficients 1 / (dx^2 vbar^(alpha+1))
-    and zero boundary rows, so the boundary values stay pinned.
+    and zero boundary rows, so the boundary values stay pinned and the
+    increment solves the n - 2 interior rows alone, a symmetric positive
+    definite system (LAPACK dptsv).
     """
-    n, dx = u.size, grid.dx
+    dx = grid.dx
     r = (0.5 * tau / (dx * dx)) / _face_visc(gas, 0.5 * (v[1:] + v[:-1]))
     flux = r * (u[1:] - u[:-1])
-    b = np.zeros(n)
-    b[1:-1] = 2.0 * (flux[1:] - flux[:-1])
-    ab = np.zeros((3, n))
-    ab[0, 2:] = -r[1:]
-    ab[1] = 1.0
-    ab[1, 1:-1] += r[1:] + r[:-1]
-    ab[2, :-2] = -r[:-1]
-    return u + solve_banded((1, 1), ab, b, overwrite_ab=True,
-                            overwrite_b=True, check_finite=False)
+    b = 2.0 * (flux[1:] - flux[:-1])
+    _, _, du, info = dptsv(1.0 + r[1:] + r[:-1], -r[1:-1], b,
+                           overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dptsv failed with info = {info}")
+    u = u.copy()
+    u[1:-1] += du
+    return u
 
 
-def strang_step(gas: GasModel, state: FieldState, dt: float,
-                grid: Grid1D) -> FieldState:
-    """One Strang-split step, second order in time: a Crank-Nicolson
-    viscous half step, one RK4 step of the inviscid part (stable up to
-    the hyperbolic bound), and a second viscous half step."""
-    dx = grid.dx
-    v = state.v
-    u = _crank_nicolson(gas, v, state.u, 0.5 * dt, grid)
+def _inviscid_rk4(gas: GasModel, v, u, dt: float, dx: float):
+    """(v, u) after one classical RK4 step of the inviscid part."""
     k1v, k1u = _inviscid_rhs(gas, v, u, dx)
     k2v, k2u = _inviscid_rhs(gas, v + 0.5 * dt * k1v, u + 0.5 * dt * k1u, dx)
     k3v, k3u = _inviscid_rhs(gas, v + 0.5 * dt * k2v, u + 0.5 * dt * k2u, dx)
     k4v, k4u = _inviscid_rhs(gas, v + dt * k3v, u + dt * k3u, dx)
-    v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    t = state.t + dt
-    if not np.all(v > 0.0):  # also catches a nan from a nonpositive stage
-        raise PositivityError(f"positivity lost at t = {t:.6g}",
-                              FieldState(t, v, u))
-    return FieldState(t, v, _crank_nicolson(gas, v, u, 0.5 * dt, grid))
+    return (v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
 
 
 def advance(gas: GasModel, state: FieldState, grid: Grid1D,
             t_target: float) -> FieldState:
     """Strang-split steps at the hyperbolic dt from state.t to t_target,
     the last one clipped to land on t_target; state itself if
-    t_target <= state.t."""
-    while state.t < t_target - 1e-12:
-        dt = min(hyperbolic_dt(gas, state, grid), t_target - state.t)
-        state = strang_step(gas, state, dt, grid)
-    return state
+    t_target <= state.t.
+
+    Step k is an RK4 step of the inviscid part between Crank-Nicolson
+    steps of the viscous part.  The viscous step after step k and the
+    one before step k + 1 see the same v, so they are taken as one step
+    of (dt_k + dt_{k+1}) / 2: the first step opens with dt_0 / 2 and the
+    last closes with a half step, which makes a single step the Strang
+    step CN(dt/2), RK4(dt), CN(dt/2).  A PositivityError carries the
+    rejected post-RK4 state.
+    """
+    t, v, u = state.t, state.v, state.u
+    dt = 0.0  # no step yet, so the first viscous step is a half step
+    while t < t_target - 1e-12:
+        # the bound reads only v, which the viscous steps leave unchanged
+        dt_next = min(hyperbolic_dt(gas, FieldState(t, v, u), grid),
+                      t_target - t)
+        u = _crank_nicolson(gas, v, u, 0.5 * (dt + dt_next), grid)
+        dt = dt_next
+        v, u = _inviscid_rk4(gas, v, u, dt, grid.dx)
+        t += dt
+        if not np.all(v > 0.0):  # also catches a nan from a nonpositive stage
+            raise PositivityError(f"positivity lost at t = {t:.6g}",
+                                  FieldState(t, v, u))
+    if dt == 0.0:
+        return state
+    return FieldState(t, v, _crank_nicolson(gas, v, u, 0.5 * dt, grid))
 
 
 def effective_velocity(gas: GasModel, state: FieldState, grid: Grid1D) -> np.ndarray:

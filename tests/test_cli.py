@@ -263,17 +263,19 @@ def test_unresolved_grid_is_config_error(tmp_path, capsys, line, key):
 def test_simulate_positivity_failure_keeps_partial_run(tmp_path, capsys,
                                                         monkeypatch):
     """A step that loses positivity after t = 0.1 leaves the records at
-    t = 0 and 0.1 and a snapshot of the failing state on disk."""
-    step = solver.strang_step
+    t = 0 and 0.1 and a snapshot of the failing state on disk.  The loss
+    is injected where advance bounds the next step by the post-RK4 state
+    of the last one."""
+    bound = solver.hyperbolic_dt
 
-    def failing(gas, state, dt, grid):
-        out = step(gas, state, dt, grid)
-        if out.t > 0.1 + 1e-9:
+    def failing(gas, state, grid):
+        if state.t > 0.1 + 1e-9:
+            out = state.copy()
             out.v[3] = -1.0
             raise solver.PositivityError("injected", out)
-        return out
+        return bound(gas, state, grid)
 
-    monkeypatch.setattr(solver, "strang_step", failing)
+    monkeypatch.setattr(solver, "hyperbolic_dt", failing)
     out_dir = tmp_path / "run"
     assert main(["simulate", "--config", _write(tmp_path, SINGLE_SHOCK_RUN),
                  "--out", str(out_dir)]) == 1

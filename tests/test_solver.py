@@ -6,13 +6,34 @@ from shockwave_lab import (FieldState, GasModel, Grid1D, PositivityError,
                            advance, auto_grid, effective_velocity,
                            hyperbolic_dt, profile_rhs, rk4_step,
                            run_simulation, sample_uniform, semidiscrete_rhs,
-                           solver, stable_dt, strang_step, verify, write_csv)
+                           solver, stable_dt, verify, write_csv)
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
                                   RiemannSpec, TimeSpec)
 
 
 def _const_state(n, v=1.3, u=-0.2):
     return FieldState(0.0, np.full(n, v), np.full(n, u))
+
+
+def _split_step(gas, state, dt, grid):
+    """One Strang step, CN(dt/2), RK4(dt), CN(dt/2): advance takes it as a
+    single step when dt is within the hyperbolic bound."""
+    assert dt <= solver.hyperbolic_dt(gas, state, grid)
+    return advance(gas, state, grid, state.t + dt)
+
+
+def _record_calls(monkeypatch, name, arg):
+    """Route solver.<name> through a wrapper that records its positional
+    argument number arg on every call."""
+    seen = []
+    func = getattr(solver, name)
+
+    def recording(*args):
+        seen.append(args[arg])
+        return func(*args)
+
+    monkeypatch.setattr(solver, name, recording)
+    return seen
 
 
 def test_constant_state_is_equilibrium(gas):
@@ -137,18 +158,20 @@ def test_strang_second_order_vs_reference(alpha):
     state = FieldState(0.0, v0, u0)
     assert stable_dt(gas, state, grid) < 0.4 / 16
     assert 0.4 / 8 < hyperbolic_dt(gas, state, grid)
-    orders = _observed_orders(gas, strang_step, grid, v0, u0, 0.4)
+    orders = _observed_orders(gas, _split_step, grid, v0, u0, 0.4)
     assert np.all(orders >= 1.7) and np.all(orders <= 2.3)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
 def test_crank_nicolson_matches_dense_solve(alpha):
     """With v frozen, the viscous part of semidiscrete_rhs is a linear map
-    L u (its columns are differences of rhs evaluations); one half step
-    solves (I - dt/2 L) u = (I + dt/2 L) u0."""
+    L u (its columns are differences of rhs evaluations); one step
+    solves (I - dt/2 L) u = (I + dt/2 L) u0.  0.5 dt / dx^2 runs from
+    0.38 through 6.34, the merged viscous step's on the stability grid
+    at v = 1, to twice that."""
     gas = GasModel(1.0, 2.0, alpha)
     grid, v, u0 = _bump_grid_state()
-    n, dt = grid.n, 0.05
+    n = grid.n
     base = semidiscrete_rhs(gas, FieldState(0.0, v, np.zeros(n)), grid)[1]
     L = np.empty((n, n))
     for j in range(n):
@@ -156,10 +179,11 @@ def test_crank_nicolson_matches_dense_solve(alpha):
         e[j] = 1.0
         L[:, j] = semidiscrete_rhs(gas, FieldState(0.0, v, e), grid)[1] - base
     eye = np.eye(n)
-    dense = np.linalg.solve(eye - 0.5 * dt * L, (eye + 0.5 * dt * L) @ u0)
-    half = solver._crank_nicolson(gas, v, u0, dt, grid)
-    assert np.max(np.abs(half - dense)) <= 1e-14
-    assert half[0] == u0[0] and half[-1] == u0[-1]
+    for dt in (0.05, 0.8335, 1.709):
+        dense = np.linalg.solve(eye - 0.5 * dt * L, (eye + 0.5 * dt * L) @ u0)
+        out = solver._crank_nicolson(gas, v, u0, dt, grid)
+        assert np.max(np.abs(out - dense)) <= 1e-14
+        assert out[0] == u0[0] and out[-1] == u0[-1]
 
 
 def test_temporal_error_within_budget(gas, two_shock, profiles, monkeypatch):
@@ -178,8 +202,8 @@ def test_temporal_error_within_budget(gas, two_shock, profiles, monkeypatch):
 @pytest.mark.parametrize("alpha, v", [(0.0, 1.0), (0.7, 1.3)])
 def test_crank_nicolson_damps_odd_even_mode(gas, two_shock, alpha, v):
     """An odd-even mode of u on a constant state has a zero inviscid RHS
-    in the interior, so one split step at hyperbolic_dt multiplies it by
-    the Crank-Nicolson factor of two half steps, ((1 - 2r) / (1 + 2r))^2,
+    in the interior, so a single split step at hyperbolic_dt multiplies it
+    by the Crank-Nicolson factor of two half steps, ((1 - 2r) / (1 + 2r))^2,
     r = (dt/2) / (dx^2 v^(alpha+1)), on the stability grid's dx."""
     dx = auto_grid(gas, two_shock, 40.0, 50.0, n=4000).dx
     gas_alpha = GasModel(1.0, 2.0, alpha)
@@ -190,10 +214,36 @@ def test_crank_nicolson_damps_odd_even_mode(gas, two_shock, alpha, v):
     r = 0.5 * dt / (grid.dx ** 2 * v ** (alpha + 1.0))
     factor = ((1.0 - 2.0 * r) / (1.0 + 2.0 * r)) ** 2
     assert factor < 1.0
-    out = strang_step(gas_alpha, state, dt, grid)
+    out = _split_step(gas_alpha, state, dt, grid)
     # the pinned boundary rows perturb the mode only near the ends
     mode = ((out.u + 0.2) * sign / 1e-3)[20:-20]
     assert np.allclose(mode, factor, rtol=0.01, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha, v", [(0.0, 1.0), (0.7, 1.3)])
+def test_merged_steps_damp_odd_even_mode(gas, two_shock, monkeypatch,
+                                         alpha, v):
+    """Over several steps of advance, the odd-even mode of u on a
+    constant state is multiplied by the Crank-Nicolson factor
+    (1 + tau lam/2) / (1 - tau lam/2), lam = -4 / (dx^2 v^(alpha+1)), of
+    every viscous step tau: the opening half step, the merged steps and
+    the closing half step.  v moves near the pinned ends, which moves the
+    hyperbolic dt, so the taus are recorded rather than assumed."""
+    dx = auto_grid(gas, two_shock, 40.0, 50.0, n=4000).dx
+    gas_alpha = GasModel(1.0, 2.0, alpha)
+    grid = Grid1D(0.0, 480 * dx, 481)
+    sign = (-1.0) ** np.arange(grid.n)
+    state = FieldState(0.0, np.full(grid.n, v), -0.2 + 1e-3 * sign)
+    t_target = 5.5 * hyperbolic_dt(gas_alpha, state, grid)
+    taus = _record_calls(monkeypatch, "_crank_nicolson", 3)
+    out = advance(gas_alpha, state, grid, t_target)
+    assert len(taus) == 7  # 6 steps
+    lam = -4.0 / (grid.dx ** 2 * v ** (alpha + 1.0))
+    factor = np.prod([(1.0 + 0.5 * tau * lam) / (1.0 - 0.5 * tau * lam)
+                      for tau in taus])
+    # 120 points from the ends the pinned rows' influence is below 1e-13
+    mode = ((out.u + 0.2) * sign / 1e-3)[120:-120]
+    assert np.allclose(mode, factor, rtol=1e-9, atol=0.0)
 
 
 def _second_difference(a):
@@ -246,7 +296,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path, rows):
 def test_strang_preserves_equilibrium(gas):
     grid = Grid1D(0.0, 5.0, 101)
     state = _const_state(101)
-    out = strang_step(gas, state, 1e-2, grid)
+    out = _split_step(gas, state, 1e-2, grid)
     assert np.all(out.v == state.v) and np.all(out.u == state.u)
     assert out.t == pytest.approx(1e-2)
 
@@ -296,26 +346,52 @@ def test_rk4_positivity_abort(gas):
     assert err.value.state is not None
 
 
-def test_strang_positivity_abort(gas):
+def test_strang_positivity_abort(gas, monkeypatch):
+    """A step the RK4 stage takes past v = 0 raises with the rejected
+    state; the hyperbolic bound is lifted to let the step be taken."""
     grid, state = _compressed_state()
+    monkeypatch.setattr(solver, "hyperbolic_dt", lambda *a: 0.05)
     with pytest.raises(PositivityError) as err:
-        strang_step(gas, state, 0.05, grid)
+        _split_step(gas, state, 0.05, grid)
     assert err.value.state is not None
     assert not np.all(err.value.state.v > 0.0)
+    assert err.value.state.t == 0.05
+
+
+def test_nan_volume_fails_before_a_step(gas):
+    """A nan in v fails the hyperbolic bound at the state's own time; it
+    does not set dt = nan and fail a step later at t = nan."""
+    grid = Grid1D(0.0, 5.0, 101)
+    state = _const_state(101)
+    state.v[50] = np.nan
+    with pytest.raises(PositivityError) as err:
+        advance(gas, state, grid, 1.0)
+    assert err.value.state.t == 0.0
+    assert np.isnan(err.value.state.v[50])
 
 
 def _recording_steps(monkeypatch):
-    """Route solver.strang_step, the step advance takes, through a wrapper
-    that records each dt."""
-    dts = []
-    step = solver.strang_step
+    """Route solver._inviscid_rk4, called once per step of advance,
+    through a wrapper that records each dt."""
+    return _record_calls(monkeypatch, "_inviscid_rk4", 3)
 
-    def recording(gas, state, dt, grid):
-        dts.append(dt)
-        return step(gas, state, dt, grid)
 
-    monkeypatch.setattr(solver, "strang_step", recording)
-    return dts
+def test_one_viscous_solve_per_step(gas, monkeypatch):
+    """Adjacent viscous half steps are merged: n steps to a target take
+    n + 1 Crank-Nicolson solves, half steps at both ends."""
+    grid = Grid1D(0.0, 5.0, 101)
+    state = _const_state(101)
+    dt = hyperbolic_dt(gas, state, grid)
+    dts = _recording_steps(monkeypatch)
+    taus = _record_calls(monkeypatch, "_crank_nicolson", 3)
+    out = advance(gas, state, grid, 10 * dt)
+    assert len(dts) == 10 and len(taus) == 11
+    assert taus == pytest.approx([0.5 * dt] + [dt] * 9 + [0.5 * dt],
+                                 rel=1e-12)
+    dts.clear()
+    taus.clear()
+    advance(gas, out, grid, out.t + dt)
+    assert len(dts) == 1 and taus == [0.5 * dts[0]] * 2
 
 
 def test_advance_clips_last_step_onto_target(gas, monkeypatch):
