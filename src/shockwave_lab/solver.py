@@ -166,7 +166,7 @@ def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
     boundary rows are pinned (zero time derivative).
     """
     v, u = state.v, state.u
-    if np.any(v <= 0.0):
+    if not np.all(v > 0.0):  # also catches a nan
         raise PositivityError("nonpositive specific volume in rhs evaluation",
                               state.copy())
     dx = grid.dx
@@ -214,7 +214,7 @@ def rk4_step(gas: GasModel, state: FieldState, dt: float, grid: Grid1D) -> Field
     v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     out = FieldState(state.t + dt, v_new, u_new)
-    if np.any(v_new <= 0.0):
+    if not np.all(v_new > 0.0):  # also catches a nan
         raise PositivityError(f"positivity lost at t = {out.t:.6g}", out)
     return out
 
@@ -296,18 +296,27 @@ def _effective_velocity(gas: GasModel, v, u, v_x):
 
 def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
               n: Optional[int] = None, dx: float = 0.05) -> Grid1D:
-    """Domain containing [s1 T - margin, beta + s2 T + margin].
+    """Domain [s1 T - m_lo, beta + s2 T + m_hi], each margin sized so the
+    composite tails sit below ~1e-13 at that edge for all t <= T.
 
-    The margin is max(20, ln(max(chi)/1e-13)) / c_min so the composite
-    tails sit below ~1e-13 at the boundary for all t <= T.
+    A tail of strength chi and rate c needs the length
+    L(chi, c) = max(20, ln(chi/1e-13)) / c.  The left margin is wave 1's
+    outer tail, L(chi1, c1-), raised if needed so that wave 2's inner
+    tail, at least beta + m_lo away, is also down:
+    m_lo = max(L(chi1, c1-), L(chi2, c2-) - beta), and mirrored,
+    m_hi = max(L(chi2, c2+), L(chi1, c1+) - beta).  With beta = 0 the
+    inner term sizes the far side of a lone wave.
     """
     c1m, c1p = decay_rates(gas, ts.left, ts.mid, ts.s1)
     c2m, c2p = decay_rates(gas, ts.mid, ts.right, ts.s2)
-    c_min = min(c1m, c1p, c2m, c2p)
-    chi_max = max(ts.chi1, ts.chi2)
-    margin = max(20.0, math.log(chi_max / _BOUNDARY_GOAL)) / c_min
-    x_lo = ts.s1 * t_final - margin
-    x_hi = beta + ts.s2 * t_final + margin
+
+    def tail(chi, c):
+        return max(20.0, math.log(chi / _BOUNDARY_GOAL)) / c
+
+    m_lo = max(tail(ts.chi1, c1m), tail(ts.chi2, c2m) - beta)
+    m_hi = max(tail(ts.chi2, c2p), tail(ts.chi1, c1p) - beta)
+    x_lo = ts.s1 * t_final - m_lo
+    x_hi = beta + ts.s2 * t_final + m_hi
     if n is None:
         n = int(math.ceil((x_hi - x_lo) / dx)) + 1
         if n < 16:

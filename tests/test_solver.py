@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from shockwave_lab import (FieldState, GasModel, Grid1D, PositivityError,
-                           advance, auto_grid, effective_velocity,
+from shockwave_lab import (CompositeWave, EndState, FieldState, GasModel,
+                           Grid1D, PositivityError, advance, auto_grid,
+                           build_profiles, effective_velocity, hugoniot_u,
                            hyperbolic_dt, profile_rhs, rk4_step,
                            run_simulation, sample_uniform, semidiscrete_rhs,
-                           solver, stable_dt, verify, write_csv)
+                           solve_intermediate, solver, stable_dt, verify,
+                           write_csv)
+from shockwave_lab.composite import BOUNDARY_DECAY_TOL, W_BOUNDARY_TOL
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
                                   RiemannSpec, TimeSpec)
+from shockwave_lab.profile import decay_rates
 
 
 def _const_state(n, v=1.3, u=-0.2):
@@ -57,6 +65,22 @@ def test_rhs_positivity_guard(gas):
     state.v[50] = -0.1
     with pytest.raises(PositivityError):
         semidiscrete_rhs(gas, state, grid)
+
+
+def test_rhs_rejects_nan_volume(gas):
+    grid = Grid1D(0.0, 5.0, 101)
+    state = _const_state(101)
+    state.v[50] = np.nan
+    with pytest.raises(PositivityError):
+        semidiscrete_rhs(gas, state, grid)
+
+
+def test_rk4_step_rejects_nan_volume(gas):
+    grid = Grid1D(0.0, 5.0, 101)
+    state = _const_state(101)
+    state.v[50] = np.nan
+    with pytest.raises(PositivityError):
+        rk4_step(gas, state, 1e-3, grid)
 
 
 def test_traveling_wave_identity_second_order(gas, two_shock):
@@ -439,6 +463,100 @@ def test_auto_grid_contains_wave_span(gas, two_shock):
     grid = auto_grid(gas, two_shock, beta=40.0, t_final=10.0)
     assert grid.x_lo < two_shock.s1 * 10.0 - 17.0
     assert grid.x_hi > 40.0 + two_shock.s2 * 10.0 + 17.0
+
+
+def test_auto_grid_canonical_is_pinned(gas, two_shock):
+    """The symmetric datum's margins are the two outer tails, both at
+    c_min: the T = 50 grid is the one the stability values were set on."""
+    grid = auto_grid(gas, two_shock, 40.0, 50.0, n=4000)
+    assert (grid.x_lo, grid.x_hi, grid.n) == (-69.22453359302851,
+                                              109.2245335930285, 4000)
+
+
+def _datum(gas, v_m, chi1, chi2):
+    """Two-shock datum on the shock curves through the middle volume v_m."""
+    left = EndState(v_m + chi1, 0.0)
+    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+    v_plus = v_m + chi2
+    right = EndState(v_plus, float(hugoniot_u(gas, mid, v_plus)))
+    return solve_intermediate(gas, left, right)
+
+
+def _rates(gas, ts):
+    """(c1-, c1+, c2-, c2+)."""
+    return (decay_rates(gas, ts.left, ts.mid, ts.s1)
+            + decay_rates(gas, ts.mid, ts.right, ts.s2))
+
+
+def _single_margin_n(gas, ts, beta, t_final, dx=0.05):
+    """n of the earlier auto_grid, which gave both edges the margin
+    max(20, ln(max(chi)/1e-13)) / c_min."""
+    margin = (max(20.0, math.log(max(ts.chi1, ts.chi2) / 1e-13))
+              / min(_rates(gas, ts)))
+    width = beta + (ts.s2 - ts.s1) * t_final + 2.0 * margin
+    return int(math.ceil(width / dx)) + 1
+
+
+@pytest.mark.parametrize("chi", [(1e-3, 3.0), (3.0, 1e-3)])
+def test_auto_grid_asymmetric_strengths_shrink(gas, chi):
+    """The weak wave's slow tail no longer sizes the strong wave's side."""
+    ts = _datum(gas, 1.0, *chi)
+    beta = 40.0 / min(_rates(gas, ts))
+    n = auto_grid(gas, ts, beta, 0.0).n
+    assert n <= 0.65 * _single_margin_n(gas, ts, beta, 0.0)
+
+
+@pytest.mark.parametrize("family", [1, 2])
+def test_auto_grid_lone_wave_far_side_decayed(gas, family):
+    """With beta = 0 (one wave), the margin beyond the lone wave's side
+    that faces the other family comes from the inner-tail term: a strong
+    other wave leaves its own outer margin far too short."""
+    chi = (1e-3, 3.0) if family == 1 else (3.0, 1e-3)
+    ts = _datum(gas, 1.0, *chi)
+    grid = auto_grid(gas, ts, 0.0, 1.0)
+    wave = build_profiles(gas, ts)[family - 1]
+    V = CompositeWave(wave, None, 0.0).state_fields(
+        np.array([grid.x_lo, grid.x_hi]), 1.0)[0]
+    assert abs(V[0] - wave.state_l.v) <= BOUNDARY_DECAY_TOL
+    assert abs(V[1] - wave.state_r.v) <= BOUNDARY_DECAY_TOL
+
+
+def _edge_residuals(gas, ts, beta, grid, t_final):
+    """Largest |V - v_far| and |W| of the unshifted composite at the two
+    grid edges, over t = 0 and t = t_final."""
+    cw = CompositeWave(*build_profiles(gas, ts), beta)
+    edges = np.array([grid.x_lo, grid.x_hi])
+    far = np.array([ts.left.v, ts.right.v])
+    gap = w_edge = 0.0
+    for t in (0.0, t_final):
+        f = cw.fields(edges, t)
+        gap = max(gap, float(np.max(np.abs(f.V - far))))
+        w_edge = max(w_edge, float(np.max(np.abs(f.W))))
+    return gap, w_edge
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True),
+       alpha=st.floats(0.0, 2.0),
+       a=st.floats(0.3, 3.0),
+       v_m=st.floats(0.3, 3.0),
+       log_chi1=st.floats(math.log(1e-3), math.log(5.0)),
+       log_chi2=st.floats(math.log(1e-3), math.log(5.0)),
+       t_final=st.sampled_from([0.0, 5.0]))
+def test_auto_grid_edges_decayed_across_ss_region(gamma, alpha, a, v_m,
+                                                  log_chi1, log_chi2,
+                                                  t_final):
+    """Per-side margins never grow the grid, and at both edges, at t = 0
+    and t = T, the composite sits within the boundary tolerances of the
+    far states."""
+    gas = GasModel(a=a, gamma=gamma, alpha=alpha)
+    ts = _datum(gas, v_m, v_m * math.exp(log_chi1), v_m * math.exp(log_chi2))
+    beta = 40.0 / min(_rates(gas, ts))
+    grid = auto_grid(gas, ts, beta, t_final)
+    assert grid.n <= _single_margin_n(gas, ts, beta, t_final)
+    gap, w_edge = _edge_residuals(gas, ts, beta, grid, t_final)
+    assert gap <= BOUNDARY_DECAY_TOL
+    assert w_edge <= W_BOUNDARY_TOL
 
 
 def _single_shock_cfg(t_final=1.0, dx=0.05):
