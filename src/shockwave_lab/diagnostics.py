@@ -197,7 +197,7 @@ def perturbation_terms(state: FieldState, cw: CompositeWave,
     V, Vx, Ux = flds.V, flds.Vx, flds.Ux
     V_ap1 = V ** ap1
     V_ap2 = V ** (gas.alpha + 2.0)
-    f, p_rel = _f_and_p_rel(gas, V, Ux, V_ap2, fields.phi_x)
+    f, p_rel = _f_and_p_rel(gas, V, gas.dpressure(V), Ux, V_ap2, fields.phi_x)
     # grouped so every term cancels exactly at zero perturbation
     inv_diff = 1.0 / state.v ** ap1 - 1.0 / V_ap1
     F = (fields.u_x * inv_diff
@@ -210,9 +210,8 @@ def perturbation_terms(state: FieldState, cw: CompositeWave,
     return PerturbationTerms(f=f, F=F, G=G, p_rel=p_rel)
 
 
-def _f_and_p_rel(gas, V, Ux, V_ap2, phi_x):
-    """f and p(v|V) of perturbation_terms, V_ap2 = V^(alpha+2)."""
-    dpV = gas.dpressure(V)
+def _f_and_p_rel(gas, V, dpV, Ux, V_ap2, phi_x):
+    """f and p(v|V) of perturbation_terms, dpV = p'(V), V_ap2 = V^(alpha+2)."""
     f = -dpV - (gas.alpha + 1.0) * Ux / V_ap2
     # p(V + phi_x) - p(V) without cancellation, so p_rel keeps its digits
     # where phi_x is small
@@ -225,7 +224,11 @@ def energy_functionals(fields: PerturbationFields, cw: CompositeWave):
 
     Both are nonnegative because p' < 0.
     """
-    dpV = cw.gas.dpressure(fields.composite.V)
+    return _energy_functionals(fields, cw.gas.dpressure(fields.composite.V))
+
+
+def _energy_functionals(fields: PerturbationFields, dpV):
+    """energy_functionals with dpV = p'(V) given."""
     d = np.diff(fields.x)
     e0 = trapz(fields.phi ** 2 - fields.Psi ** 2 / dpV, d)
     e1 = trapz(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, d)
@@ -264,9 +267,14 @@ def pointwise_inequality_report(cw: CompositeWave,
     Reported values are max(rhs - lhs); <= 0 up to rounding means the
     inequality holds.
     """
+    return _inequality_report(cw, flds, cw.gas.dpressure(flds.V))
+
+
+def _inequality_report(cw: CompositeWave, flds: CompositeFields,
+                       dp) -> InequalityReport:
+    """pointwise_inequality_report with dp = p'(V) given."""
     gas = cw.gas
     V = flds.V
-    dp = gas.dpressure(V)
     d2p = gas.d2pressure(V)
     pref = d2p / dp ** 2
 
@@ -352,13 +360,14 @@ def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Diagnosti
     fields = antiderivatives(state, cw, grid)
     flds = fields.composite
     gas = cw.gas
-    f, p_rel = _f_and_p_rel(gas, flds.V, flds.Ux, flds.V ** (gas.alpha + 2.0),
-                            fields.phi_x)
+    dpV = gas.dpressure(flds.V)
+    f, p_rel = _f_and_p_rel(gas, flds.V, dpV, flds.Ux,
+                            flds.V ** (gas.alpha + 2.0), fields.phi_x)
     dx = grid.dx
     nphi = sobolev_norms(fields.phi, dx)
     npsi = sobolev_norms(fields.psi, dx)
-    e0, e1 = energy_functionals(fields, cw)
-    report = pointwise_inequality_report(cw, flds)
+    e0, e1 = _energy_functionals(fields, dpV)
+    report = _inequality_report(cw, flds, dpV)
     l2 = lambda y: math.sqrt(trapz(y * y, dx))
     return DiagnosticsRecord(
         t=state.t,

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shockwave_lab import (CompositeWave, GasModel, Grid1D, SeparationError,
-                           ShiftInputs, compute_shift_inputs, interaction_norm,
-                           predicted_w_decay, solve_shifts, w_decay_constants)
-from shockwave_lab.composite import (TruncationError, _grouped,
+from shockwave_lab import (CompositeWave, EndState, GasModel, Grid1D,
+                           SeparationError, ShiftInputs, build_profiles,
+                           compute_shift_inputs, hugoniot_u, interaction_norm,
+                           predicted_w_decay, solve_intermediate, solve_shifts,
+                           w_decay_constants)
+from shockwave_lab.composite import (_BLOCK, TruncationError,
+                                     TruncationWarning, _grouped,
                                      _p_second_difference, w_naive)
 from shockwave_lab.config import Perturbation
 
@@ -177,6 +182,16 @@ def test_interaction_norm_decreasing_and_floor(composite40):
     assert interaction_norm(composite40, 50.0, Grid1D(-90.0, 130.0, 4401)) <= 1e-12
 
 
+@pytest.mark.parametrize("edge", (0, -1), ids=("left", "right"))
+def test_interaction_norm_warns_on_nan_edge(composite40, edge):
+    grid = Grid1D(-50.0, 90.0, 2801)
+    W = composite40.fields(grid.x, 0.0).W.copy()
+    W[edge] = np.nan
+    stub = SimpleNamespace(fields=lambda x, t: SimpleNamespace(W=W))
+    with pytest.warns(TruncationWarning):
+        assert math.isnan(interaction_norm(stub, 0.0, grid))
+
+
 def test_beta_doubling_shrinks_w(profiles, two_shock):
     p1, p2 = profiles
     _, c_minus = predicted_w_decay(two_shock, p1, p2)
@@ -291,3 +306,95 @@ def test_mid_state_mismatch_rejected(gas, profiles):
     q2 = integrate_profile(gas, other.mid, other.right, other.s2, 2)
     with pytest.raises(ValueError):
         CompositeWave(p1, q2, 40.0)
+
+
+def _x_at(xi, t, target):
+    """A float x with xi(x, t) == target exactly, or None if rounding
+    skips the target."""
+    x = target - xi(0.0, t)
+    for _ in range(64):
+        d = xi(x, t) - target
+        if d == 0.0:
+            return x
+        x = np.nextafter(x, -np.inf if d > 0.0 else np.inf)
+    return None
+
+
+def _split_case(datum, beta, t, x1, x2):
+    """Composite, grid and sub-slice bounds for the split-invariance test.
+
+    At t > 0 the shifts are picked so that xi1(x1) and xi2(x2) are exactly
+    0.  The grid holds more than 3 blocks plus a remainder, and the x at
+    which each wave's xi is 0 or a table end, where a float reaches it.
+    """
+    gas = GasModel(a=1.0, gamma=2.0, alpha=0.0)
+    v_m, chi1, chi2 = datum
+    left = EndState(v_m + chi1, 0.0)
+    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+    right = EndState(v_m + chi2, float(hugoniot_u(gas, mid, v_m + chi2)))
+    p1, p2 = build_profiles(gas, solve_intermediate(gas, left, right))
+    b1 = -(x1 - p1.s * t) if t > 0.0 else 0.0
+    b2 = -((x2 - p2.s * t) - beta) if t > 0.0 else 0.0
+    cw = CompositeWave(p1, p2, beta, b1, b2)
+    ends = [(xi, q) for xi, p in ((cw.xi1, p1), (cw.xi2, p2))
+            for q in (0.0, p._xi_l[0], p._xi_r[-1])]
+    hits = [_x_at(xi, t, q) for xi, q in ends]
+    if t > 0.0:
+        assert cw.xi1(x1, t) == 0.0 and cw.xi2(x2, t) == 0.0
+        hits += [x1, x2]
+    special = np.array([h for h in hits if h is not None])
+    base = np.linspace(special.min() - 10.0, special.max() + 10.0,
+                       3 * _BLOCK + 1000)
+    x = np.union1d(base, special)
+    cuts = {0, x.size}
+    for k in range(1, x.size // _BLOCK + 1):
+        cuts |= {k * _BLOCK - 1, k * _BLOCK, k * _BLOCK + 1}
+    for xi, q in ends:
+        for side in ("left", "right"):
+            i = int(np.searchsorted(xi(x, t), q, side))
+            cuts |= {i - 1, i, i + 1}
+    cuts = sorted(c for c in cuts if 0 <= c <= x.size)
+    return cw, x, list(zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("datum, beta, x1, x2", [
+    ((1.0, 1.0, 1.0), 40.0, 0.6, 40.9),
+    ((1.0, 1e-3, 3.0), 100.0, -3.0, 101.0),
+], ids=("canonical", "chi-1e-3-3"))
+@pytest.mark.parametrize("t", (0.0, 2.5))
+def test_blocks_split_invariant(datum, beta, t, x1, x2):
+    """fields and state_fields on the whole grid equal, bit for bit, the
+    concatenation of calls on sub-slices cut at the block edges +-1, at
+    single points, and where xi crosses 0 and the table ends."""
+    cw, x, slices = _split_case(datum, beta, t, x1, x2)
+    assert x.size > 3 * _BLOCK and x.size % _BLOCK
+    whole = cw.fields(x, t)
+    parts = [cw.fields(x[lo:hi], t) for lo, hi in slices]
+    assert any(hi - lo == 1 for lo, hi in slices)
+    for name in ("V", "U", "Vx", "Ux", "H", "W", "V1x", "V2x"):
+        joined = np.concatenate([getattr(f, name) for f in parts])
+        assert joined.tobytes() == getattr(whole, name).tobytes(), name
+    V, U = cw.state_fields(x, t)
+    assert V.tobytes() == whole.V.tobytes() and U.tobytes() == whole.U.tobytes()
+    states = [cw.state_fields(x[lo:hi], t) for lo, hi in slices]
+    assert np.concatenate([s[0] for s in states]).tobytes() == V.tobytes()
+    assert np.concatenate([s[1] for s in states]).tobytes() == U.tobytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_evaluation_memory(composite40):
+    """On a long grid the composite's memory is its outputs plus one
+    block's temporaries, not ~40 grid-sized temporaries."""
+    x = np.linspace(-60.0, 100.0, 500_000)
+    composite40.fields(x[:100], 1.3)
+    slack = 8_000_000
+    assert _traced_peak(composite40.fields, x, 1.3) <= 8 * x.nbytes + slack
+    assert _traced_peak(composite40.state_fields, x, 1.3) <= 2 * x.nbytes + slack
