@@ -30,7 +30,7 @@ import numpy as np
 
 from .riemann import (BracketError, EndState, GasModel, hugoniot_u,
                       in_ss_region, solve_intermediate)
-from .solver import Grid1D, auto_grid
+from .solver import _DEFAULT_DX, Grid1D, auto_grid
 
 __all__ = [
     "ConfigError",
@@ -115,7 +115,7 @@ class GridSpec:
     x_lo: Optional[float] = None
     x_hi: Optional[float] = None
     n: Optional[int] = None
-    dx: float = 0.05
+    dx: float = _DEFAULT_DX
 
     def __post_init__(self):
         if (self.x_lo is None) != (self.x_hi is None):
@@ -227,10 +227,6 @@ def _pop_int(entries, key, default=None):
         raise ConfigError(f"key '{key}' must be an integer, got '{val}'") from None
 
 
-def _pop_str(entries, key, default=None):
-    return entries.pop(key, default)
-
-
 def _collect_perturbations(entries):
     indices = set()
     for key in list(entries):
@@ -241,7 +237,7 @@ def _collect_perturbations(entries):
             indices.add(parts[1])
     perts = []
     for idx in sorted(indices, key=lambda s: (len(s), s)):
-        target = _pop_str(entries, f"perturbation.{idx}.target")
+        target = entries.pop(f"perturbation.{idx}.target", None)
         if target is None:
             raise ConfigError(f"perturbation.{idx}.target is required")
         amp = _pop_float(entries, f"perturbation.{idx}.amplitude", required=True)
@@ -294,12 +290,12 @@ def parse_config(path) -> ExperimentConfig:
         x_lo=_pop_float(entries, "grid.x_lo"),
         x_hi=_pop_float(entries, "grid.x_hi"),
         n=_pop_int(entries, "grid.n"),
-        dx=_pop_float(entries, "grid.dx", default=0.05),
+        dx=_pop_float(entries, "grid.dx", default=_DEFAULT_DX),
     )
 
     t_final = _pop_float(entries, "time.T", required=True)
     record_dt = _pop_float(entries, "time.record_dt", default=t_final / 200.0)
-    snap_raw = _pop_str(entries, "time.snapshot_times", default="")
+    snap_raw = entries.pop("time.snapshot_times", "")
     try:
         snaps = tuple(float(s) for s in snap_raw.split(",") if s.strip())
     except ValueError:
@@ -309,7 +305,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError("snapshot times must lie in [0, T]")
     time = TimeSpec(t_final=t_final, record_dt=record_dt, snapshot_times=snaps)
 
-    out_dir = _pop_str(entries, "output.dir", default="out")
+    out_dir = entries.pop("output.dir", "out")
 
     if entries:
         raise ConfigError("unknown config key(s): " + ", ".join(sorted(entries)))

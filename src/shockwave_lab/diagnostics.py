@@ -5,17 +5,17 @@ the nonlinear terms (f, F, G, p(v|V)), the interaction residual norm,
 the quadratic energy functionals, exponential rate fits, and the
 pointwise inequality checks evaluated analytically on the composite.
 
-phi_x = v - V and psi_x = u - U are identities (not differenced);
-perturbation second derivatives use the same central stencils as the
-solver, while every composite-wave derivative is analytic so the
+phi_x = v - V and psi_x = u - U are identities (not differenced); the
+derivatives v_x and u_x of the solution use the same central stencils as
+the solver, while every composite-wave derivative is analytic so the
 inequality checks sit at machine precision.
 
 Derivatives and integrals on the grid go through the kernels of
 `kernels`, which repeat the arithmetic of numpy's gradient and trapezoid
 and scipy's cumulative trapezoid bit for bit without their argument
-handling.  A record computes only what it stores: it differentiates v
-once, evaluates each power of V once per function, and takes f and
-p(v|V) from the helper of `perturbation_terms` without forming F and G.
+handling.  A record computes only what it stores: it evaluates the
+composite and p'(V) once, differentiates v once, and does not form F
+and G.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 
 @dataclass
 class PerturbationFields:
-    """Anti-derivatives of (v-V, u-U, h-H), their derivative arrays, and
-    the composite fields they are measured against."""
+    """Anti-derivatives of (v-V, u-U, h-H), their x-derivatives, and the
+    composite fields they are measured against."""
 
     x: np.ndarray
     composite: CompositeFields
@@ -64,10 +64,6 @@ class PerturbationFields:
     phi_x: np.ndarray
     psi_x: np.ndarray
     Psi_x: np.ndarray
-    phi_xx: np.ndarray
-    psi_xx: np.ndarray
-    v_x: np.ndarray
-    u_x: np.ndarray
 
 
 @dataclass
@@ -83,7 +79,6 @@ class PerturbationTerms:
 @dataclass(frozen=True)
 class SobolevNorms:
     l2: float
-    linf: float
     h1: float
     h2: float
 
@@ -121,8 +116,8 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     flds = cw.fields(x, state.t)
     rv = state.v - flds.V
     ru = state.u - flds.U
-    worst = max(abs(float(rv[0])), abs(float(ru[0])))
-    if worst > BOUNDARY_DECAY_TOL:
+    worst = float(np.maximum(abs(rv[0]), abs(ru[0])))  # keeps a nan
+    if not worst <= BOUNDARY_DECAY_TOL:
         raise TruncationError(
             f"perturbation {worst:.3e} at x_lo exceeds {BOUNDARY_DECAY_TOL:.0e}")
     d = np.diff(x)
@@ -135,11 +130,8 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     H_disc = _effective_velocity(gas, flds.V, flds.U, gradient(flds.V, dx))
     Psi_x = h - H_disc
     Psi = cumtrapz(Psi_x, d)
-    u_x = gradient(state.u, dx)
     return PerturbationFields(x=x, composite=flds, phi=phi, psi=psi, Psi=Psi,
-                              phi_x=rv, psi_x=ru, Psi_x=Psi_x,
-                              phi_xx=v_x - flds.Vx, psi_xx=u_x - flds.Ux,
-                              v_x=v_x, u_x=u_x)
+                              phi_x=rv, psi_x=ru, Psi_x=Psi_x)
 
 
 def closed_form_Psi(state: FieldState, cw: CompositeWave,
@@ -169,44 +161,47 @@ def _second_diff(f, dx):
 
 
 def sobolev_norms(f, dx: float) -> SobolevNorms:
-    """Discrete L2/Linf/H1/H2 norms with central-difference derivatives."""
+    """Discrete L2/H1/H2 norms with central-difference derivatives."""
     f = np.asarray(f, dtype=np.float64)
     if f.size < 5:
         raise ValueError("need at least 5 samples for Sobolev norms")
     l2sq = trapz(f * f, dx)
-    linf = float(np.max(np.abs(f)))
     d1 = gradient(f, dx)
     h1sq = l2sq + trapz(d1 * d1, dx)
     d2 = _second_diff(f, dx)
     h2sq = h1sq + trapz(d2 * d2, dx)
-    return SobolevNorms(l2=math.sqrt(l2sq), linf=linf,
-                        h1=math.sqrt(h1sq), h2=math.sqrt(h2sq))
+    return SobolevNorms(l2=math.sqrt(l2sq), h1=math.sqrt(h1sq),
+                        h2=math.sqrt(h2sq))
 
 
 def perturbation_terms(state: FieldState, cw: CompositeWave,
-                       fields: PerturbationFields) -> PerturbationTerms:
+                       grid: Grid1D) -> PerturbationTerms:
     """Pointwise f, F, G and p(v|V) on the grid.
 
     f = -p'(V) - (alpha+1) U_x / V^(alpha+2) is positive wherever
-    U_x <= 0.  F and G use the same discrete derivatives as the fields
-    so both vanish identically at zero perturbation.
+    U_x <= 0.  With phi_x = v - V,
+
+        F = u_x (v^-(alpha+1) - V^-(alpha+1))
+            + (alpha+1) U_x phi_x / V^(alpha+2) - p(v|V),
+        G = v_x (v^-(alpha+1) - V^-(alpha+1))
+            + (alpha+1) V_x phi_x / V^(alpha+2),
+
+    with central-difference v_x and u_x; both vanish identically at zero
+    perturbation.
     """
     gas = cw.gas
     ap1 = gas.alpha + 1.0
-    flds = fields.composite
+    flds = cw.fields(grid.x, state.t)
     V, Vx, Ux = flds.V, flds.Vx, flds.Ux
-    V_ap1 = V ** ap1
+    phi_x = state.v - V
     V_ap2 = V ** (gas.alpha + 2.0)
-    f, p_rel = _f_and_p_rel(gas, V, gas.dpressure(V), Ux, V_ap2, fields.phi_x)
-    # grouped so every term cancels exactly at zero perturbation
-    inv_diff = 1.0 / state.v ** ap1 - 1.0 / V_ap1
-    F = (fields.u_x * inv_diff
-         + ((fields.u_x - Ux) - fields.psi_xx) / V_ap1
-         + ap1 * Ux * fields.phi_x / V_ap2
+    f, p_rel = _f_and_p_rel(gas, V, gas.dpressure(V), Ux, V_ap2, phi_x)
+    inv_diff = 1.0 / state.v ** ap1 - 1.0 / V ** ap1
+    F = (gradient(state.u, grid.dx) * inv_diff
+         + ap1 * Ux * phi_x / V_ap2
          - p_rel)
-    G = (fields.v_x * inv_diff
-         + ((fields.v_x - Vx) - fields.phi_xx) / V_ap1
-         + ap1 * Vx * fields.phi_x / V_ap2)
+    G = (gradient(state.v, grid.dx) * inv_diff
+         + ap1 * Vx * phi_x / V_ap2)
     return PerturbationTerms(f=f, F=F, G=G, p_rel=p_rel)
 
 
@@ -219,16 +214,12 @@ def _f_and_p_rel(gas, V, dpV, Ux, V_ap2, phi_x):
     return f, p_rel
 
 
-def energy_functionals(fields: PerturbationFields, cw: CompositeWave):
-    """(E0, E1) = (int phi^2 - Psi^2/p'(V), int phi_x^2 - Psi_x^2/p'(V)).
+def energy_functionals(fields: PerturbationFields, dpV):
+    """(E0, E1) = (int phi^2 - Psi^2/p'(V), int phi_x^2 - Psi_x^2/p'(V)),
+    with dpV = p'(V) on the composite V of the fields.
 
     Both are nonnegative because p' < 0.
     """
-    return _energy_functionals(fields, cw.gas.dpressure(fields.composite.V))
-
-
-def _energy_functionals(fields: PerturbationFields, dpV):
-    """energy_functionals with dpV = p'(V) given."""
     d = np.diff(fields.x)
     e0 = trapz(fields.phi ** 2 - fields.Psi ** 2 / dpV, d)
     e1 = trapz(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, d)
@@ -255,9 +246,10 @@ def fit_exponential_rate(t, y) -> RateFit:
                    npoints=int(t.size))
 
 
-def pointwise_inequality_report(cw: CompositeWave,
-                                flds: CompositeFields) -> InequalityReport:
-    """Analytic pointwise checks on the composite fields of cw at one time.
+def pointwise_inequality_report(cw: CompositeWave, flds: CompositeFields,
+                                dpV) -> InequalityReport:
+    """Analytic pointwise checks on the composite fields of cw at one time,
+    with dpV = p'(V) on their V.
 
     Wave steepening: (1/p'(V))_t >= min(-s1, s2) |(1/p'(V))_x| with
     V_t = -s1 V1' - s2 V2' taken analytically from the profiles.
@@ -267,16 +259,10 @@ def pointwise_inequality_report(cw: CompositeWave,
     Reported values are max(rhs - lhs); <= 0 up to rounding means the
     inequality holds.
     """
-    return _inequality_report(cw, flds, cw.gas.dpressure(flds.V))
-
-
-def _inequality_report(cw: CompositeWave, flds: CompositeFields,
-                       dp) -> InequalityReport:
-    """pointwise_inequality_report with dp = p'(V) given."""
     gas = cw.gas
     V = flds.V
     d2p = gas.d2pressure(V)
-    pref = d2p / dp ** 2
+    pref = d2p / dpV ** 2
 
     s1 = cw.wave1.s
     lhs = pref * (s1 * flds.V1x)
@@ -289,7 +275,7 @@ def _inequality_report(cw: CompositeWave, flds: CompositeFields,
     steepening = float(np.max(rhs - lhs))
 
     floor = -max(gas.dpressure(cw.far_left.v), gas.dpressure(cw.far_right.v))
-    lhs2 = -dp - (gas.alpha + 1.0) * flds.Ux / (2.0 * V ** (gas.alpha + 2.0))
+    lhs2 = -dpV - (gas.alpha + 1.0) * flds.Ux / (2.0 * V ** (gas.alpha + 2.0))
     f_floor = float(np.max(floor - lhs2))
     return InequalityReport(steepening=steepening, f_floor=f_floor)
 
@@ -366,8 +352,8 @@ def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Diagnosti
     dx = grid.dx
     nphi = sobolev_norms(fields.phi, dx)
     npsi = sobolev_norms(fields.psi, dx)
-    e0, e1 = _energy_functionals(fields, dpV)
-    report = _inequality_report(cw, flds, dpV)
+    e0, e1 = energy_functionals(fields, dpV)
+    report = pointwise_inequality_report(cw, flds, dpV)
     l2 = lambda y: math.sqrt(trapz(y * y, dx))
     return DiagnosticsRecord(
         t=state.t,

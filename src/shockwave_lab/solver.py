@@ -47,8 +47,9 @@ from .riemann import GasModel, TwoShockData
 from .profile import build_profiles, decay_rates
 # compute_shift_inputs is unused here, but perfbench's tracer wraps it in
 # this module's namespace by name
-from .composite import (CompositeWave, ShiftInputs, TruncationError,
-                        _shift_inputs, compute_shift_inputs, solve_shifts)
+from .composite import (W_BOUNDARY_TOL, CompositeWave, ShiftInputs,
+                        TruncationError, _shift_inputs, compute_shift_inputs,
+                        solve_shifts)
 
 __all__ = [
     "Grid1D",
@@ -73,6 +74,8 @@ __all__ = [
 
 # absolute-tolerance goal for composite tails at the domain boundary
 _BOUNDARY_GOAL = 1e-13
+# grid spacing of an auto-sized domain when neither n nor dx is given
+_DEFAULT_DX = 0.05
 # rows per block in write_csv: the block's Python floats (~32 bytes each)
 # are all alive at once, so whole 4000-row snapshots would add ~1 MB
 _CSV_BLOCK = 512
@@ -295,26 +298,40 @@ def _effective_velocity(gas: GasModel, v, u, v_x):
 
 
 def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
-              n: Optional[int] = None, dx: float = 0.05) -> Grid1D:
+              n: Optional[int] = None, dx: float = _DEFAULT_DX) -> Grid1D:
     """Domain [s1 T - m_lo, beta + s2 T + m_hi], each margin sized so the
     composite tails sit below ~1e-13 at that edge for all t <= T.
 
-    A tail of strength chi and rate c needs the length
-    L(chi, c) = max(20, ln(chi/1e-13)) / c.  The left margin is wave 1's
-    outer tail, L(chi1, c1-), raised if needed so that wave 2's inner
-    tail, at least beta + m_lo away, is also down:
-    m_lo = max(L(chi1, c1-), L(chi2, c2-) - beta), and mirrored,
-    m_hi = max(L(chi2, c2+), L(chi1, c1+) - beta).  With beta = 0 the
-    inner term sizes the far side of a lone wave.
+    A tail of strength chi and rate c falls to the gap d at the length
+    L(chi, c, d) = max(20, ln(chi/d)) / c.  The left margin is wave 1's
+    outer tail, L(chi1, c1-, 1e-13), raised if needed so that wave 2's
+    inner tail, at least beta + m_lo away, is also down:
+    m_lo = max(L(chi1, c1-, 1e-13), L(chi2, c2-, d2) - beta), and
+    mirrored, m_hi = max(L(chi2, c2+, 1e-13), L(chi1, c1+, d1) - beta).
+    Where an inner tail reaches an edge, the other wave sits at its far
+    state v_far and W ~ K d with
+    K = |p'(v_far) - p'(v_m)| + |s| c |v_m^-(alpha+1) - v_far^-(alpha+1)|
+    (s and c the speed and rate of the tail's wave), so the inner gap is
+    d = min(1e-13, W_BOUNDARY_TOL / (2 K)), with half the tolerance left
+    for the terms of W beyond first order in d.  With beta = 0 the inner
+    term sizes the far side of a lone wave.
     """
     c1m, c1p = decay_rates(gas, ts.left, ts.mid, ts.s1)
     c2m, c2p = decay_rates(gas, ts.mid, ts.right, ts.s2)
+    vm, ap1 = ts.mid.v, gas.alpha + 1.0
 
-    def tail(chi, c):
-        return max(20.0, math.log(chi / _BOUNDARY_GOAL)) / c
+    def tail(chi, c, goal):
+        return max(20.0, math.log(chi / goal)) / c
 
-    m_lo = max(tail(ts.chi1, c1m), tail(ts.chi2, c2m) - beta)
-    m_hi = max(tail(ts.chi2, c2p), tail(ts.chi1, c1p) - beta)
+    def inner_goal(v_far, s, c):
+        K = (abs(gas.dpressure(v_far) - gas.dpressure(vm))
+             + abs(s) * c * abs(vm ** -ap1 - v_far ** -ap1))
+        return min(_BOUNDARY_GOAL, W_BOUNDARY_TOL / (2.0 * K))
+
+    m_lo = max(tail(ts.chi1, c1m, _BOUNDARY_GOAL),
+               tail(ts.chi2, c2m, inner_goal(ts.left.v, ts.s2, c2m)) - beta)
+    m_hi = max(tail(ts.chi2, c2p, _BOUNDARY_GOAL),
+               tail(ts.chi1, c1p, inner_goal(ts.right.v, ts.s1, c1p)) - beta)
     x_lo = ts.s1 * t_final - m_lo
     x_hi = beta + ts.s2 * t_final + m_hi
     if n is None:
@@ -367,8 +384,7 @@ class SimulationResult:
     two_shock: TwoShockData
     grid: Grid1D
     profiles: tuple
-    shift_inputs: object
-    config: object = None
+    config: object
 
 
 @dataclass
@@ -490,5 +506,4 @@ def run_simulation(cfg) -> SimulationResult:
 
     return SimulationResult(series=series, snapshots=snapshots, composite=cw,
                             two_shock=exp.two_shock, grid=grid,
-                            profiles=exp.profiles,
-                            shift_inputs=exp.shift_inputs, config=cfg)
+                            profiles=exp.profiles, config=cfg)
