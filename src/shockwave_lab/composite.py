@@ -26,12 +26,21 @@ difference to its Taylor series in (d1, d2) when both gaps are small.
 The naive term-by-term form is kept as `w_naive` and serves as the
 independent cross-check where magnitudes are O(1).
 
-Every composite field is elementwise in x, so `CompositeWave.fields`
-and `state_fields` evaluate a long grid in blocks of `_BLOCK` points,
-each written into preallocated outputs.  The result is bit-identical
-for any split, and the memory of a call is its outputs plus O(`_BLOCK`)
-temporaries, which stay in cache; a grid of at most one block is
-evaluated in one piece with no copy.
+Each entry point computes only what it returns:
+
+- `CompositeWave.state_fields` gives (V, U) from the profiles' gap
+  values alone, with no profile slopes;
+- `CompositeWave.interaction` gives W alone, from the gaps and the
+  slopes, and is what `interaction_norm` integrates;
+- `CompositeWave.fields` gives all eight `CompositeFields` arrays.
+
+They share the arithmetic of each field, so V and U, and W, are bitwise
+the same whichever entry point computed them.  Every composite field is
+elementwise in x, so all three evaluate a long grid in blocks of
+`_BLOCK` points, each written into preallocated outputs.  The result is
+bit-identical for any split, and the memory of a call is its outputs
+plus O(`_BLOCK`) temporaries, which stay in cache; a grid of at most one
+block is evaluated in one piece with no copy.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernels import trapz
 from .riemann import GasModel, TwoShockData, pressure_increment
 from .profile import ShockProfile
 
@@ -253,59 +263,91 @@ class CompositeWave:
         return x - self.wave2.s * t - self.beta + self.beta2
 
     def state_fields(self, x, t):
-        """(V, U) only; cheaper than fields() when W is not needed."""
-        V, U = self._blocks(x, t, full=False)
+        """(V, U) only, from the profiles' gap values without their slopes."""
+        V, U = self._blocks(x, t, self._state_block)
         return V, U
+
+    def interaction(self, x, t):
+        """The interaction residual W alone, bitwise equal to
+        fields(x, t).W."""
+        W, = self._blocks(x, t, self._interaction_block)
+        return W
 
     def fields(self, x, t) -> CompositeFields:
         """All composite fields at (x, t): V, U, V_x, U_x, H, W."""
-        return CompositeFields(*self._blocks(x, t, full=True))
+        return CompositeFields(*self._blocks(x, t, self._fields_block))
 
-    def _blocks(self, x, t, full):
-        """_block over x in slices of _BLOCK points, written into
+    def _blocks(self, x, t, block):
+        """block(x, t) over x in slices of _BLOCK points, written into
         preallocated outputs; a single block is returned as computed."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size <= _BLOCK:
-            return self._block(x, t, full)
+            return block(x, t)
         out = None
         for lo in range(0, x.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
-            part = self._block(x[sl], t, full)
+            part = block(x[sl], t)
             if out is None:
                 out = [np.empty(x.shape) for _ in part]
             for o, p in zip(out, part):
                 o[sl] = p
         return out
 
-    def _block(self, x, t, full):
-        """(V, U), or with full all CompositeFields arrays in field order.
+    # The blocks share _volume, _velocity and _w_stable, so V and U are
+    # bitwise-identical between state_fields() and fields(), and W
+    # between interaction() and fields().
 
-        One path for both, so V and U are bitwise-identical between
-        state_fields() and fields().
-        """
-        vm = self.mid.v
-        w1 = self.wave1
-        g1, d1, v1x = w1.gaps(self.xi1(x, t))
-        U = w1.state_l.u - w1.s * g1
-        u1x = -w1.s * v1x
-        if self.wave2 is not None:
-            w2 = self.wave2
-            d2, _, v2x = w2.gaps(self.xi2(x, t))
-            U = U + (w2.state_l.u - w2.s * d2) - self.mid.u
-            u2x = -w2.s * v2x
-        else:
-            v2x = np.zeros_like(x)
-            u2x = np.zeros_like(x)
-            d2 = np.zeros_like(x)
-        V = vm + d1 + d2
+    def _volume(self, d1, d2):
+        V = self.mid.v + d1 + d2
         if np.any(V <= 0.0):
             raise ValueError("composite volume is nonpositive; "
                              "profiles overlap destructively")
-        if not full:
-            return V, U
-        gas = self.gas
+        return V
+
+    def _velocity(self, g1, d2):
+        w1, w2 = self.wave1, self.wave2
+        U = w1.state_l.u - w1.s * g1
+        if w2 is not None:
+            U = U + (w2.state_l.u - w2.s * d2) - self.mid.u
+        return U
+
+    def _state_block(self, x, t):
+        """(V, U)."""
+        g1, d1, _ = self.wave1._gap_values(self.xi1(x, t))
+        d2 = 0.0
         if self.wave2 is not None:
-            W = _w_stable(gas, vm, d1, d2, u1x, u2x)
+            d2, _, _ = self.wave2._gap_values(self.xi2(x, t))
+        return self._volume(d1, d2), self._velocity(g1, d2)
+
+    def _interaction_block(self, x, t):
+        """(W,)."""
+        w1, w2 = self.wave1, self.wave2
+        if w2 is None:
+            _, d1, _ = w1._gap_values(self.xi1(x, t))
+            V = self._volume(d1, 0.0)
+            return (np.zeros_like(V),)
+        _, d1, v1x = w1.gaps(self.xi1(x, t))
+        d2, _, v2x = w2.gaps(self.xi2(x, t))
+        self._volume(d1, d2)
+        return (_w_stable(self.gas, self.mid.v, d1, d2,
+                          -w1.s * v1x, -w2.s * v2x),)
+
+    def _fields_block(self, x, t):
+        """All CompositeFields arrays in field order."""
+        gas, w1, w2 = self.gas, self.wave1, self.wave2
+        g1, d1, v1x = w1.gaps(self.xi1(x, t))
+        u1x = -w1.s * v1x
+        if w2 is not None:
+            d2, _, v2x = w2.gaps(self.xi2(x, t))
+            u2x = -w2.s * v2x
+        else:
+            d2 = 0.0
+            v2x = np.zeros_like(x)
+            u2x = np.zeros_like(x)
+        V = self._volume(d1, d2)
+        U = self._velocity(g1, d2)
+        if w2 is not None:
+            W = _w_stable(gas, self.mid.v, d1, d2, u1x, u2x)
         else:
             W = np.zeros_like(V)
         Vx = v1x + v2x
@@ -330,16 +372,17 @@ def compute_shift_inputs(v0, u0, cw: CompositeWave, grid) -> ShiftInputs:
 def _shift_inputs(rv, ru, cw: CompositeWave, grid) -> ShiftInputs:
     """compute_shift_inputs from the residuals rv = v0 - V, ru = u0 - U
     of an evaluation the caller already holds."""
-    x = grid.x
-    worst = max(abs(rv[0]), abs(rv[-1]), abs(ru[0]), abs(ru[-1]))
-    if worst > BOUNDARY_DECAY_TOL:
-        raise TruncationError(
-            f"boundary residual {worst:.3e} exceeds {BOUNDARY_DECAY_TOL:.0e}; "
-            "widen the grid")
+    for edge, k in (("x_lo", 0), ("x_hi", -1)):
+        worst = float(np.maximum(abs(rv[k]), abs(ru[k])))  # keeps a nan
+        if not worst <= BOUNDARY_DECAY_TOL:
+            raise TruncationError(
+                f"boundary residual {worst:.3e} at {edge} exceeds "
+                f"{BOUNDARY_DECAY_TOL:.0e}; widen the grid")
     c_lo = cw.wave1.c_minus
     c_hi = (cw.wave2 if cw.wave2 is not None else cw.wave1).c_plus
-    I01 = float(np.trapezoid(rv, x)) + rv[0] / c_lo + rv[-1] / c_hi
-    I02 = float(np.trapezoid(ru, x)) + ru[0] / c_lo + ru[-1] / c_hi
+    d = np.diff(grid.x)
+    I01 = trapz(rv, d) + rv[0] / c_lo + rv[-1] / c_hi
+    I02 = trapz(ru, d) + ru[0] / c_lo + ru[-1] / c_hi
     return ShiftInputs(I01=I01, I02=I02)
 
 
@@ -376,7 +419,7 @@ def predicted_w_decay(ts: TwoShockData, p1: ShockProfile, p2: ShockProfile):
 
 def interaction_norm(cw: CompositeWave, t: float, grid) -> float:
     """L2 norm of W(., t) by composite trapezoid on the grid."""
-    W = cw.fields(grid.x, t).W
+    W = cw.interaction(grid.x, t)
     edge = float(np.maximum(abs(W[0]), abs(W[-1])))  # keeps a nan
     if not edge <= W_BOUNDARY_TOL:
         warnings.warn(

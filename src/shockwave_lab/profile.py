@@ -268,6 +268,13 @@ class ShockProfile:
         on its own side, so V - v_l is accurate in relative terms on the
         left tail and V - v_r on the right tail.
         """
+        gl, gr, bounds = self._gap_values(xi)
+        return gl, gr, self._gap_slopes(gl, gr, bounds)
+
+    def _gap_values(self, xi):
+        """(V - v_l, V - v_r) at xi, shaped like xi, and the region
+        bounds (i0, j1, j2) that _gap_slopes reuses; validates xi as
+        gaps does."""
         xi = np.asarray(xi, dtype=np.float64)
         if xi.ndim > 1:
             raise ValueError("xi must be a scalar or a 1-D array")
@@ -279,27 +286,36 @@ class ShockProfile:
         i0 = np.searchsorted(flat, self._xi_l[0], "left")
         j1 = np.searchsorted(flat, 0.0, "right")
         j2 = np.searchsorted(flat, self._xi_r[-1], "right")
-        lt, tl, tr, rt = (slice(0, i0), slice(i0, j1), slice(j1, j2),
-                          slice(j2, None))
         jump = self.state_r.v - self.state_l.v
         gl = np.empty(flat.shape)
         gr = np.empty(flat.shape)
-        vx = np.empty(flat.shape)
-        gl[lt] = self._w_l[0] * np.exp(self.c_minus * (flat[lt] - self._xi_l[0]))
-        gr[rt] = self._w_r[-1] * np.exp(-self.c_plus * (flat[rt] - self._xi_r[-1]))
-        # an empty table region skips its spline and slope calls (~15 us
-        # each); most blocks of a long composite grid lie wholly in a tail
+        gl[:i0] = self._w_l[0] * np.exp(self.c_minus * (flat[:i0] - self._xi_l[0]))
+        gr[j2:] = self._w_r[-1] * np.exp(-self.c_plus * (flat[j2:] - self._xi_r[-1]))
+        # an empty table region skips its spline call (~15 us, and as much
+        # for its slopes); most blocks of a long composite grid lie wholly
+        # in a tail
         if j1 > i0:
-            gl[tl] = self._ip_l(flat[tl])
-            vx[tl] = _g_from_end(self.gas, self.s, self.state_l.v, gl[tl])
+            gl[i0:j1] = self._ip_l(flat[i0:j1])
         if j2 > j1:
-            gr[tr] = self._ip_r(flat[tr])
-            vx[tr] = _g_from_end(self.gas, self.s, self.state_r.v, gr[tr])
+            gr[j1:j2] = self._ip_r(flat[j1:j2])
         np.subtract(gl[:j1], jump, out=gr[:j1])
         np.add(gr[j1:], jump, out=gl[j1:])
-        vx[lt] = self.c_minus * gl[lt]
-        vx[rt] = -self.c_plus * gr[rt]
-        return gl.reshape(xi.shape), gr.reshape(xi.shape), vx.reshape(xi.shape)
+        return gl.reshape(xi.shape), gr.reshape(xi.shape), (i0, j1, j2)
+
+    def _gap_slopes(self, gl, gr, bounds):
+        """V_x from the gaps and region bounds of _gap_values: the exact
+        slope g(V) on the tables, the tail rates times the gap beyond."""
+        i0, j1, j2 = bounds
+        shape = gl.shape
+        gl, gr = gl.reshape(-1), gr.reshape(-1)
+        vx = np.empty(gl.shape)
+        if j1 > i0:
+            vx[i0:j1] = _g_from_end(self.gas, self.s, self.state_l.v, gl[i0:j1])
+        if j2 > j1:
+            vx[j1:j2] = _g_from_end(self.gas, self.s, self.state_r.v, gr[j1:j2])
+        vx[:i0] = self.c_minus * gl[:i0]
+        vx[j2:] = -self.c_plus * gr[j2:]
+        return vx.reshape(shape)
 
     def evaluate(self, xi):
         """(V, U, V_x, U_x) at xi: a scalar or an ascending 1-D array

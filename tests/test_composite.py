@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from shockwave_lab import (CompositeWave, EndState, GasModel, Grid1D,
 from shockwave_lab.composite import (_BLOCK, TruncationError,
                                      TruncationWarning, _grouped,
                                      _p_second_difference, w_naive)
+from shockwave_lab import profile as profile_mod
 from shockwave_lab.config import Perturbation
 
 SQ3 = np.sqrt(3.0)
@@ -89,9 +91,14 @@ def test_shift_inputs_gaussian_areas(composite40):
     x = grid.x
     V0, U0 = composite40.state_fields(x, 0.0)
     bump_v = Perturbation("v", 0.07, 22.0, 1.1)
-    si = compute_shift_inputs(V0 + bump_v(x), U0, composite40, grid)
+    v0 = V0 + bump_v(x)
+    si = compute_shift_inputs(v0, U0, composite40, grid)
     assert si.I01 == pytest.approx(bump_v.area, rel=1e-10)
     assert abs(si.I02) <= 1e-12
+    # the shared-spacing trapezoid is numpy's, bit for bit
+    c_lo, c_hi = composite40.wave1.c_minus, composite40.wave2.c_plus
+    for got, r in ((si.I01, v0 - V0), (si.I02, U0 - U0)):
+        assert got == float(np.trapezoid(r, x)) + r[0] / c_lo + r[-1] / c_hi
     bump_u = Perturbation("u", -0.04, 15.0, 0.8)
     si = compute_shift_inputs(V0, U0 + bump_u(x), composite40, grid)
     assert abs(si.I01) <= 1e-12
@@ -103,8 +110,20 @@ def test_shift_inputs_boundary_guard(composite40):
     x = grid.x
     V0, U0 = composite40.state_fields(x, 0.0)
     bad = Perturbation("v", 0.05, float(x[0]), 1.0)  # bump sitting on the edge
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="x_lo"):
         compute_shift_inputs(V0 + bad(x), U0, composite40, grid)
+
+
+@pytest.mark.parametrize("target, k, edge", [("v", -1, "x_hi"),
+                                             ("u", 0, "x_lo")],
+                         ids=("v-right", "u-left"))
+def test_shift_inputs_boundary_guard_nan(composite40, target, k, edge):
+    """A nan at a grid edge is not a decayed residual."""
+    grid = _shift_grid()
+    v0, u0 = composite40.state_fields(grid.x, 0.0)
+    {"v": v0, "u": u0}[target][k] = np.nan
+    with pytest.raises(TruncationError, match=edge):
+        compute_shift_inputs(v0, u0, composite40, grid)
 
 
 def test_solve_shifts_canonical(two_shock):
@@ -187,7 +206,7 @@ def test_interaction_norm_warns_on_nan_edge(composite40, edge):
     grid = Grid1D(-50.0, 90.0, 2801)
     W = composite40.fields(grid.x, 0.0).W.copy()
     W[edge] = np.nan
-    stub = SimpleNamespace(fields=lambda x, t: SimpleNamespace(W=W))
+    stub = SimpleNamespace(interaction=lambda x, t: W)
     with pytest.warns(TruncationWarning):
         assert math.isnan(interaction_norm(stub, 0.0, grid))
 
@@ -363,9 +382,11 @@ def _split_case(datum, beta, t, x1, x2):
 ], ids=("canonical", "chi-1e-3-3"))
 @pytest.mark.parametrize("t", (0.0, 2.5))
 def test_blocks_split_invariant(datum, beta, t, x1, x2):
-    """fields and state_fields on the whole grid equal, bit for bit, the
-    concatenation of calls on sub-slices cut at the block edges +-1, at
-    single points, and where xi crosses 0 and the table ends."""
+    """fields, state_fields and interaction on the whole grid equal, bit
+    for bit, the concatenation of calls on sub-slices cut at the block
+    edges +-1, at single points, and where xi crosses 0 and the table
+    ends; state_fields and interaction equal the matching fields arrays,
+    with or without a second wave."""
     cw, x, slices = _split_case(datum, beta, t, x1, x2)
     assert x.size > 3 * _BLOCK and x.size % _BLOCK
     whole = cw.fields(x, t)
@@ -379,6 +400,25 @@ def test_blocks_split_invariant(datum, beta, t, x1, x2):
     states = [cw.state_fields(x[lo:hi], t) for lo, hi in slices]
     assert np.concatenate([s[0] for s in states]).tobytes() == V.tobytes()
     assert np.concatenate([s[1] for s in states]).tobytes() == U.tobytes()
+    assert cw.interaction(x, t).tobytes() == whole.W.tobytes()
+    ws = [cw.interaction(x[lo:hi], t) for lo, hi in slices]
+    assert np.concatenate(ws).tobytes() == whole.W.tobytes()
+    grid = Grid1D(float(x[0]), float(x[-1]), x.size)
+    W = cw.fields(grid.x, t).W
+    with warnings.catch_warnings():
+        # this grid does not reach the weak wave's tail at t = 2.5; the
+        # norm is compared as computed, truncated or not
+        warnings.simplefilter("ignore", TruncationWarning)
+        norm = interaction_norm(cw, t, grid)
+    assert norm == float(np.sqrt(np.trapezoid(W * W, grid.x)))
+    # one wave: W is 0 on every entry point and so is its norm
+    single = CompositeWave(cw.wave1, None, 0.0, cw.beta1)
+    one = single.fields(x, t)
+    assert not np.any(one.W)
+    assert single.interaction(x, t).tobytes() == one.W.tobytes()
+    V, U = single.state_fields(x, t)
+    assert V.tobytes() == one.V.tobytes() and U.tobytes() == one.U.tobytes()
+    assert interaction_norm(single, t, grid) == 0.0
 
 
 def _traced_peak(fn, *args):
@@ -398,3 +438,29 @@ def test_block_evaluation_memory(composite40):
     slack = 8_000_000
     assert _traced_peak(composite40.fields, x, 1.3) <= 8 * x.nbytes + slack
     assert _traced_peak(composite40.state_fields, x, 1.3) <= 2 * x.nbytes + slack
+    assert _traced_peak(composite40.interaction, x, 1.3) <= x.nbytes + slack
+
+
+def test_interaction_norm_skips_fields(composite40, monkeypatch):
+    """The norm evaluates W alone, never all of CompositeFields."""
+    def no_fields(*args, **kwargs):
+        raise AssertionError("interaction_norm called fields")
+
+    grid = Grid1D(-50.0, 90.0, 2801)
+    expected = interaction_norm(composite40, 2.0, grid)
+    monkeypatch.setattr(CompositeWave, "fields", no_fields)
+    assert interaction_norm(composite40, 2.0, grid) == expected
+
+
+def test_state_fields_skip_profile_slopes(composite40, monkeypatch):
+    """(V, U) come from the gap values; no profile slope is formed."""
+    def no_slope(*args, **kwargs):
+        raise AssertionError("state_fields called _g_from_end")
+
+    x = np.linspace(-60.0, 100.0, 2 * _BLOCK + 10)
+    V, U = composite40.state_fields(x, 1.3)
+    monkeypatch.setattr(profile_mod, "_g_from_end", no_slope)
+    V2, U2 = composite40.state_fields(x, 1.3)
+    assert V2.tobytes() == V.tobytes() and U2.tobytes() == U.tobytes()
+    with pytest.raises(AssertionError, match="_g_from_end"):
+        composite40.fields(x, 1.3)
