@@ -142,9 +142,14 @@ def hugoniot_u(gas: GasModel, base: EndState, v):
     _check_volume(v)
     scalar = np.ndim(v) == 0
     v = np.asarray(v, dtype=np.float64)
-    rad = gas.a * (base.v - v) * (v ** (-gas.gamma) - base.v ** (-gas.gamma))
-    rad = np.maximum(rad, 0.0)
-    return _scalar_or_array(base.u - np.sqrt(rad), scalar)
+    return _scalar_or_array(_shock_u(gas, base.v, base.u, v), scalar)
+
+
+def _shock_u(gas: GasModel, v0, u0, v):
+    """hugoniot_u through the base state (v0, u0), unchecked; the base
+    may be arrays, one base per element of v."""
+    rad = gas.a * (v0 - v) * (v ** (-gas.gamma) - v0 ** (-gas.gamma))
+    return u0 - np.sqrt(np.maximum(rad, 0.0))
 
 
 def _bisect_secant(f, lo, hi, flo, fhi, xtol, max_iter=200):
@@ -272,15 +277,18 @@ def solve_intermediate(gas: GasModel, left: EndState, right: EndState) -> TwoSho
         mid = EndState(float(vm), float(um))
         return float(hugoniot_u(gas, mid, right.v)) - right.u
 
+    # the scan in one array evaluation; the bracket's end values are
+    # then taken from resid, so the root find sees scalar values only
     grid = np.geomspace(eps, vmax - eps, 64)
-    vals = [resid(v) for v in grid]
-    k = next((i for i in range(63) if vals[i] * vals[i + 1] <= 0.0), None)
-    if k is None:
+    vals = _shock_u(gas, grid, _shock_u(gas, left.v, left.u, grid),
+                    np.asarray(right.v)) - right.u
+    change = np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)
+    if change.size == 0:
         raise BracketError(
             f"no sign change for v_m scanned on ({eps:.3e}, {vmax - eps:.6g}) "
             "in 64 geometric subdivisions")
-    vm = _bisect_secant(resid, float(grid[k]), float(grid[k + 1]),
-                        vals[k], vals[k + 1],
+    lo, hi = float(grid[change[0]]), float(grid[change[0] + 1])
+    vm = _bisect_secant(resid, lo, hi, resid(lo), resid(hi),
                         xtol=VM_XTOL * max(1.0, vmax))
     um = float(hugoniot_u(gas, left, vm))
     pl = gas.pressure(left.v)

@@ -5,24 +5,27 @@
 
 on a truncated domain with far-field Dirichlet boundaries, with central
 second-order differences in space.  Time stepping is Strang-split
-(Strang 1968, SIAM J. Numer. Anal. 5:506): one classical RK4 step of
-the inviscid part between Crank-Nicolson steps of the viscous part with
-v frozen, at the hyperbolic CFL bound recomputed every step.  The
+(Strang 1968, SIAM J. Numer. Anal. 5:506): one three-stage SSP-RK3 step
+of the inviscid part between Crank-Nicolson steps of the viscous part
+with v frozen, at the hyperbolic CFL bound recomputed every step.  The
 viscous half steps that end one step and open the next see the same v,
 so advance takes them as one Crank-Nicolson step, with half steps only
 at the two ends of its interval (Hundsdorfer & Verwer 2003, Numerical
 Solution of Time-Dependent Advection-Diffusion-Reaction Equations, on
-operator splitting): one tridiagonal solve per step.  The implicit steps lift the
-explicit viscous bound, which on the stability experiment is 63x
-smaller.
+operator splitting): one tridiagonal solve per step.  The implicit
+steps lift the explicit viscous bound, which on the stability
+experiment is 63x smaller.
 
 The hyperbolic CFL number, 0.8, is the largest of those measured that
 keeps the temporal error within 10% of the spatial error on the shipped
 grids.  Strang splitting is second order, so that error grows like
 dt^2.  Measured against CFL 0.1 on the convergence suite's dx = 0.025
-run, it is 1.9% of the L2 error at CFL 0.4, 7.7% at 0.8 and 17.2% at
-1.2 (test_solver.py::test_temporal_error_within_budget pins it).  At
-0.8 one merged Crank-Nicolson step damps the odd-even mode of the
+run, it is 1.9% of the L2 error at CFL 0.4, 7.8% at 0.8 and 17.3% at
+1.2 (test_solver.py::test_temporal_error_within_budget pins it).  It is
+the splitting error, not the inviscid stage's: classical RK4 as the
+stage changes these figures by at most 0.12 points, so the stage is the
+three-stage SSP-RK3, which needs three right-hand sides to RK4's four.
+At 0.8 one merged Crank-Nicolson step damps the odd-even mode of the
 stability grid by 0.924 per step, against 0.73 for two half steps
 (test_merged_steps_damp_odd_even_mode,
 test_crank_nicolson_damps_odd_even_mode).
@@ -136,7 +139,8 @@ class SchemeConfig:
     the dt^2 temporal error of the split step within 10% of the spatial
     error (module docstring; test_temporal_error_within_budget).
     cfl_viscous is used only by stable_dt, the bound of the explicit RK4
-    reference path."""
+    reference path rk4_step; the split step's SSP-RK3 stage runs at
+    cfl_hyperbolic alone."""
 
     cfl_hyperbolic: float = 0.8
     cfl_viscous: float = 0.4
@@ -148,18 +152,20 @@ class SchemeConfig:
                 raise ValueError(f"{name} must lie in (0, 0.9]")
 
 
-def _face_visc(gas: GasModel, vbar):
+def _face_visc(gas: GasModel, v):
+    """vbar^(alpha+1) at the n - 1 faces, vbar = (v[1:] + v[:-1]) / 2."""
+    vbar = 0.5 * (v[1:] + v[:-1])
     return vbar if gas.alpha == 0.0 else vbar ** (gas.alpha + 1.0)
 
 
-def _inviscid_rhs(gas: GasModel, v, u, dx):
-    """(dv/dt, du/dt) = (u_x, -p_x) by central differences; boundary rows 0."""
+def _inviscid_rhs(gas: GasModel, v, u, dx, dv, du):
+    """Interior rows of (dv/dt, du/dt) = (u_x, -p_x) by central
+    differences, written into dv and du (n - 2 rows each)."""
     p = gas.pressure(v)
-    dv = np.zeros_like(v)
-    du = np.zeros_like(u)
-    dv[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    du[1:-1] = -(p[2:] - p[:-2]) / (2.0 * dx)
-    return dv, du
+    np.subtract(u[2:], u[:-2], out=dv)
+    dv /= 2.0 * dx
+    np.subtract(p[2:], p[:-2], out=du)
+    du /= -2.0 * dx
 
 
 def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
@@ -173,9 +179,9 @@ def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
         raise PositivityError("nonpositive specific volume in rhs evaluation",
                               state.copy())
     dx = grid.dx
-    dv, du = _inviscid_rhs(gas, v, u, dx)
-    vbar = 0.5 * (v[1:] + v[:-1])
-    sigma = (u[1:] - u[:-1]) / (dx * _face_visc(gas, vbar))
+    dv, du = np.zeros_like(v), np.zeros_like(u)
+    _inviscid_rhs(gas, v, u, dx, dv[1:-1], du[1:-1])
+    sigma = (u[1:] - u[:-1]) / (dx * _face_visc(gas, v))
     du[1:-1] += (sigma[1:] - sigma[:-1]) / dx
     return dv, du
 
@@ -185,9 +191,10 @@ def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D,
     """Hyperbolic CFL bound cfl dx / max|lambda|, with max|lambda| =
     sqrt(-p'(v_min)); raises PositivityError if some v <= 0 or is nan.
 
-    The step advance takes.  Classical RK4 with central differences is
-    linearly stable up to cfl = 2 sqrt(2); the shipped 0.8 is set by the
-    temporal error budget instead (module docstring)."""
+    The step advance takes.  Its SSP-RK3 stage with central differences
+    is linearly stable up to cfl = sqrt(3), the extent of the three-stage
+    method's stability region on the imaginary axis; the shipped 0.8 is
+    set by the temporal error budget instead (module docstring)."""
     vmin = float(state.v.min())
     if not vmin > 0.0:  # also catches a nan, which min propagates
         raise PositivityError("nonpositive specific volume", state.copy())
@@ -234,7 +241,7 @@ def _crank_nicolson(gas: GasModel, v, u, tau: float, grid: Grid1D):
     definite system (LAPACK dptsv).
     """
     dx = grid.dx
-    r = (0.5 * tau / (dx * dx)) / _face_visc(gas, 0.5 * (v[1:] + v[:-1]))
+    r = (0.5 * tau / (dx * dx)) / _face_visc(gas, v)
     flux = r * (u[1:] - u[:-1])
     b = 2.0 * (flux[1:] - flux[:-1])
     _, _, du, info = dptsv(1.0 + r[1:] + r[:-1], -r[1:-1], b,
@@ -246,14 +253,41 @@ def _crank_nicolson(gas: GasModel, v, u, tau: float, grid: Grid1D):
     return u
 
 
-def _inviscid_rk4(gas: GasModel, v, u, dt: float, dx: float):
-    """(v, u) after one classical RK4 step of the inviscid part."""
-    k1v, k1u = _inviscid_rhs(gas, v, u, dx)
-    k2v, k2u = _inviscid_rhs(gas, v + 0.5 * dt * k1v, u + 0.5 * dt * k1u, dx)
-    k3v, k3u = _inviscid_rhs(gas, v + 0.5 * dt * k2v, u + 0.5 * dt * k2u, dx)
-    k4v, k4u = _inviscid_rhs(gas, v + dt * k3v, u + dt * k3u, dx)
-    return (v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-            u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
+def _inviscid_step(gas: GasModel, v, u, dt: float, dx: float, work):
+    """Fresh (v, u) after one SSP-RK3 step of the inviscid part (Shu &
+    Osher 1988, J. Comput. Phys. 77:439; Gottlieb, Shu & Tadmor 2001,
+    SIAM Rev. 43:89), in increment form on the interior rows:
+
+        k1 = L(v), k2 = L(v + dt k1), k3 = L(v + dt/4 (k1 + k2)),
+        v' = v + dt/6 (k1 + k2 + 4 k3).
+
+    The boundary rows stay pinned, and a state with L(v) = 0 comes back
+    bit for bit.  work is a (6, n) scratch block: the stage state and
+    two (dv, du) stage slopes.
+    """
+    sv, su, av, au, bv, bu = work
+    sv[0], sv[-1], su[0], su[-1] = v[0], v[-1], u[0], u[-1]
+    stage = (sv[1:-1], su[1:-1])
+    interior = (v[1:-1], u[1:-1])
+    # ka holds k1, then k1 + k2, then the increment; kb holds k2, then k3
+    ka, kb = (av[1:-1], au[1:-1]), (bv[1:-1], bu[1:-1])
+    _inviscid_rhs(gas, v, u, dx, *ka)
+    for s, x, k in zip(stage, interior, ka):
+        np.multiply(k, dt, out=s)
+        s += x
+    _inviscid_rhs(gas, sv, su, dx, *kb)
+    for s, x, k, k2 in zip(stage, interior, ka, kb):
+        k += k2
+        np.multiply(k, 0.25 * dt, out=s)
+        s += x
+    _inviscid_rhs(gas, sv, su, dx, *kb)
+    out = v.copy(), u.copy()
+    for y, k, k3 in zip(out, ka, kb):
+        k3 *= 4.0
+        k += k3
+        k *= dt / 6.0
+        y[1:-1] += k
+    return out
 
 
 def advance(gas: GasModel, state: FieldState, grid: Grid1D,
@@ -262,15 +296,18 @@ def advance(gas: GasModel, state: FieldState, grid: Grid1D,
     the last one clipped to land on t_target; state itself if
     t_target <= state.t.
 
-    Step k is an RK4 step of the inviscid part between Crank-Nicolson
-    steps of the viscous part.  The viscous step after step k and the
-    one before step k + 1 see the same v, so they are taken as one step
-    of (dt_k + dt_{k+1}) / 2: the first step opens with dt_0 / 2 and the
-    last closes with a half step, which makes a single step the Strang
-    step CN(dt/2), RK4(dt), CN(dt/2).  A PositivityError carries the
-    rejected post-RK4 state.
+    Step k is an SSP-RK3 step of the inviscid part between
+    Crank-Nicolson steps of the viscous part.  The viscous step after
+    step k and the one before step k + 1 see the same v, so they are
+    taken as one step of (dt_k + dt_{k+1}) / 2: the first step opens with
+    dt_0 / 2 and the last closes with a half step, which makes a single
+    step the Strang step CN(dt/2), RK3(dt), CN(dt/2).  The inviscid
+    stages run in one scratch block allocated per call; each step still
+    returns fresh arrays.  A PositivityError carries the rejected
+    post-stage state.
     """
     t, v, u = state.t, state.v, state.u
+    work = np.empty((6, v.size))
     dt = 0.0  # no step yet, so the first viscous step is a half step
     while t < t_target - 1e-12:
         # the bound reads only v, which the viscous steps leave unchanged
@@ -278,7 +315,7 @@ def advance(gas: GasModel, state: FieldState, grid: Grid1D,
                       t_target - t)
         u = _crank_nicolson(gas, v, u, 0.5 * (dt + dt_next), grid)
         dt = dt_next
-        v, u = _inviscid_rk4(gas, v, u, dt, grid.dx)
+        v, u = _inviscid_step(gas, v, u, dt, grid.dx, work)
         t += dt
         if not np.all(v > 0.0):  # also catches a nan from a nonpositive stage
             raise PositivityError(f"positivity lost at t = {t:.6g}",
@@ -345,10 +382,16 @@ def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
 
 def write_csv(path, names, columns):
     """Header of names, then one row per index of the equal-length columns,
-    each value with 17 significant digits so a float64 reads back exactly."""
+    each value with 17 significant digits so a float64 reads back exactly.
+    Columns of unequal length raise ValueError."""
     columns = [np.asarray(c) for c in columns]
+    sizes = [c.size for c in columns]
+    if len(set(sizes)) > 1:
+        raise ValueError("write_csv columns differ in length: "
+                         + ", ".join(f"{name} {size}"
+                                     for name, size in zip(names, sizes)))
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    n = min((c.size for c in columns), default=0)
+    n = max(sizes, default=0)
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
         for i in range(0, n, _CSV_BLOCK):

@@ -264,8 +264,8 @@ def test_simulate_positivity_failure_keeps_partial_run(tmp_path, capsys,
                                                         monkeypatch):
     """A step that loses positivity after t = 0.1 leaves the records at
     t = 0 and 0.1 and a snapshot of the failing state on disk.  The loss
-    is injected where advance bounds the next step by the post-RK4 state
-    of the last one."""
+    is injected where advance bounds the next step by the post-stage
+    state of the last one."""
     bound = solver.hyperbolic_dt
 
     def failing(gas, state, grid):

@@ -10,6 +10,7 @@ from shockwave_lab import (BracketError, EndState, GasModel,
                            NoTwoShockSolution, char_speeds,
                            entropy_margins, hugoniot_u, in_ss_region,
                            rh_residuals, solve_intermediate)
+from shockwave_lab.riemann import VM_XTOL, _bisect_secant
 
 SQ3 = np.sqrt(3.0)
 
@@ -169,6 +170,46 @@ def test_round_trip_and_exactness_across_ss_region(gamma, alpha, a, v_m,
     assert max(abs(r) for r in rh_residuals(gas, ts)) <= 1e-12 * scale
     m1, m2 = entropy_margins(gas, ts)
     assert min(*m1, *m2) > 0.0
+
+
+def _scalar_scan_solution(gas, left, right):
+    """(v_m, u_m, s1, s2) of solve_intermediate with its bracket scan written
+    out as 64 scalar residual calls, the scan the array evaluation
+    replaced, kept as its oracle."""
+    vmax = min(left.v, right.v)
+    eps = 1e-8 * vmax
+
+    def resid(vm):
+        mid = EndState(float(vm), float(hugoniot_u(gas, left, vm)))
+        return float(hugoniot_u(gas, mid, right.v)) - right.u
+
+    grid = np.geomspace(eps, vmax - eps, 64)
+    vals = [resid(v) for v in grid]
+    k = next(i for i in range(63) if vals[i] * vals[i + 1] <= 0.0)
+    vm = _bisect_secant(resid, float(grid[k]), float(grid[k + 1]),
+                        vals[k], vals[k + 1], xtol=VM_XTOL * max(1.0, vmax))
+    pl, pm, pr = gas.pressure(left.v), gas.pressure(vm), gas.pressure(right.v)
+    return (vm, float(hugoniot_u(gas, left, vm)),
+            -math.sqrt(-(pm - pl) / (vm - left.v)),
+            math.sqrt(-(pr - pm) / (right.v - vm)))
+
+
+def test_array_scan_matches_scalar_scan_bitwise():
+    """Over 200 random SS data, with chi_i / v_m log-uniform in
+    [1e-3, 5], the array bracket scan gives the scalar scan's mid state
+    and speeds bit for bit."""
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        gas = GasModel(a=rng.uniform(0.3, 3.0), gamma=rng.uniform(1.001, 3.0))
+        v_m = rng.uniform(0.3, 3.0)
+        chi1, chi2 = v_m * np.exp(rng.uniform(math.log(1e-3), math.log(5.0), 2))
+        left = EndState(v_m + chi1, rng.uniform(-1.0, 1.0))
+        mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+        right = EndState(v_m + chi2, float(hugoniot_u(gas, mid, v_m + chi2)))
+        ts = solve_intermediate(gas, left, right)
+        got = (ts.mid.v, ts.mid.u, ts.s1, ts.s2)
+        want = _scalar_scan_solution(gas, left, right)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_speed_formula_equivalence_random():

@@ -24,8 +24,8 @@ def _const_state(n, v=1.3, u=-0.2):
 
 
 def _split_step(gas, state, dt, grid):
-    """One Strang step, CN(dt/2), RK4(dt), CN(dt/2): advance takes it as a
-    single step when dt is within the hyperbolic bound."""
+    """One Strang step, CN(dt/2), SSP-RK3(dt), CN(dt/2): advance takes it
+    as a single step when dt is within the hyperbolic bound."""
     assert dt <= solver.hyperbolic_dt(gas, state, grid)
     return advance(gas, state, grid, state.t + dt)
 
@@ -140,22 +140,22 @@ def _bump_grid_state():
     return grid, v0, u0
 
 
-def _reference_solution(gas, grid, v0, u0, t_final):
-    """Tightly-resolved independent integration of semidiscrete_rhs."""
+def _reference_solution(gas, grid, v0, u0, t_final, rhs):
+    """Tightly-resolved independent integration of rhs(gas, state, grid)."""
     n = grid.n
 
     def rhs_flat(t, y):
-        dv, du = semidiscrete_rhs(gas, FieldState(t, y[:n], y[n:]), grid)
+        dv, du = rhs(gas, FieldState(t, y[:n], y[n:]), grid)
         return np.concatenate([dv, du])
 
     return solve_ivp(rhs_flat, (0.0, t_final), np.concatenate([v0, u0]),
                      method="RK45", rtol=1e-13, atol=1e-14).y[:, -1]
 
 
-def _observed_orders(gas, step, grid, v0, u0, t_final):
-    """log2 ratios of successive global errors against the reference,
-    at 8, 16 and 32 steps."""
-    ref = _reference_solution(gas, grid, v0, u0, t_final)
+def _observed_orders(gas, step, grid, v0, u0, t_final, rhs=semidiscrete_rhs):
+    """log2 ratios of successive global errors against the reference
+    integration of rhs, at 8, 16 and 32 steps."""
+    ref = _reference_solution(gas, grid, v0, u0, t_final, rhs)
     errs = []
     for nsteps in (8, 16, 32):
         state = FieldState(0.0, v0.copy(), u0.copy())
@@ -171,6 +171,64 @@ def test_rk4_fourth_order_vs_reference(gas):
     grid, v0, u0 = _bump_grid_state()
     orders = _observed_orders(gas, rk4_step, grid, v0, u0, 0.4)
     assert np.all(orders > 3.5) and np.all(orders < 4.6)
+
+
+def _inviscid_rhs(gas, state, grid):
+    """Full-length (dv/dt, du/dt) of the inviscid part, boundary rows 0."""
+    dv, du = np.zeros_like(state.v), np.zeros_like(state.u)
+    solver._inviscid_rhs(gas, state.v, state.u, grid.dx, dv[1:-1], du[1:-1])
+    return dv, du
+
+
+def _inviscid_step(gas, state, dt, grid):
+    v, u = solver._inviscid_step(gas, state.v, state.u, dt, grid.dx,
+                                 np.empty((6, grid.n)))
+    return FieldState(state.t + dt, v, u)
+
+
+def test_inviscid_step_third_order_vs_reference(gas):
+    """Repeated inviscid steps converge at third order to a tightly
+    resolved integration of the inviscid RHS alone."""
+    grid, v0, u0 = _bump_grid_state()
+    orders = _observed_orders(gas, _inviscid_step, grid, v0, u0, 0.4,
+                              rhs=_inviscid_rhs)
+    assert np.all(orders >= 2.6) and np.all(orders <= 3.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_inviscid_step_matches_three_stage_formula(alpha):
+    """One step equals the three stages written out naively on the
+    inviscid RHS, to a few ulp."""
+    gas = GasModel(1.3, 1.4, alpha)
+    grid, v0, u0 = _bump_grid_state()
+    dt = hyperbolic_dt(gas, FieldState(0.0, v0, u0), grid)
+    y = np.concatenate([v0, u0])
+
+    def L(y):
+        return np.concatenate(_inviscid_rhs(gas, FieldState(0.0, y[:grid.n],
+                                                            y[grid.n:]), grid))
+
+    k1 = L(y)
+    k2 = L(y + dt * k1)
+    k3 = L(y + dt / 4.0 * (k1 + k2))
+    naive = y + dt / 6.0 * (k1 + k2 + 4.0 * k3)
+    out = _inviscid_step(gas, FieldState(0.0, v0, u0), dt, grid)
+    got = np.concatenate([out.v, out.u])
+    assert np.max(np.abs(got - naive) / np.abs(naive)) <= 1e-15
+    assert out.v[0] == v0[0] and out.u[-1] == u0[-1]
+
+
+@pytest.mark.parametrize("v", [1.3, 0.7, 1.0 / 3.0, 2.9])
+def test_inviscid_step_keeps_constant_state_bitwise(gas, v):
+    """The increment form returns a state with a zero inviscid RHS bit
+    for bit, in fresh arrays."""
+    grid = Grid1D(0.0, 5.0, 101)
+    state = _const_state(101, v=v)
+    out = _inviscid_step(gas, state, 0.8 * hyperbolic_dt(gas, state, grid),
+                         grid)
+    assert out.v.tobytes() == state.v.tobytes()
+    assert out.u.tobytes() == state.u.tobytes()
+    assert out.v is not state.v and out.u is not state.u
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -317,6 +375,15 @@ def test_write_csv_matches_per_value_formatting(tmp_path, rows):
     assert new.count(b"\n") == rows + 1
 
 
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    """Unequal columns raise, naming each length, and write nothing; the
+    writer used to drop the rows beyond the shortest column."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="a 3, b 2"):
+        write_csv(path, ["a", "b"], [np.arange(3.0), np.arange(2.0)])
+    assert not path.exists()
+
+
 def test_strang_preserves_equilibrium(gas):
     grid = Grid1D(0.0, 5.0, 101)
     state = _const_state(101)
@@ -371,8 +438,9 @@ def test_rk4_positivity_abort(gas):
 
 
 def test_strang_positivity_abort(gas, monkeypatch):
-    """A step the RK4 stage takes past v = 0 raises with the rejected
-    state; the hyperbolic bound is lifted to let the step be taken."""
+    """A step the inviscid stage takes past v = 0 raises with the
+    rejected state; the hyperbolic bound is lifted to let the step be
+    taken."""
     grid, state = _compressed_state()
     monkeypatch.setattr(solver, "hyperbolic_dt", lambda *a: 0.05)
     with pytest.raises(PositivityError) as err:
@@ -395,9 +463,9 @@ def test_nan_volume_fails_before_a_step(gas):
 
 
 def _recording_steps(monkeypatch):
-    """Route solver._inviscid_rk4, called once per step of advance,
+    """Route solver._inviscid_step, called once per step of advance,
     through a wrapper that records each dt."""
-    return _record_calls(monkeypatch, "_inviscid_rk4", 3)
+    return _record_calls(monkeypatch, "_inviscid_step", 3)
 
 
 def test_one_viscous_solve_per_step(gas, monkeypatch):
