@@ -18,7 +18,6 @@ from .profile import (
     ShockProfile,
     DegenerateWaveError,
     IntegrationError,
-    TailTruncatedWarning,
     profile_rhs,
     decay_rates,
     integrate_profile,

@@ -20,7 +20,9 @@ line's table is a quadrature, xi(w) = int dw / g(w): its nodes are
 uniform in sigma = ln(|w| / (chi - |w|)), spaced _DSIGMA apart, and xi
 at each node sums 8-point Gauss-Legendre panels.  dxi/dsigma stays
 bounded at both ends, so the node count grows only like ln(chi / GAP_TOL).
-Beyond the tabulated range the analytic tails
+This quadrature is the only integrator: every evaluation, the uniform
+samples of sample_uniform included, reads its tables.  Beyond the
+tabulated range the analytic tails
 
     V = v_end + w_edge * exp(-+ c_pm (xi - xi_edge))
 
@@ -33,12 +35,10 @@ endpoint linearization
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .riemann import EndState, GasModel, TwoShockData, pressure_increment
@@ -48,7 +48,6 @@ __all__ = [
     "ShockProfile",
     "DegenerateWaveError",
     "IntegrationError",
-    "TailTruncatedWarning",
     "profile_rhs",
     "decay_rates",
     "integrate_profile",
@@ -58,7 +57,6 @@ __all__ = [
 
 GAP_TOL = 1e-10        # tail-switch tolerance on |V - v_end|
 _GAP_TARGET = 0.98 * GAP_TOL   # integration stops just inside the tolerance
-_ODE_RTOL = 1e-12
 # Table node spacing in sigma: the cubic Hermite error scales as dsigma^4,
 # 1.3e-10 chi at 0.025 (5.3e-11 chi at 0.02 costs 3,232 nodes at chi = 1e-3,
 # 2.7e-10 chi at 0.03).
@@ -72,10 +70,6 @@ class DegenerateWaveError(ValueError):
 
 class IntegrationError(RuntimeError):
     """Profile integration produced an unusable (non-monotone) table."""
-
-
-class TailTruncatedWarning(UserWarning):
-    """xi_max was reached before the endpoint gap fell below GAP_TOL."""
 
 
 def profile_rhs(gas: GasModel, s: float, v_left: float, V):
@@ -144,52 +138,19 @@ def _monotone_spline(gas, s, v_end, xi, w):
     return CubicHermiteSpline(xi, w, d, extrapolate=False)
 
 
-def _check_contracts(gas, s, v_end, w0, orient):
-    """Reject a start gap w0 that the ODE does not carry toward 0."""
-    if not orient * _g_from_end(gas, s, v_end, w0) * w0 < 0.0:
-        raise IntegrationError("gap does not contract toward the end state")
-
-
-def _solve_half(gas, s, v_end, w0, xi_max, orient):
-    """Integrate the gap w = V - v_end from w0 toward 0.
-
-    orient = +1 integrates the xi > 0 half, orient = -1 the xi < 0 half
-    (internally tau = orient * xi >= 0 in both cases).  The run stops
-    where |w| falls to _GAP_TARGET or at tau = xi_max.  Returns the
-    solve_ivp result with its dense solution, whose last step ends on the
-    stopping point.
-    """
-    def rhs(tau, y):
-        return [orient * _g_from_end(gas, s, v_end, y[0])]
-
-    _check_contracts(gas, s, v_end, w0, orient)
-
-    def reached(tau, y):
-        return abs(y[0]) - _GAP_TARGET
-
-    reached.terminal = True
-    reached.direction = -1.0
-
-    sol = solve_ivp(rhs, (0.0, xi_max), [w0], method="RK45",
-                    rtol=_ODE_RTOL, atol=1e-4 * _GAP_TARGET,
-                    events=reached, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"profile integration failed: {sol.message}")
-    return sol
-
-
-def _integrate_half(gas, s, v_end, w0, chi, xi_max, orient):
-    """Gap table (tau, w, truncated) of one half line, tau = orient * xi
-    ascending from 0, by quadrature of tau(w) = int dw / (orient g(w)).
+def _integrate_half(gas, s, v_end, w0, chi, orient):
+    """Gap table (tau, w) of one half line, tau = orient * xi ascending
+    from 0, by quadrature of tau(w) = int dw / (orient g(w)).
 
     With a = |w| and sigma = ln(a / (chi - a)), dtau/dsigma =
     (w / (orient g)) (chi - a) / chi stays bounded at both ends, and
     w / g = -s / (V**(alpha+1) (s^2 + dp(w) / w)) has no cancellation.
     Nodes run uniformly in sigma from |w0| down to _GAP_TARGET, their w
-    set exactly; tau sums 8-point Gauss-Legendre panels.  Nodes beyond
-    xi_max are dropped, and truncated says whether any were.
+    set exactly; tau sums 8-point Gauss-Legendre panels.  A start gap
+    that the ODE does not carry toward 0 raises IntegrationError.
     """
-    _check_contracts(gas, s, v_end, w0, orient)
+    if not orient * _g_from_end(gas, s, v_end, w0) * w0 < 0.0:
+        raise IntegrationError("gap does not contract toward the end state")
     sign, a0 = math.copysign(1.0, w0), abs(w0)
     sig0 = math.log(a0 / (chi - a0))
     sig1 = math.log(_GAP_TARGET / (chi - _GAP_TARGET))
@@ -210,11 +171,7 @@ def _integrate_half(gas, s, v_end, w0, chi, xi_max, orient):
         raise IntegrationError("non-finite or non-increasing profile quadrature")
     if not _toward_zero(w):
         raise IntegrationError("non-monotone profile table")
-    keep = tau <= xi_max
-    if not keep[1]:
-        raise IntegrationError(f"xi_max = {xi_max:g} ends before the first "
-                               f"table node at {tau[1]:.3g}")
-    return tau[keep], w[keep], not keep[-1]
+    return tau, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +191,6 @@ class ShockProfile:
     chi: float
     c_minus: float
     c_plus: float
-    truncated: bool
     v0: float
     _xi_l: np.ndarray = field(repr=False)
     _w_l: np.ndarray = field(repr=False)
@@ -331,53 +287,33 @@ class ShockProfile:
         return V, U, vx, ux
 
 
-def _half_line_setup(gas, state_l, state_r, s, xi_max, start_volume=None):
-    """What both half-line integrations of a wave share: (chi, c_minus,
-    c_plus, V(0), (xi cap of the left half, of the right))."""
-    chi = abs(state_r.v - state_l.v)
-    if chi == 0.0:
-        raise DegenerateWaveError("zero-strength wave has no profile")
-    c_minus, c_plus = decay_rates(gas, state_l, state_r, s)
-    mid = 0.5 * (state_l.v + state_r.v) if start_volume is None else start_volume
-    caps = tuple(xi_max if xi_max is not None
-                 else (math.log(max(chi, 1e-3) / _GAP_TARGET) + 25.0) / c
-                 for c in (c_minus, c_plus))
-    return chi, c_minus, c_plus, mid, caps
-
-
 def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
-                      s: float, family: int, xi_max: Optional[float] = None,
+                      s: float, family: int,
                       start_volume: Optional[float] = None) -> ShockProfile:
-    """Integrate the traveling-wave ODE into an evaluable ShockProfile.
+    """Tabulate the traveling wave into an evaluable ShockProfile.
 
-    Starts from V(0) = (v_l + v_r)/2 and integrates both half lines
-    until the endpoint gap drops below GAP_TOL (or |xi| exceeds xi_max, in
-    which case the profile is returned flagged and a TailTruncatedWarning
-    is issued).  start_volume overrides the midpoint normalization;
-    translating a profile is equivalent to re-normalizing it, which the
-    tests exploit.
+    Starts from V(0) = (v_l + v_r)/2 and tabulates both half lines until
+    the endpoint gap drops below GAP_TOL; the table length is fixed by
+    the sigma nodes, ~ln(chi / GAP_TOL) / _DSIGMA per half.  start_volume
+    overrides the midpoint normalization; translating a profile is
+    equivalent to re-normalizing it, which the tests exploit.
     """
     if family not in (1, 2):
         raise ValueError("family must be 1 or 2")
-    chi, c_minus, c_plus, mid, (xi_max_l, xi_max_r) = _half_line_setup(
-        gas, state_l, state_r, s, xi_max, start_volume)
+    # decay_rates raises DegenerateWaveError on a zero-strength wave
+    c_minus, c_plus = decay_rates(gas, state_l, state_r, s)
+    chi = abs(state_r.v - state_l.v)
     if family == 1 and not (s < 0.0 and state_r.v < state_l.v):
         raise ValueError("family-1 wave needs s < 0 and a decreasing volume")
     if family == 2 and not (s > 0.0 and state_r.v > state_l.v):
         raise ValueError("family-2 wave needs s > 0 and an increasing volume")
+    mid = 0.5 * (state_l.v + state_r.v) if start_volume is None else start_volume
     lo, hi = min(state_l.v, state_r.v), max(state_l.v, state_r.v)
     if not lo < mid < hi:
         raise ValueError("start_volume must lie strictly between the end volumes")
 
-    tau_r, w_r, trunc_r = _integrate_half(
-        gas, s, state_r.v, mid - state_r.v, chi, xi_max_r, +1)
-    tau_l, w_l, trunc_l = _integrate_half(
-        gas, s, state_l.v, mid - state_l.v, chi, xi_max_l, -1)
-
-    truncated = trunc_l or trunc_r
-    if truncated:
-        warnings.warn("profile tail truncated at xi_max before reaching GAP_TOL",
-                      TailTruncatedWarning)
+    tau_r, w_r = _integrate_half(gas, s, state_r.v, mid - state_r.v, chi, +1)
+    tau_l, w_l = _integrate_half(gas, s, state_l.v, mid - state_l.v, chi, -1)
 
     xi_l = -tau_l[::-1]
     wl = w_l[::-1]
@@ -386,7 +322,7 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
 
     return ShockProfile(family=family, gas=gas, state_l=state_l,
                         state_r=state_r, s=s, chi=chi,
-                        c_minus=c_minus, c_plus=c_plus, truncated=truncated,
+                        c_minus=c_minus, c_plus=c_plus,
                         v0=mid, _xi_l=xi_l, _w_l=wl, _xi_r=tau_r, _w_r=w_r,
                         _ip_l=ip_l, _ip_r=ip_r)
 
@@ -398,28 +334,12 @@ def build_profiles(gas: GasModel, ts: TwoShockData):
     return p1, p2
 
 
-def sample_uniform(gas: GasModel, state_l: EndState, state_r: EndState,
-                   s: float, h: float):
-    """(xi, V, U) on an exactly uniform grid of step h spanning the wave.
-
-    Node values come straight from the dense ODE solution (no table
-    interpolation), which makes the samples suitable for discretization
-    order studies of the steady system.
-    """
-    *_, mid, (xi_max_l, xi_max_r) = _half_line_setup(
-        gas, state_l, state_r, s, None)
-
-    def half(v_end, w0, cap, orient):
-        sol = _solve_half(gas, s, v_end, w0, cap, orient)
-        m = int(math.floor(sol.t[-1] / h))
-        tau = h * np.arange(m + 1)
-        return tau, sol.sol(tau)[0]
-
-    tau_r, w_r = half(state_r.v, mid - state_r.v, xi_max_r, +1)
-    tau_l, w_l = half(state_l.v, mid - state_l.v, xi_max_l, -1)
-
-    xi = np.concatenate([-tau_l[:0:-1], tau_r])
-    V = np.concatenate([state_l.v + w_l[:0:-1], state_r.v + w_r])
-    V[tau_l.size - 1] = mid
-    U = state_l.u - s * (V - state_l.v)
+def sample_uniform(profile: ShockProfile, h: float):
+    """(xi, V, U) of the profile at xi = h k for every integer k with
+    h k inside its tables: exactly uniform samples for discretization
+    order studies of the steady system."""
+    k = np.arange(math.ceil(profile._xi_l[0] / h),
+                  math.floor(profile._xi_r[-1] / h) + 1)
+    xi = h * k
+    V, U, _, _ = profile.evaluate(xi)
     return xi, V, U

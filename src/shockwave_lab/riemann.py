@@ -187,7 +187,10 @@ def _bisect_secant(f, lo, hi, flo, fhi, xtol, max_iter=200):
 def _branch_volume(gas: GasModel, base: EndState, u_level: float, branch: int):
     """Invert the shock curve: volume on branch 1 (v < base.v) or 2 at u_level."""
     def f(v):
-        return float(hugoniot_u(gas, base, np.float64(v))) - u_level
+        # v > 0 throughout the bracket; the 0-d array takes hugoniot_u's
+        # arithmetic without its volume check
+        return float(_shock_u(gas, base.v, base.u,
+                              np.asarray(v, dtype=np.float64))) - u_level
 
     f_base = base.u - u_level  # > 0 whenever u_level < base.u
     with np.errstate(over="ignore"):
@@ -273,9 +276,12 @@ def solve_intermediate(gas: GasModel, left: EndState, right: EndState) -> TwoSho
     eps = 1e-8 * vmax
 
     def resid(vm):
-        um = hugoniot_u(gas, left, vm)
-        mid = EndState(float(vm), float(um))
-        return float(hugoniot_u(gas, mid, right.v)) - right.u
+        # hugoniot_u's arithmetic on 0-d arrays, without its volume check:
+        # vm lies in (0, vmax) and right.v > 0
+        um = float(_shock_u(gas, left.v, left.u,
+                            np.asarray(vm, dtype=np.float64)))
+        return float(_shock_u(gas, float(vm), um,
+                              np.asarray(right.v, dtype=np.float64))) - right.u
 
     # the scan in one array evaluation; the bracket's end values are
     # then taken from resid, so the root find sees scalar values only

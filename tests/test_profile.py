@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -6,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import shockwave_lab
 from shockwave_lab import (DegenerateWaveError, EndState, GasModel,
-                           IntegrationError, TailTruncatedWarning,
                            build_profiles, decay_rates, hugoniot_u,
                            integrate_profile, profile_rhs, sample_uniform,
                            solve_intermediate)
-from shockwave_lab import profile as profile_mod
 from shockwave_lab.riemann import pressure_increment
 from shockwave_lab.verify import _steady_residual_l2, measured_tail_rates
 
@@ -100,23 +101,23 @@ def test_zero_strength_rejected(gas):
         integrate_profile(gas, state, state, -1.0, 1)
 
 
-def test_steady_residual_second_order(gas, two_shock):
+def test_steady_residual_second_order(profiles):
+    p1, _ = profiles
     hs = np.array([0.1, 0.05, 0.025])
-    res = [_steady_residual_l2(gas, two_shock.left, two_shock.mid,
-                               two_shock.s1, h) for h in hs]
+    res = [_steady_residual_l2(p1, h) for h in hs]
     order = np.polyfit(np.log(hs), np.log(res), 1)[0]
     assert 1.7 <= order <= 2.3
 
 
-def test_sample_uniform_spacing_and_values(gas, two_shock):
+def test_sample_uniform_spacing_and_values(profiles):
+    p1, _ = profiles
     h = 0.05
-    xi, V, U = sample_uniform(gas, two_shock.left, two_shock.mid,
-                              two_shock.s1, h)
+    xi, V, U = sample_uniform(p1, h)
     assert np.allclose(np.diff(xi), h, rtol=0, atol=1e-12)
     i0 = int(np.where(xi == 0.0)[0][0])
     assert V[i0] == pytest.approx(1.5, rel=1e-14)
     # mass relation holds exactly
-    assert np.allclose(U, two_shock.left.u - two_shock.s1 * (V - two_shock.left.v),
+    assert np.allclose(U, p1.state_l.u - p1.s * (V - p1.state_l.v),
                        rtol=0, atol=1e-14)
 
 
@@ -131,20 +132,6 @@ def test_translation_consistency(gas, two_shock, profiles):
     v_ref = p1.evaluate(xi + delta)[0]
     v_new = shifted.evaluate(xi)[0]
     assert np.max(np.abs(v_new - v_ref)) <= 1e-8
-
-
-def test_tail_truncated_flag(gas, two_shock):
-    with pytest.warns(TailTruncatedWarning):
-        p = integrate_profile(gas, two_shock.left, two_shock.mid,
-                              two_shock.s1, 1, xi_max=3.0)
-    assert p.truncated
-    assert p._xi_l[0] >= -3.0 and p._xi_r[-1] <= 3.0
-
-
-def test_xi_max_before_first_node_is_integration_error(gas, two_shock):
-    with pytest.raises(IntegrationError, match="xi_max = 0.01"):
-        integrate_profile(gas, two_shock.left, two_shock.mid,
-                          two_shock.s1, 1, xi_max=0.01)
 
 
 def test_family_validation(gas, two_shock):
@@ -252,16 +239,17 @@ def test_interpolant_matches_independent_solve(gas_model, chi):
             assert err <= 1e-9 * chi
 
 
-def test_build_profiles_needs_no_ode_solve(gas, two_shock, monkeypatch):
-    """The tables are a quadrature; solve_ivp serves only sample_uniform."""
-    def no_ode(*args, **kwargs):
-        raise AssertionError("build_profiles called solve_ivp")
-
-    monkeypatch.setattr(profile_mod, "solve_ivp", no_ode)
-    p1, p2 = build_profiles(gas, two_shock)
-    assert p1.evaluate(0.0)[0] == p2.evaluate(0.0)[0] == 1.5
-    with pytest.raises(AssertionError, match="solve_ivp"):
-        sample_uniform(gas, two_shock.left, two_shock.mid, two_shock.s1, 0.1)
+def test_package_binds_no_ode_solver():
+    """The profile tables are a quadrature, the package's one half-line
+    integrator: no package module binds an object of scipy.integrate."""
+    modules = [shockwave_lab] + [
+        importlib.import_module(f"shockwave_lab.{info.name}")
+        for info in pkgutil.iter_modules(shockwave_lab.__path__)]
+    for mod in modules:
+        bound = [name for name, obj in vars(mod).items()
+                 if (getattr(obj, "__module__", None) or "")
+                 .startswith("scipy.integrate")]
+        assert not bound, (mod.__name__, bound)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

@@ -10,7 +10,7 @@ from shockwave_lab import (BracketError, EndState, GasModel,
                            NoTwoShockSolution, char_speeds,
                            entropy_margins, hugoniot_u, in_ss_region,
                            rh_residuals, solve_intermediate)
-from shockwave_lab.riemann import VM_XTOL, _bisect_secant
+from shockwave_lab.riemann import VM_XTOL, _bisect_secant, _branch_volume
 
 SQ3 = np.sqrt(3.0)
 
@@ -194,10 +194,9 @@ def _scalar_scan_solution(gas, left, right):
             math.sqrt(-(pr - pm) / (right.v - vm)))
 
 
-def test_array_scan_matches_scalar_scan_bitwise():
-    """Over 200 random SS data, with chi_i / v_m log-uniform in
-    [1e-3, 5], the array bracket scan gives the scalar scan's mid state
-    and speeds bit for bit."""
+def _scan_draws():
+    """(gas, left, right) of 200 random SS data, with chi_i / v_m
+    log-uniform in [1e-3, 5]."""
     rng = np.random.default_rng(16)
     for _ in range(200):
         gas = GasModel(a=rng.uniform(0.3, 3.0), gamma=rng.uniform(1.001, 3.0))
@@ -206,10 +205,44 @@ def test_array_scan_matches_scalar_scan_bitwise():
         left = EndState(v_m + chi1, rng.uniform(-1.0, 1.0))
         mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
         right = EndState(v_m + chi2, float(hugoniot_u(gas, mid, v_m + chi2)))
+        yield gas, left, right
+
+
+def test_array_scan_matches_scalar_scan_bitwise():
+    """Over 200 random SS data, with chi_i / v_m log-uniform in
+    [1e-3, 5], the array bracket scan gives the scalar scan's mid state
+    and speeds bit for bit."""
+    for gas, left, right in _scan_draws():
         ts = solve_intermediate(gas, left, right)
         got = (ts.mid.v, ts.mid.u, ts.s1, ts.s2)
         want = _scalar_scan_solution(gas, left, right)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _hugoniot_branch_volume(gas, base, u_level, branch):
+    """_branch_volume with its residual through the checked hugoniot_u,
+    the call the unchecked _shock_u replaced, kept as its oracle."""
+    def f(v):
+        return float(hugoniot_u(gas, base, np.float64(v))) - u_level
+
+    f_base = base.u - u_level
+    end, f_end = base.v, f_base
+    while not f_end < 0.0:
+        end *= 0.5 if branch == 1 else 2.0
+        f_end = f(end)
+    lo, hi, flo, fhi = ((end, base.v, f_end, f_base) if branch == 1
+                        else (base.v, end, f_base, f_end))
+    return _bisect_secant(f, lo, hi, flo, fhi, xtol=1e-13 * max(1.0, hi))
+
+
+def test_branch_volume_matches_hugoniot_oracle_bitwise():
+    """On the draws of the bracket-scan test, both branch volumes at the
+    right state's velocity, as in_ss_region takes them, equal the
+    oracle's bit for bit."""
+    for gas, left, right in _scan_draws():
+        for branch in (1, 2):
+            assert (_branch_volume(gas, left, right.u, branch)
+                    == _hugoniot_branch_volume(gas, left, right.u, branch))
 
 
 def test_speed_formula_equivalence_random():

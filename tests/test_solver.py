@@ -83,17 +83,17 @@ def test_rk4_step_rejects_nan_volume(gas):
         rk4_step(gas, state, 1e-3, grid)
 
 
-def test_traveling_wave_identity_second_order(gas, two_shock):
+def test_traveling_wave_identity_second_order(gas, profiles):
     """dv/dt + s1 V_x = O(dx^2) on the sampled exact profile."""
+    p1, _ = profiles
     norms = []
     dxs = (0.1, 0.05, 0.025)
     for dx in dxs:
-        xi, V, U = sample_uniform(gas, two_shock.left, two_shock.mid,
-                                  two_shock.s1, dx)
+        xi, V, U = sample_uniform(p1, dx)
         grid = Grid1D(float(xi[0]), float(xi[-1]), xi.size)
         dv, _ = semidiscrete_rhs(gas, FieldState(0.0, V, U), grid)
-        vx = profile_rhs(gas, two_shock.s1, two_shock.left.v, V)
-        r = dv[1:-1] + two_shock.s1 * vx[1:-1]
+        vx = profile_rhs(gas, p1.s, p1.state_l.v, V)
+        r = dv[1:-1] + p1.s * vx[1:-1]
         norms.append(np.sqrt(np.sum(r ** 2) * dx))
     order = np.polyfit(np.log(dxs), np.log(norms), 1)[0]
     assert 1.7 <= order <= 2.3
@@ -680,3 +680,45 @@ def test_run_simulation_perturbed_series_contract(gas):
     assert np.all(np.diff(t) > 0.0)
     assert len(res.snapshots) == 1 and res.snapshots[0].t == pytest.approx(0.4)
     assert res.composite.beta1 != 0.0
+
+
+def test_mirror_image_run_is_reflected():
+    """Reflection x -> beta - x, u -> -u swaps the two families and maps a
+    run onto the run of the mirrored datum.  On an asymmetric datum the
+    final states, the sup and W norms and the shifts agree with the
+    mirror run's up to rounding; phi, Psi and E0, anchored at x_lo, are
+    left out."""
+    gas = GasModel(a=1.0, gamma=1.4, alpha=0.5)
+    beta, t_final = 20.0, 2.0
+    spec = RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=3.0, v_m=1.0)
+    grid = auto_grid(gas, spec.resolve(gas), beta, t_final, n=1000)
+    perts = (Perturbation("v", 0.05, 8.0, 1.0),
+             Perturbation("u", 0.03, 13.0, 1.5))
+
+    def run(spec, perts, x_lo, x_hi):
+        return run_simulation(ExperimentConfig(
+            gas=gas, riemann=spec, beta=beta, perturbations=perts,
+            grid=GridSpec(x_lo=x_lo, x_hi=x_hi, n=grid.n),
+            time=TimeSpec(t_final=t_final, record_dt=0.25,
+                          snapshot_times=(t_final,))))
+
+    res = run(spec, perts, grid.x_lo, grid.x_hi)
+    mirror = run(
+        RiemannSpec(v_minus=spec.v_plus, u_minus=-res.two_shock.right.u,
+                    v_plus=spec.v_minus, v_m=spec.v_m),
+        tuple(Perturbation(p.target,
+                           -p.amplitude if p.target == "u" else p.amplitude,
+                           beta - p.center, p.width) for p in perts),
+        beta - grid.x_hi, beta - grid.x_lo)
+
+    amp = max(abs(p.amplitude) for p in perts)
+    snap, snap_m = res.snapshots[-1], mirror.snapshots[-1]
+    assert np.max(np.abs(snap.v - snap_m.v[::-1])) <= 1e-10 * amp
+    assert np.max(np.abs(snap.u + snap_m.u[::-1])) <= 1e-10 * amp
+    for name in ("sup_v", "sup_u", "l2_W"):
+        np.testing.assert_allclose(res.series.column(name),
+                                   mirror.series.column(name),
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+    cw, cw_m = res.composite, mirror.composite
+    assert (cw.beta1, cw.beta2) == pytest.approx((-cw_m.beta2, -cw_m.beta1),
+                                                 rel=1e-12)
