@@ -41,6 +41,13 @@ elementwise in x, so all three evaluate a long grid in blocks of
 bit-identical for any split, and the memory of a call is its outputs
 plus O(`_BLOCK`) temporaries, which stay in cache; a grid of at most one
 block is evaluated in one piece with no copy.
+
+The quadratures over these fields integrate in place with
+`kernels.trapz_inplace`, which consumes its integrand, so they pass it
+only arrays of their own: `compute_shift_inputs` subtracts v0 and u0 into
+the (V, U) it evaluates, and `interaction_norm` squares W in place.  The
+peak memory of a call is its inputs plus 2 grid arrays, or 1 for
+`interaction_norm`, plus O(block) temporaries.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import trapz
+from .kernels import trapz_inplace
 from .riemann import GasModel, TwoShockData, pressure_increment
 from .profile import ShockProfile
 
@@ -360,18 +367,27 @@ def compute_shift_inputs(v0, u0, cw: CompositeWave, grid) -> ShiftInputs:
     """Excess masses I01 = int(v0 - V) dx, I02 = int(u0 - U) dx at t = 0.
 
     Composite trapezoid on the grid plus analytic exponential-tail
-    corrections beyond it, using the composite's own decay rates.
-    Raises TruncationError when the integrands have not decayed below
-    the boundary tolerance at the grid edges.
+    corrections beyond it, using the composite's own decay rates.  v0 and
+    u0 must have shape (grid.n,); they are read, not written.  The
+    residuals are formed in the (V, U) arrays of the composite evaluation
+    and integrated in place, so a call holds 2 grid-sized arrays beyond
+    its inputs, plus O(block) temporaries.  Raises TruncationError when
+    the integrands have not decayed below the boundary tolerance at the
+    grid edges.
     """
+    v0 = np.asarray(v0, dtype=np.float64)
+    u0 = np.asarray(u0, dtype=np.float64)
+    if v0.shape != (grid.n,) or u0.shape != (grid.n,):
+        raise ValueError(f"v0 and u0 must have shape ({grid.n},) of the "
+                         f"grid, got {v0.shape} and {u0.shape}")
     V, U = cw.state_fields(grid.x, 0.0)
-    return _shift_inputs(np.asarray(v0, dtype=np.float64) - V,
-                         np.asarray(u0, dtype=np.float64) - U, cw, grid)
+    return _shift_inputs(np.subtract(v0, V, out=V),
+                         np.subtract(u0, U, out=U), cw, grid)
 
 
 def _shift_inputs(rv, ru, cw: CompositeWave, grid) -> ShiftInputs:
     """compute_shift_inputs from the residuals rv = v0 - V, ru = u0 - U
-    of an evaluation the caller already holds."""
+    of an evaluation the caller already holds; consumes rv and ru."""
     for edge, k in (("x_lo", 0), ("x_hi", -1)):
         worst = float(np.maximum(abs(rv[k]), abs(ru[k])))  # keeps a nan
         if not worst <= BOUNDARY_DECAY_TOL:
@@ -380,9 +396,11 @@ def _shift_inputs(rv, ru, cw: CompositeWave, grid) -> ShiftInputs:
                 f"{BOUNDARY_DECAY_TOL:.0e}; widen the grid")
     c_lo = cw.wave1.c_minus
     c_hi = (cw.wave2 if cw.wave2 is not None else cw.wave1).c_plus
-    d = np.diff(grid.x)
-    I01 = trapz(rv, d) + rv[0] / c_lo + rv[-1] / c_hi
-    I02 = trapz(ru, d) + ru[0] / c_lo + ru[-1] / c_hi
+    # the tail terms first: the quadrature overwrites rv[0] and ru[0]
+    v_lo, v_hi = rv[0] / c_lo, rv[-1] / c_hi
+    u_lo, u_hi = ru[0] / c_lo, ru[-1] / c_hi
+    I01 = trapz_inplace(rv, grid.x) + v_lo + v_hi
+    I02 = trapz_inplace(ru, grid.x) + u_lo + u_hi
     return ShiftInputs(I01=I01, I02=I02)
 
 
@@ -418,11 +436,15 @@ def predicted_w_decay(ts: TwoShockData, p1: ShockProfile, p2: ShockProfile):
 
 
 def interaction_norm(cw: CompositeWave, t: float, grid) -> float:
-    """L2 norm of W(., t) by composite trapezoid on the grid."""
+    """L2 norm of W(., t) by composite trapezoid on the grid.
+
+    W is squared and integrated in place, so a call holds 1 grid-sized
+    array beyond the grid, plus O(block) temporaries.
+    """
     W = cw.interaction(grid.x, t)
     edge = float(np.maximum(abs(W[0]), abs(W[-1])))  # keeps a nan
     if not edge <= W_BOUNDARY_TOL:
         warnings.warn(
             f"interaction residual {edge:.3e} at the grid boundary exceeds "
             f"{W_BOUNDARY_TOL:.0e}; the norm is truncated", TruncationWarning)
-    return float(np.sqrt(np.trapezoid(W * W, grid.x)))
+    return float(np.sqrt(trapz_inplace(np.multiply(W, W, out=W), grid.x)))

@@ -65,12 +65,25 @@ class Perturbation:
     def __post_init__(self):
         if self.target not in ("v", "u"):
             raise ConfigError("perturbation target must be 'v' or 'u'")
+        for name in ("amplitude", "center", "width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"perturbation {name} must be finite, "
+                                  f"got {getattr(self, name)}")
         if not self.width > 0.0:
             raise ConfigError("perturbation width must be positive")
 
     def __call__(self, x):
-        z = (np.asarray(x, dtype=np.float64) - self.center) / self.width
-        return self.amplitude * np.exp(-z * z)
+        """A exp(-z*z), z = (x - x0)/w, at the points x, computed in one
+        array; negating z*z and scaling the exponential in place give the
+        same bits as the formula."""
+        z = np.array(x, dtype=np.float64)
+        z -= self.center
+        z /= self.width
+        np.multiply(z, z, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z *= self.amplitude
+        return z
 
     @property
     def area(self) -> float:

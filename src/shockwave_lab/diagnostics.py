@@ -27,7 +27,7 @@ import numpy as np
 
 from .composite import (BOUNDARY_DECAY_TOL, CompositeFields, CompositeWave,
                         TruncationError)
-from .kernels import cumtrapz, gradient, trapz
+from .kernels import cumtrapz, gradient, trapz, trapz_inplace
 from .riemann import pressure_increment
 from .solver import FieldState, Grid1D, _effective_velocity, write_csv
 
@@ -120,16 +120,15 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     if not worst <= BOUNDARY_DECAY_TOL:
         raise TruncationError(
             f"perturbation {worst:.3e} at x_lo exceeds {BOUNDARY_DECAY_TOL:.0e}")
-    d = np.diff(x)
-    phi = cumtrapz(rv, d)
-    psi = cumtrapz(ru, d)
+    phi = cumtrapz(rv, x)
+    psi = cumtrapz(ru, x)
     v_x = gradient(state.v, dx)
     # h - H with the same central stencil on both sides, so the field
     # vanishes identically at zero perturbation
     h = _effective_velocity(gas, state.v, state.u, v_x)
     H_disc = _effective_velocity(gas, flds.V, flds.U, gradient(flds.V, dx))
     Psi_x = h - H_disc
-    Psi = cumtrapz(Psi_x, d)
+    Psi = cumtrapz(Psi_x, x)
     return PerturbationFields(x=x, composite=flds, phi=phi, psi=psi, Psi=Psi,
                               phi_x=rv, psi_x=ru, Psi_x=Psi_x)
 
@@ -220,9 +219,9 @@ def energy_functionals(fields: PerturbationFields, dpV):
 
     Both are nonnegative because p' < 0.
     """
-    d = np.diff(fields.x)
-    e0 = trapz(fields.phi ** 2 - fields.Psi ** 2 / dpV, d)
-    e1 = trapz(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, d)
+    x = fields.x
+    e0 = trapz_inplace(fields.phi ** 2 - fields.Psi ** 2 / dpV, x)
+    e1 = trapz_inplace(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, x)
     return e0, e1
 
 

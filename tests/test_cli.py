@@ -381,6 +381,34 @@ def test_perturbation_validation():
         Perturbation("rho", 0.1, 0.0, 1.0)
 
 
+def test_perturbation_bump_is_the_gaussian_bitwise():
+    """The bump built in one array is A * exp(-z * z), z = (x - x0) / w,
+    bit for bit, and leaves x as it was."""
+    from shockwave_lab.config import Perturbation
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(-60.0, 100.0, 5001))
+    x_in = x.tobytes()
+    for _ in range(20):
+        amp, x0, w = rng.normal(), rng.uniform(-50.0, 90.0), rng.uniform(0.1, 5.0)
+        z = (x - x0) / w
+        want = amp * np.exp(-z * z)
+        assert Perturbation("u", amp, x0, w)(x).tobytes() == want.tobytes()
+    assert x.tobytes() == x_in
+
+
+@pytest.mark.parametrize("field", ("amplitude", "center", "width"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")),
+                         ids=("nan", "inf", "-inf"))
+def test_perturbation_rejects_non_finite(field, value):
+    """The constructor rejects what parse_config rejects: a width of inf
+    would otherwise give a constant bump equal to the amplitude."""
+    from shockwave_lab.config import Perturbation
+    kwargs = dict(target="v", amplitude=0.1, center=0.0, width=1.0)
+    kwargs[field] = value
+    with pytest.raises(ConfigError, match=f"perturbation {field} must be finite"):
+        Perturbation(**kwargs)
+
+
 def test_grid_and_scheme_validation():
     from shockwave_lab import Grid1D, SchemeConfig
     with pytest.raises(ValueError):

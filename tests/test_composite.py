@@ -18,6 +18,7 @@ from shockwave_lab.composite import (_BLOCK, TruncationError,
                                      _p_second_difference, w_naive)
 from shockwave_lab import profile as profile_mod
 from shockwave_lab.config import Perturbation
+from shockwave_lab.solver import auto_grid
 
 SQ3 = np.sqrt(3.0)
 
@@ -439,6 +440,78 @@ def test_block_evaluation_memory(composite40):
     assert _traced_peak(composite40.fields, x, 1.3) <= 8 * x.nbytes + slack
     assert _traced_peak(composite40.state_fields, x, 1.3) <= 2 * x.nbytes + slack
     assert _traced_peak(composite40.interaction, x, 1.3) <= x.nbytes + slack
+
+
+def test_quadrature_memory(composite40):
+    """On a long grid the shift inputs hold 2 grid-sized arrays, the W
+    norm 1 and a Gaussian bump 1, beyond their inputs; none of them
+    writes v0, u0 or grid.x."""
+    grid = Grid1D(-60.0, 100.0, 500_000)
+    x = grid.x
+    composite40.interaction(x[:100], 0.0)
+    V0, U0 = composite40.state_fields(x, 0.0)
+    bump = Perturbation("v", 0.05, 20.0, 1.0)
+    v0 = V0 + bump(x)
+    inputs = [(a, a.tobytes()) for a in (v0, U0, x)]
+    slack = 8_000_000
+    calls = [
+        (compute_shift_inputs, (v0, U0, composite40, grid), 2 * x.nbytes + slack),
+        (interaction_norm, (composite40, 0.0, grid), x.nbytes + slack),
+        # the bump has no block temporaries, so its slack is smaller
+        (bump, (x,), x.nbytes + 1_000_000),
+    ]
+    for fn, args, bound in calls:
+        assert _traced_peak(fn, *args) <= bound, fn
+        for a, before in inputs:
+            assert a.tobytes() == before, fn
+
+
+@pytest.mark.parametrize("chi", ((1.0, 1.0), (1e-3, 3.0)),
+                         ids=("canonical", "chi-1e-3-3"))
+def test_quadratures_match_numpy_trapezoid(gas, chi):
+    """Shift inputs and the W norm integrate in place, and are numpy's
+    trapezoid over the grid bit for bit: on the canonical datum and on
+    the ~595,000-point grid of chi = (1e-3, 3) v_m.  The residuals carry
+    an offset of 5e-13 at the edges, below the boundary tolerance, so the
+    tail terms are not 0 and must be read before the quadrature."""
+    v_m = 1.0
+    left = EndState(v_m + chi[0], 0.0)
+    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+    right = EndState(v_m + chi[1], float(hugoniot_u(gas, mid, v_m + chi[1])))
+    ts = solve_intermediate(gas, left, right)
+    p1, p2 = build_profiles(gas, ts)
+    c_min = min(p1.c_minus, p1.c_plus, p2.c_minus, p2.c_plus)
+    beta = 40.0 / c_min
+    grid = auto_grid(gas, ts, beta, 0.0)
+    x = grid.x
+    cw0 = CompositeWave(p1, p2, beta)
+    V0, U0 = cw0.state_fields(x, 0.0)
+    v0 = V0 + Perturbation("v", 0.05 * min(chi), 0.45 * beta, 1.0 / c_min)(x)
+    u0 = U0 + Perturbation("u", -0.03 * min(chi), 0.55 * beta, 1.0 / c_min)(x)
+    v0 += 5e-13
+    u0 -= 5e-13
+    si = compute_shift_inputs(v0, u0, cw0, grid)
+    c_lo, c_hi = p1.c_minus, p2.c_plus
+    for got, r in ((si.I01, v0 - V0), (si.I02, u0 - U0)):
+        assert r[0] != 0.0 and r[-1] != 0.0
+        assert got == float(np.trapezoid(r, x)) + r[0] / c_lo + r[-1] / c_hi
+    cw = cw0.shifted(*solve_shifts(si, ts))
+    W = cw.interaction(x, 0.0)
+    assert interaction_norm(cw, 0.0, grid) == float(np.sqrt(np.trapezoid(W * W, x)))
+
+
+@pytest.mark.parametrize("v0, u0", [
+    (np.zeros(3999), np.zeros(4000)),
+    (np.zeros((1, 4000)), np.zeros(4000)),
+    (np.zeros(4000), 0.0),
+], ids=("short-v0", "row-v0", "scalar-u0"))
+def test_shift_inputs_reject_wrong_shapes(composite40, v0, u0):
+    """v0 and u0 must be samples on the grid, both shapes in the error."""
+    grid = Grid1D(-60.0, 100.0, 4000)
+    with pytest.raises(ValueError, match=r"must have shape \(4000,\)") as info:
+        compute_shift_inputs(v0, u0, composite40, grid)
+    assert str(np.shape(v0)) in str(info.value)
+    assert str(np.shape(u0)) in str(info.value)
 
 
 def test_interaction_norm_skips_fields(composite40, monkeypatch):

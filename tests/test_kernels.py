@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from shockwave_lab.kernels import cumtrapz, gradient, trapz
+from shockwave_lab.kernels import (_BLOCK, cumtrapz, gradient, trapz,
+                                   trapz_inplace)
 
 SIZES = (3, 5, 16, 4001)
 
@@ -25,18 +26,39 @@ def test_gradient_matches_numpy(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_cumtrapz_matches_scipy(n):
-    y, x, dx = _sample(n, 2)
-    assert np.array_equal(cumtrapz(y, dx),
-                          cumulative_trapezoid(y, dx=dx, initial=0.0))
-    assert np.array_equal(cumtrapz(y, np.diff(x)),
+    y, x, _ = _sample(n, 2)
+    assert np.array_equal(cumtrapz(y, x),
                           cumulative_trapezoid(y, x, initial=0.0))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_trapz_matches_numpy(n):
-    y, x, dx = _sample(n, 3)
+    y, _, dx = _sample(n, 3)
     assert trapz(y, dx) == np.trapezoid(y, dx=dx)
-    assert trapz(y, np.diff(x)) == np.trapezoid(y, x)
+
+
+@pytest.mark.parametrize("n", (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2,
+                               2 * _BLOCK + 1, 3 * _BLOCK + 1))
+@pytest.mark.parametrize("uniform", (True, False), ids=("uniform", "nonuniform"))
+def test_trapz_inplace_matches_numpy(n, uniform):
+    """Bit for bit numpy's trapezoid(y, x) at lengths on both sides of
+    the block edges; x is only read, and y keeps its last sample."""
+    y, x, _ = _sample(n, 4)
+    if not uniform:
+        rng = np.random.default_rng([5, n])
+        x = np.cumsum(rng.exponential(size=n)) - 0.5 * n
+    want = np.trapezoid(y, x)
+    x_in, last = x.tobytes(), y[-1]
+    got = trapz_inplace(y, x)
+    assert type(got) is float and got == want
+    assert x.tobytes() == x_in and y[-1] == last
+
+
+def test_trapz_inplace_rejects_unequal_shapes():
+    with pytest.raises(ValueError, match="one shape"):
+        trapz_inplace(np.ones(5), np.ones(4))
+    with pytest.raises(ValueError, match="one shape"):
+        trapz_inplace(np.ones((2, 5)), np.ones((2, 5)))
 
 
 @pytest.mark.parametrize("n", (0, 1, 2))
@@ -51,6 +73,6 @@ def test_gradient_rejects_what_numpy_rejects(n):
 def test_cumtrapz_rejects_what_scipy_rejects():
     y = np.ones(0)
     with pytest.raises(ValueError):
-        cumulative_trapezoid(y, dx=0.1, initial=0.0)
+        cumulative_trapezoid(y, y, initial=0.0)
     with pytest.raises(ValueError):
-        cumtrapz(y, 0.1)
+        cumtrapz(y, y)
