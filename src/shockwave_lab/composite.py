@@ -35,12 +35,25 @@ Each entry point computes only what it returns:
 - `CompositeWave.fields` gives all eight `CompositeFields` arrays.
 
 They share the arithmetic of each field, so V and U, and W, are bitwise
-the same whichever entry point computed them.  Every composite field is
-elementwise in x, so all three evaluate a long grid in blocks of
-`_BLOCK` points, each written into preallocated outputs.  The result is
-bit-identical for any split, and the memory of a call is its outputs
+the same whichever entry point computed them.  Each checks once that x
+is ascending and free of nan and that t is finite.  Every composite
+field is elementwise in x, so all three evaluate a long grid in blocks
+of `_BLOCK` points, each written into preallocated outputs.  The result
+is bit-identical for any split, and the memory of a call is its outputs
 plus O(`_BLOCK`) temporaries, which stay in cache; a grid of at most one
 block is evaluated in one piece with no copy.
+
+The cost of a call scales with the points where neither wave is exactly
+at its end state.  Beyond fixed bounds a profile's tail gap is exactly
++-0 and is filled, not computed (see `profile`).  Where wave 1's gap d1
+to the middle state or wave 2's gap d2 is exactly 0, W is exactly +0.0:
+every gap to the middle state is >= +0 and every U_i,x <= -0, so both
+terms of the viscous part are -0.0, and the pressure part is +0.0, the
+Taylor branch multiplying by pi = d1 d2 = +0 and the grouped branch
+giving (-0) - (-0).  These points are a prefix (wave 2's filled left
+tail) and a suffix (wave 1's filled right tail) of a block, so W is
+formed on the window between them and is +0.0 outside it; on the long
+grids of very unequal strengths most points lie outside.
 
 The quadratures over these fields integrate in place with
 `kernels.trapz_inplace`, which consumes its integrand, so they pass it
@@ -61,7 +74,7 @@ import numpy as np
 
 from .kernels import trapz_inplace
 from .riemann import GasModel, TwoShockData, pressure_increment
-from .profile import ShockProfile
+from .profile import ShockProfile, ascending_points
 
 __all__ = [
     "CompositeWave",
@@ -286,23 +299,28 @@ class CompositeWave:
 
     def _blocks(self, x, t, block):
         """block(x, t) over x in slices of _BLOCK points, written into
-        preallocated outputs; a single block is returned as computed."""
+        preallocated outputs; a single block is returned as computed.
+        x must be a scalar or an ascending 1-D array without nan, and t
+        finite; anything else raises ValueError."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.size <= _BLOCK:
-            return block(x, t)
+        flat = ascending_points(x, "x")
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        if flat.size <= _BLOCK:
+            return [part.reshape(x.shape) for part in block(flat, t)]
         out = None
-        for lo in range(0, x.size, _BLOCK):
+        for lo in range(0, flat.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
-            part = block(x[sl], t)
+            part = block(flat[sl], t)
             if out is None:
-                out = [np.empty(x.shape) for _ in part]
+                out = [np.empty(flat.shape) for _ in part]
             for o, p in zip(out, part):
                 o[sl] = p
         return out
 
-    # The blocks share _volume, _velocity and _w_stable, so V and U are
-    # bitwise-identical between state_fields() and fields(), and W
-    # between interaction() and fields().
+    # The blocks share _volume, _velocity and the W window, so V and U
+    # are bitwise-identical between state_fields() and fields(), and W
+    # between interaction() and fields().  Each takes an ascending 1-D x.
 
     def _volume(self, d1, d2):
         V = self.mid.v + d1 + d2
@@ -329,23 +347,30 @@ class CompositeWave:
     def _interaction_block(self, x, t):
         """(W,)."""
         w1, w2 = self.wave1, self.wave2
+        g1, d1, b1 = w1._gap_values(self.xi1(x, t))
+        W = np.zeros(x.shape)
         if w2 is None:
-            _, d1, _ = w1._gap_values(self.xi1(x, t))
-            V = self._volume(d1, 0.0)
-            return (np.zeros_like(V),)
-        _, d1, v1x = w1.gaps(self.xi1(x, t))
-        d2, _, v2x = w2.gaps(self.xi2(x, t))
+            self._volume(d1, 0.0)
+            return (W,)
+        d2, g2, b2 = w2._gap_values(self.xi2(x, t))
         self._volume(d1, d2)
-        return (_w_stable(self.gas, self.mid.v, d1, d2,
-                          -w1.s * v1x, -w2.s * v2x),)
+        lo, hi = _w_window(b1, b2)
+        if hi > lo:
+            u1x = -w1.s * w1._gap_slopes(g1, d1, b1)
+            u2x = -w2.s * w2._gap_slopes(d2, g2, b2)
+            W[lo:hi] = _w_stable(self.gas, self.mid.v, d1[lo:hi], d2[lo:hi],
+                                 u1x[lo:hi], u2x[lo:hi])
+        return (W,)
 
     def _fields_block(self, x, t):
         """All CompositeFields arrays in field order."""
         gas, w1, w2 = self.gas, self.wave1, self.wave2
-        g1, d1, v1x = w1.gaps(self.xi1(x, t))
+        g1, d1, b1 = w1._gap_values(self.xi1(x, t))
+        v1x = w1._gap_slopes(g1, d1, b1)
         u1x = -w1.s * v1x
         if w2 is not None:
-            d2, _, v2x = w2.gaps(self.xi2(x, t))
+            d2, g2, b2 = w2._gap_values(self.xi2(x, t))
+            v2x = w2._gap_slopes(d2, g2, b2)
             u2x = -w2.s * v2x
         else:
             d2 = 0.0
@@ -353,14 +378,24 @@ class CompositeWave:
             u2x = np.zeros_like(x)
         V = self._volume(d1, d2)
         U = self._velocity(g1, d2)
+        W = np.zeros_like(V)
         if w2 is not None:
-            W = _w_stable(gas, self.mid.v, d1, d2, u1x, u2x)
-        else:
-            W = np.zeros_like(V)
+            lo, hi = _w_window(b1, b2)
+            if hi > lo:
+                W[lo:hi] = _w_stable(gas, self.mid.v, d1[lo:hi], d2[lo:hi],
+                                     u1x[lo:hi], u2x[lo:hi])
         Vx = v1x + v2x
         Ux = u1x + u2x
         H = U - V ** (-(gas.alpha + 1.0)) * Vx
         return V, U, Vx, Ux, H, W, v1x, v2x
+
+
+def _w_window(b1, b2):
+    """[lo, hi) outside which W is exactly +0.0, from the region bounds of
+    both waves' _gap_values: wave 2's filled left tail, where d2 = +0,
+    ends at lo, and wave 1's filled right tail, where d1 = +0, starts at
+    hi (see the module docstring)."""
+    return b2[0], b1[-1]
 
 
 def compute_shift_inputs(v0, u0, cw: CompositeWave, grid) -> ShiftInputs:

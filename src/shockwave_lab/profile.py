@@ -30,6 +30,15 @@ take over, matched continuously at the table ends, with rates from the
 endpoint linearization
 
     c = v_end**(alpha+1) |s^2 + p'(v_end)| / |s|.
+
+A tail is exactly at its end state far enough out: |w_edge| is
+_GAP_TARGET = 9.8e-11, and for an exponent y <= -746 any exp within
+1 ulp returns 0 or 2^-1074, so w_edge * exp(y) rounds to 0 with the sign
+of w_edge.  Each profile fixes the two points _TAIL_ZERO / c_pm beyond
+its table ends from which that holds, and fills w_edge * 0.0 there
+without calling exp; the result is bit for bit the formula's.  So the
+cost of evaluating a long grid scales with its points inside those
+bounds, and a block of points tests each bound with one comparison.
 """
 
 from __future__ import annotations
@@ -62,6 +71,9 @@ _GAP_TARGET = 0.98 * GAP_TOL   # integration stops just inside the tolerance
 # 2.7e-10 chi at 0.03).
 _DSIGMA = 0.025
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# Tail exponent beyond which w_edge * exp(y) is exactly +-0 (y <= -746 with
+# one unit to spare for the rounding of y itself)
+_TAIL_ZERO = 747.0
 
 
 class DegenerateWaveError(ValueError):
@@ -70,6 +82,20 @@ class DegenerateWaveError(ValueError):
 
 class IntegrationError(RuntimeError):
     """Profile integration produced an unusable (non-monotone) table."""
+
+
+def ascending_points(a, name):
+    """The scalar or 1-D float array a as a 1-D view, after checking that
+    it is ascending (ties allowed) and free of nan; raises ValueError
+    naming it otherwise."""
+    if a.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or a 1-D array")
+    flat = a.reshape(-1)
+    # both comparisons are False wherever a nan takes part
+    if flat.size and not (flat[0] <= flat[-1]
+                          and np.all(flat[1:] >= flat[:-1])):
+        raise ValueError(f"{name} must be ascending and free of nan")
+    return flat
 
 
 def profile_rhs(gas: GasModel, s: float, v_left: float, V):
@@ -198,6 +224,9 @@ class ShockProfile:
     _w_r: np.ndarray = field(repr=False)
     _ip_l: CubicHermiteSpline = field(repr=False)
     _ip_r: CubicHermiteSpline = field(repr=False)
+    # the tails are exactly +-0 below _xi_zero_l and above _xi_zero_r
+    _xi_zero_l: float = field(repr=False)
+    _xi_zero_r: float = field(repr=False)
 
     # -- geometry ----------------------------------------------------
 
@@ -224,46 +253,48 @@ class ShockProfile:
         on its own side, so V - v_l is accurate in relative terms on the
         left tail and V - v_r on the right tail.
         """
-        gl, gr, bounds = self._gap_values(xi)
-        return gl, gr, self._gap_slopes(gl, gr, bounds)
+        xi = np.asarray(xi, dtype=np.float64)
+        gl, gr, bounds = self._gap_values(ascending_points(xi, "xi"))
+        vx = self._gap_slopes(gl, gr, bounds)
+        return gl.reshape(xi.shape), gr.reshape(xi.shape), vx.reshape(xi.shape)
 
     def _gap_values(self, xi):
-        """(V - v_l, V - v_r) at xi, shaped like xi, and the region
-        bounds (i0, j1, j2) that _gap_slopes reuses; validates xi as
-        gaps does."""
-        xi = np.asarray(xi, dtype=np.float64)
-        if xi.ndim > 1:
-            raise ValueError("xi must be a scalar or a 1-D array")
-        flat = xi.reshape(-1)
-        # both comparisons are False wherever a nan takes part
-        if flat.size and not (flat[0] <= flat[-1]
-                              and np.all(flat[1:] >= flat[:-1])):
-            raise ValueError("xi must be ascending and free of nan")
-        i0 = np.searchsorted(flat, self._xi_l[0], "left")
-        j1 = np.searchsorted(flat, 0.0, "right")
-        j2 = np.searchsorted(flat, self._xi_r[-1], "right")
+        """(V - v_l, V - v_r) at the ascending 1-D xi, unchecked, and
+        the region bounds (k0, i0, j1, j2, k3): the left tail is exactly
+        w_edge * 0.0 on [0, k0) and computed on [k0, i0), the tables
+        cover [i0, j1) and [j1, j2), and the right tail is computed on
+        [j2, k3) and exactly w_edge * 0.0 on [k3, n)."""
+        n = xi.size
+        # one comparison each unless the points reach an exactly zero tail
+        k0 = (int(np.searchsorted(xi, self._xi_zero_l, "left"))
+              if n and xi[0] < self._xi_zero_l else 0)
+        k3 = (int(np.searchsorted(xi, self._xi_zero_r, "right"))
+              if n and xi[-1] > self._xi_zero_r else n)
+        i0 = np.searchsorted(xi, self._xi_l[0], "left")
+        j1 = np.searchsorted(xi, 0.0, "right")
+        j2 = np.searchsorted(xi, self._xi_r[-1], "right")
         jump = self.state_r.v - self.state_l.v
-        gl = np.empty(flat.shape)
-        gr = np.empty(flat.shape)
-        gl[:i0] = self._w_l[0] * np.exp(self.c_minus * (flat[:i0] - self._xi_l[0]))
-        gr[j2:] = self._w_r[-1] * np.exp(-self.c_plus * (flat[j2:] - self._xi_r[-1]))
+        gl = np.empty(n)
+        gr = np.empty(n)
+        gl[:k0] = self._w_l[0] * 0.0
+        gl[k0:i0] = self._w_l[0] * np.exp(self.c_minus * (xi[k0:i0] - self._xi_l[0]))
+        gr[j2:k3] = self._w_r[-1] * np.exp(-self.c_plus * (xi[j2:k3] - self._xi_r[-1]))
+        gr[k3:] = self._w_r[-1] * 0.0
         # an empty table region skips its spline call (~15 us, and as much
         # for its slopes); most blocks of a long composite grid lie wholly
         # in a tail
         if j1 > i0:
-            gl[i0:j1] = self._ip_l(flat[i0:j1])
+            gl[i0:j1] = self._ip_l(xi[i0:j1])
         if j2 > j1:
-            gr[j1:j2] = self._ip_r(flat[j1:j2])
+            gr[j1:j2] = self._ip_r(xi[j1:j2])
         np.subtract(gl[:j1], jump, out=gr[:j1])
         np.add(gr[j1:], jump, out=gl[j1:])
-        return gl.reshape(xi.shape), gr.reshape(xi.shape), (i0, j1, j2)
+        return gl, gr, (k0, i0, j1, j2, k3)
 
     def _gap_slopes(self, gl, gr, bounds):
         """V_x from the gaps and region bounds of _gap_values: the exact
         slope g(V) on the tables, the tail rates times the gap beyond."""
-        i0, j1, j2 = bounds
-        shape = gl.shape
-        gl, gr = gl.reshape(-1), gr.reshape(-1)
+        _, i0, j1, j2, _ = bounds
         vx = np.empty(gl.shape)
         if j1 > i0:
             vx[i0:j1] = _g_from_end(self.gas, self.s, self.state_l.v, gl[i0:j1])
@@ -271,7 +302,7 @@ class ShockProfile:
             vx[j1:j2] = _g_from_end(self.gas, self.s, self.state_r.v, gr[j1:j2])
         vx[:i0] = self.c_minus * gl[:i0]
         vx[j2:] = -self.c_plus * gr[j2:]
-        return vx.reshape(shape)
+        return vx
 
     def evaluate(self, xi):
         """(V, U, V_x, U_x) at xi: a scalar or an ascending 1-D array
@@ -324,7 +355,9 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
                         state_r=state_r, s=s, chi=chi,
                         c_minus=c_minus, c_plus=c_plus,
                         v0=mid, _xi_l=xi_l, _w_l=wl, _xi_r=tau_r, _w_r=w_r,
-                        _ip_l=ip_l, _ip_r=ip_r)
+                        _ip_l=ip_l, _ip_r=ip_r,
+                        _xi_zero_l=xi_l[0] - _TAIL_ZERO / c_minus,
+                        _xi_zero_r=tau_r[-1] + _TAIL_ZERO / c_plus)
 
 
 def build_profiles(gas: GasModel, ts: TwoShockData):

@@ -445,14 +445,12 @@ class ExperimentSetup:
 
 
 def apply_perturbations(V, U, x, perturbations):
-    """Copies of (V, U) with the bump of each perturbation added to its target."""
+    """Copies of (V, U) with the bump of each perturbation added to its
+    target; one bump is alive at a time."""
     v, u = V.copy(), U.copy()
     for pert in perturbations:
-        bump = pert(x)
-        if pert.target == "v":
-            v += bump
-        else:
-            u += bump
+        target = v if pert.target == "v" else u
+        target += pert(x)
     return v, u
 
 
@@ -478,8 +476,9 @@ def setup_experiment(cfg) -> ExperimentSetup:
     grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final, c_max)
     V0, U0 = cw0.state_fields(grid.x, 0.0)
     v0, u0 = apply_perturbations(V0, U0, grid.x, cfg.perturbations)
-
-    si = _shift_inputs(v0 - V0, u0 - U0, cw0, grid)
+    # nothing reads V0 and U0 after this: the residuals take their place
+    si = _shift_inputs(np.subtract(v0, V0, out=V0),
+                       np.subtract(u0, U0, out=U0), cw0, grid)
     if cfg.single_family is None:
         b1, b2 = solve_shifts(si, ts)
     else:

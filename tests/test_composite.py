@@ -13,9 +13,10 @@ from shockwave_lab import (CompositeWave, EndState, GasModel, Grid1D,
                            compute_shift_inputs, hugoniot_u, interaction_norm,
                            predicted_w_decay, solve_intermediate, solve_shifts,
                            w_decay_constants)
-from shockwave_lab.composite import (_BLOCK, TruncationError,
+from shockwave_lab.composite import (_BLOCK, CompositeFields, TruncationError,
                                      TruncationWarning, _grouped,
-                                     _p_second_difference, w_naive)
+                                     _p_second_difference, _w_stable, w_naive)
+from shockwave_lab import composite as composite_mod
 from shockwave_lab import profile as profile_mod
 from shockwave_lab.config import Perturbation
 from shockwave_lab.solver import auto_grid
@@ -340,12 +341,23 @@ def _x_at(xi, t, target):
     return None
 
 
+def _x_from(xi, t, q):
+    """The least float x with xi(x, t) >= q."""
+    x = q - xi(0.0, t)
+    while xi(x, t) < q:
+        x = np.nextafter(x, np.inf)
+    while xi(np.nextafter(x, -np.inf), t) >= q:
+        x = np.nextafter(x, -np.inf)
+    return x
+
+
 def _split_case(datum, beta, t, x1, x2):
     """Composite, grid and sub-slice bounds for the split-invariance test.
 
     At t > 0 the shifts are picked so that xi1(x1) and xi2(x2) are exactly
     0.  The grid holds more than 3 blocks plus a remainder, and the x at
-    which each wave's xi is 0 or a table end, where a float reaches it.
+    which each wave's xi is 0 or a table end, where a float reaches it,
+    and from which it is past a bound of its exactly zero tails.
     """
     gas = GasModel(a=1.0, gamma=2.0, alpha=0.0)
     v_m, chi1, chi2 = datum
@@ -358,6 +370,8 @@ def _split_case(datum, beta, t, x1, x2):
     cw = CompositeWave(p1, p2, beta, b1, b2)
     ends = [(xi, q) for xi, p in ((cw.xi1, p1), (cw.xi2, p2))
             for q in (0.0, p._xi_l[0], p._xi_r[-1])]
+    zeros = [(xi, q) for xi, p in ((cw.xi1, p1), (cw.xi2, p2))
+             for q in (p._xi_zero_l, p._xi_zero_r)]
     hits = [_x_at(xi, t, q) for xi, q in ends]
     if t > 0.0:
         assert cw.xi1(x1, t) == 0.0 and cw.xi2(x2, t) == 0.0
@@ -365,7 +379,12 @@ def _split_case(datum, beta, t, x1, x2):
     special = np.array([h for h in hits if h is not None])
     base = np.linspace(special.min() - 10.0, special.max() + 10.0,
                        3 * _BLOCK + 1000)
-    x = np.union1d(base, special)
+    # the zero-tail bounds lie far out: the least x whose xi reaches
+    # each, with its float neighbours
+    far = [_x_from(xi, t, q) for xi, q in zeros]
+    far += [np.nextafter(h, d) for h in far for d in (-np.inf, np.inf)]
+    x = np.union1d(np.union1d(base, special), far)
+    ends += zeros
     cuts = {0, x.size}
     for k in range(1, x.size // _BLOCK + 1):
         cuts |= {k * _BLOCK - 1, k * _BLOCK, k * _BLOCK + 1}
@@ -385,9 +404,10 @@ def _split_case(datum, beta, t, x1, x2):
 def test_blocks_split_invariant(datum, beta, t, x1, x2):
     """fields, state_fields and interaction on the whole grid equal, bit
     for bit, the concatenation of calls on sub-slices cut at the block
-    edges +-1, at single points, and where xi crosses 0 and the table
-    ends; state_fields and interaction equal the matching fields arrays,
-    with or without a second wave."""
+    edges +-1, at single points, and where xi crosses 0, the table ends
+    and the bounds of the exactly zero tails; state_fields and
+    interaction equal the matching fields arrays, with or without a
+    second wave."""
     cw, x, slices = _split_case(datum, beta, t, x1, x2)
     assert x.size > 3 * _BLOCK and x.size % _BLOCK
     whole = cw.fields(x, t)
@@ -537,3 +557,136 @@ def test_state_fields_skip_profile_slopes(composite40, monkeypatch):
     assert V2.tobytes() == V.tobytes() and U2.tobytes() == U.tobytes()
     with pytest.raises(AssertionError, match="_g_from_end"):
         composite40.fields(x, 1.3)
+
+
+ENTRY_POINTS = ("fields", "state_fields", "interaction")
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_descending_step_at_block_edge_rejected(composite40, entry):
+    """x is checked whole, not block by block: a descending step at a
+    block edge is rejected like one inside a block."""
+    x = np.concatenate([np.linspace(0.0, 10.0, _BLOCK),
+                        np.linspace(-5.0, 0.0, 100)])
+    with pytest.raises(ValueError, match="ascending and free of nan"):
+        getattr(composite40, entry)(x, 1.0)
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf))
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_finite_t_rejected(composite40, entry, t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        getattr(composite40, entry)(np.linspace(0.0, 10.0, 50), t)
+
+
+def _oracle_gaps(p, xi):
+    """ShockProfile.gaps written out with both tails computed as
+    w_edge * exp(...) at every point."""
+    i0 = np.searchsorted(xi, p._xi_l[0], "left")
+    j1 = np.searchsorted(xi, 0.0, "right")
+    j2 = np.searchsorted(xi, p._xi_r[-1], "right")
+    gl, gr = np.empty(xi.size), np.empty(xi.size)
+    gl[:i0] = p._w_l[0] * np.exp(p.c_minus * (xi[:i0] - p._xi_l[0]))
+    gr[j2:] = p._w_r[-1] * np.exp(-p.c_plus * (xi[j2:] - p._xi_r[-1]))
+    gl[i0:j1] = p._ip_l(xi[i0:j1])
+    gr[j1:j2] = p._ip_r(xi[j1:j2])
+    jump = p.state_r.v - p.state_l.v
+    gr[:j1] = gl[:j1] - jump
+    gl[j1:] = gr[j1:] + jump
+    g = profile_mod._g_from_end
+    vx = np.concatenate([p.c_minus * gl[:i0],
+                         g(p.gas, p.s, p.state_l.v, gl[i0:j1]),
+                         g(p.gas, p.s, p.state_r.v, gr[j1:j2]),
+                         -p.c_plus * gr[j2:]])
+    return gl, gr, vx
+
+
+def _oracle_fields(cw, x, t):
+    """All CompositeFields arrays from _oracle_gaps, W by _w_stable on the
+    whole arrays."""
+    w1, w2, gas, mid = cw.wave1, cw.wave2, cw.gas, cw.mid
+    g1, d1, v1x = _oracle_gaps(w1, cw.xi1(x, t))
+    d2, _, v2x = _oracle_gaps(w2, cw.xi2(x, t))
+    u1x, u2x = -w1.s * v1x, -w2.s * v2x
+    V = mid.v + d1 + d2
+    U = w1.state_l.u - w1.s * g1
+    U = U + (w2.state_l.u - w2.s * d2) - mid.u
+    W = _w_stable(gas, mid.v, d1, d2, u1x, u2x)
+    Vx, Ux = v1x + v2x, u1x + u2x
+    H = U - V ** (-(gas.alpha + 1.0)) * Vx
+    return CompositeFields(V, U, Vx, Ux, H, W, v1x, v2x)
+
+
+def _fill_case(gamma, alpha, a, v_m, r1, r2, t):
+    """A shifted composite of strengths chi_i = r_i v_m, beta = 40 / c_min,
+    and a grid of ~1,800 points: a coarse cover, and at each wave's
+    table ends and zero-tail bounds the least x whose xi reaches the
+    bound, two floats below it and one above, and 100 points over
+    60 / c inward, where the tail rises from exp(-747)."""
+    gas = GasModel(a=a, gamma=gamma, alpha=alpha)
+    left = EndState(v_m * (1.0 + r1), 0.3)
+    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+    right = EndState(v_m * (1.0 + r2),
+                     float(hugoniot_u(gas, mid, v_m * (1.0 + r2))))
+    p1, p2 = build_profiles(gas, solve_intermediate(gas, left, right))
+    c_min = min(p1.c_minus, p1.c_plus, p2.c_minus, p2.c_plus)
+    cw = CompositeWave(p1, p2, 40.0 / c_min, 0.3 / c_min, -0.2 / c_min)
+    pts = []
+    for xi, p in ((cw.xi1, p1), (cw.xi2, p2)):
+        for q, dq in ((p._xi_zero_l, 60.0 / p.c_minus), (p._xi_l[0], None),
+                      (p._xi_r[-1], None), (p._xi_zero_r, -60.0 / p.c_plus)):
+            xq = _x_from(xi, t, q)
+            down = np.nextafter(xq, -np.inf)
+            pts += [np.nextafter(down, -np.inf), down, xq,
+                    np.nextafter(xq, np.inf)]
+            if dq is not None:
+                pts += list(np.linspace(xq, xq + dq, 100))
+    pts = np.array(pts)
+    x = np.union1d(pts, np.linspace(pts.min() - 1.0, pts.max() + 1.0, 1000))
+    return cw, x
+
+
+@pytest.mark.parametrize("case", [
+    (2.0, 0.0, 1.0, 1.0, 1e-3, 5.0, 0.0),
+    (1.4, 1.0, 2.0, 0.5, 5.0, 1e-3, 2.5),
+    (3.0, 0.5, 0.7, 1.5, 5.0, 5.0, 1.0),
+    (1.2, 2.0, 1.0, 1.0, 1e-3, 1e-3, 40.0),
+], ids=("g2-weak-strong", "g1.4-a1-strong-weak", "g3-a0.5-strong",
+        "g1.2-a2-weak"))
+def test_zero_tail_fills_match_formula_bitwise(case, monkeypatch):
+    """The filled tails and the W window give, byte for byte, the tails
+    computed as w_edge * exp(...) everywhere and W computed as _w_stable
+    on whole arrays: for the gaps, all fields, state_fields and
+    interaction, with blocks of 97 points so that many lie wholly in a
+    zero tail or hold an empty W window, on slices cut at every
+    zero-tail bound, and on the grid with the points between the zero
+    tails and the nonzero W dropped, where the window's first and last
+    points are not 0."""
+    cw, x = _fill_case(*case[:6], case[6])
+    t = case[6]
+    monkeypatch.setattr(composite_mod, "_BLOCK", 97)
+    ref = _oracle_fields(cw, x, t)
+    for p, xi in ((cw.wave1, cw.xi1(x, t)), (cw.wave2, cw.xi2(x, t))):
+        for got, want in zip(p.gaps(xi), _oracle_gaps(p, xi)):
+            assert got.tobytes() == want.tobytes()
+        assert xi[0] < p._xi_zero_l and xi[-1] > p._xi_zero_r
+    names = ("V", "U", "Vx", "Ux", "H", "W", "V1x", "V2x")
+    nz = np.flatnonzero(ref.W)
+    lo = int(np.searchsorted(cw.xi2(x, t), cw.wave2._xi_zero_l, "left"))
+    hi = int(np.searchsorted(cw.xi1(x, t), cw.wave1._xi_zero_r, "right"))
+    assert 0 < lo < nz[0] and nz[-1] < hi - 1 < x.size - 1
+    cuts = sorted({0, x.size, lo, hi} | {
+        int(np.searchsorted(xi(x, t), q, "left"))
+        for xi, p in ((cw.xi1, cw.wave1), (cw.xi2, cw.wave2))
+        for q in (p._xi_zero_l, p._xi_zero_r)})
+    sparse = np.concatenate([np.arange(lo), nz, np.arange(hi, x.size)])
+    pieces = [slice(None), sparse] + [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    for k in pieces:
+        xk = x[k]
+        want = _oracle_fields(cw, xk, t)
+        got = cw.fields(xk, t)
+        for name in names:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        V, U = cw.state_fields(xk, t)
+        assert V.tobytes() == want.V.tobytes() and U.tobytes() == want.U.tobytes()
+        assert cw.interaction(xk, t).tobytes() == want.W.tobytes()

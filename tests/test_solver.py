@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from shockwave_lab import (CompositeWave, EndState, FieldState, GasModel,
                            run_simulation, sample_uniform, semidiscrete_rhs,
                            solve_intermediate, solver, stable_dt, verify,
                            write_csv)
-from shockwave_lab.composite import BOUNDARY_DECAY_TOL, W_BOUNDARY_TOL
+from shockwave_lab.composite import (BOUNDARY_DECAY_TOL, W_BOUNDARY_TOL,
+                                     _shift_inputs)
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
                                   RiemannSpec, TimeSpec)
 from shockwave_lab.profile import decay_rates
@@ -722,3 +725,80 @@ def test_mirror_image_run_is_reflected():
     cw, cw_m = res.composite, mirror.composite
     assert (cw.beta1, cw.beta2) == pytest.approx((-cw_m.beta2, -cw_m.beta1),
                                                  rel=1e-12)
+
+
+def test_scaled_image_run_is_rescaled():
+    """The scaling v = V0 v~, x = L x~, t = T0 t~, u = U0 u~ with
+    L = V0^((gamma-1-2 alpha)/2) / sqrt(a), T0 = L^2 V0^(alpha+1) and
+    U0 = V0 L / T0 maps the canonical run (a = 1, v_m = 1) onto the run
+    of its image at a = 3, v_m = V0 = 2, with the perturbations, beta,
+    the explicit grid and the schedule mapped alike: the final states
+    agree up to rounding, and so do the record times and the shifts."""
+    base = verify.stability_config()
+    gas, r = base.gas, base.riemann
+    t_final = 2.0
+    grid = auto_grid(gas, r.resolve(gas), base.beta, t_final, n=1000)
+    a, V0 = 3.0, 2.0
+    L = V0 ** ((gas.gamma - 1.0 - 2.0 * gas.alpha) / 2.0) / math.sqrt(a)
+    T0 = L * L * V0 ** (gas.alpha + 1.0)
+    U0 = V0 * L / T0
+
+    def run(gas, spec, perts, scale_x, scale_t):
+        return run_simulation(ExperimentConfig(
+            gas=gas, riemann=spec, beta=base.beta * scale_x,
+            perturbations=perts,
+            grid=GridSpec(x_lo=grid.x_lo * scale_x, x_hi=grid.x_hi * scale_x,
+                          n=grid.n),
+            time=TimeSpec(t_final=t_final * scale_t, record_dt=0.25 * scale_t,
+                          snapshot_times=(t_final * scale_t,))))
+
+    res = run(gas, r, base.perturbations, 1.0, 1.0)
+    image = run(
+        GasModel(a=a, gamma=gas.gamma, alpha=gas.alpha),
+        RiemannSpec(v_minus=V0 * r.v_minus, u_minus=U0 * r.u_minus,
+                    v_plus=V0 * r.v_plus, v_m=V0 * r.v_m),
+        tuple(Perturbation(p.target,
+                           p.amplitude * (V0 if p.target == "v" else U0),
+                           L * p.center, L * p.width)
+              for p in base.perturbations),
+        L, T0)
+
+    amp = max(abs(p.amplitude) for p in base.perturbations)
+    snap, snap_i = res.snapshots[-1], image.snapshots[-1]
+    assert np.max(np.abs(snap.v - snap_i.v / V0)) <= 1e-9 * amp
+    assert np.max(np.abs(snap.u - snap_i.u / U0)) <= 1e-9 * amp
+    t, t_i = res.series.column("t"), image.series.column("t")
+    assert t.size == t_i.size == 9
+    assert np.max(np.abs(t - t_i / T0)) <= 1e-12
+    cw, cw_i = res.composite, image.composite
+    assert (cw.beta1, cw.beta2) == pytest.approx((cw_i.beta1 / L,
+                                                  cw_i.beta2 / L), rel=1e-12)
+
+
+def test_setup_experiment_memory():
+    """Set-up holds at most 6 grid arrays at once (x, V0, U0, the
+    perturbed copies and one bump), and its v0, u0 and shift inputs are
+    the formulas' bit for bit."""
+    cfg = dataclasses.replace(verify.stability_config(),
+                              grid=GridSpec(n=500_000))
+    solver.setup_experiment(dataclasses.replace(cfg, grid=GridSpec(n=1000)))
+    tracemalloc.start()
+    try:
+        setup = solver.setup_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x = setup.grid.x
+    assert peak <= 6 * x.nbytes + 1_000_000
+    cw0 = setup.composite.shifted(0.0, 0.0)
+    V0, U0 = cw0.state_fields(x, 0.0)
+    v0, u0 = V0.copy(), U0.copy()
+    for p in cfg.perturbations:
+        if p.target == "v":
+            v0 = v0 + p(x)
+        else:
+            u0 = u0 + p(x)
+    assert setup.v0.tobytes() == v0.tobytes()
+    assert setup.u0.tobytes() == u0.tobytes()
+    assert setup.shift_inputs == _shift_inputs(v0 - V0, u0 - U0, cw0,
+                                               setup.grid)
