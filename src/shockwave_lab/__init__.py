@@ -41,7 +41,6 @@ from .composite import (
 from .solver import (
     Grid1D,
     FieldState,
-    SchemeConfig,
     PositivityError,
     semidiscrete_rhs,
     hyperbolic_dt,

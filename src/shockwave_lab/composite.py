@@ -37,11 +37,15 @@ Each entry point computes only what it returns:
 They share the arithmetic of each field, so V and U, and W, are bitwise
 the same whichever entry point computed them.  Each checks once that x
 is ascending and free of nan and that t is finite.  Every composite
-field is elementwise in x, so all three evaluate a long grid in blocks
-of `_BLOCK` points, each written into preallocated outputs.  The result
-is bit-identical for any split, and the memory of a call is its outputs
-plus O(`_BLOCK`) temporaries, which stay in cache; a grid of at most one
-block is evaluated in one piece with no copy.
+field is elementwise in x, so each allocates its outputs once and fills
+them in slices of `_BLOCK` points, each block writing its own slice.
+The result is bit-identical for any split, and the memory of a call is
+its outputs plus O(`_BLOCK`) temporaries, which stay in cache.
+
+V needs no positivity check.  Both gaps to the middle state are >= +0,
+never -0.0: wave 1's gap d1 to its right state, as V1 falls to v_m, and
+wave 2's gap d2 to its left state, as V2 rises from it, their exactly
+zero tails included.  So V = (v_m + d1) + d2 >= v_m > 0.
 
 The cost of a call scales with the points where neither wave is exactly
 at its end state.  Beyond fixed bounds a profile's tail gap is exactly
@@ -284,110 +288,95 @@ class CompositeWave:
 
     def state_fields(self, x, t):
         """(V, U) only, from the profiles' gap values without their slopes."""
-        V, U = self._blocks(x, t, self._state_block)
+        V, U = self._blocks(x, t, self._state_into, 2)
         return V, U
 
     def interaction(self, x, t):
         """The interaction residual W alone, bitwise equal to
         fields(x, t).W."""
-        W, = self._blocks(x, t, self._interaction_block)
+        W, = self._blocks(x, t, self._interaction_block, 1)
         return W
 
     def fields(self, x, t) -> CompositeFields:
         """All composite fields at (x, t): V, U, V_x, U_x, H, W."""
-        return CompositeFields(*self._blocks(x, t, self._fields_block))
+        return CompositeFields(*self._blocks(x, t, self._fields_block, 8))
 
-    def _blocks(self, x, t, block):
-        """block(x, t) over x in slices of _BLOCK points, written into
-        preallocated outputs; a single block is returned as computed.
+    def _blocks(self, x, t, block, n_out):
+        """n_out outputs shaped like x, allocated once and filled by
+        block(x_slice, t, *out_slices) over slices of _BLOCK points.
         x must be a scalar or an ascending 1-D array without nan, and t
         finite; anything else raises ValueError."""
         x = np.asarray(x, dtype=np.float64)
         flat = ascending_points(x, "x")
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t}")
-        if flat.size <= _BLOCK:
-            return [part.reshape(x.shape) for part in block(flat, t)]
-        out = None
+        out = [np.empty(flat.shape) for _ in range(n_out)]
         for lo in range(0, flat.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
-            part = block(flat[sl], t)
-            if out is None:
-                out = [np.empty(flat.shape) for _ in part]
-            for o, p in zip(out, part):
-                o[sl] = p
-        return out
+            block(flat[sl], t, *(o[sl] for o in out))
+        return [o.reshape(x.shape) for o in out]
 
-    # The blocks share _volume, _velocity and the W window, so V and U
-    # are bitwise-identical between state_fields() and fields(), and W
-    # between interaction() and fields().  Each takes an ascending 1-D x.
+    # The blocks share _state_into and the W window, so V and U are
+    # bitwise-identical between state_fields() and fields(), and W between
+    # interaction() and fields().  Each takes an ascending 1-D x and fills
+    # the output slices it is given.
 
-    def _volume(self, d1, d2):
-        V = self.mid.v + d1 + d2
-        if np.any(V <= 0.0):
-            raise ValueError("composite volume is nonpositive; "
-                             "profiles overlap destructively")
-        return V
-
-    def _velocity(self, g1, d2):
-        w1, w2 = self.wave1, self.wave2
-        U = w1.state_l.u - w1.s * g1
-        if w2 is not None:
-            U = U + (w2.state_l.u - w2.s * d2) - self.mid.u
-        return U
-
-    def _state_block(self, x, t):
-        """(V, U)."""
-        g1, d1, _ = self.wave1._gap_values(self.xi1(x, t))
-        d2 = 0.0
-        if self.wave2 is not None:
-            d2, _, _ = self.wave2._gap_values(self.xi2(x, t))
-        return self._volume(d1, d2), self._velocity(g1, d2)
-
-    def _interaction_block(self, x, t):
-        """(W,)."""
+    def _state_into(self, x, t, V, U):
+        """Writes V = (v_m + d1) + d2 and U = u_l - s1 g1, then
+        + (u_l2 - s2 d2), then - u_m, into V and U.  Returns the gaps and
+        region bounds of wave 1, (g1, d1, b1), and of wave 2, (d2, g2, b2),
+        or None for a bare wave 1."""
         w1, w2 = self.wave1, self.wave2
         g1, d1, b1 = w1._gap_values(self.xi1(x, t))
-        W = np.zeros(x.shape)
+        np.add(self.mid.v, d1, out=V)
+        np.multiply(w1.s, g1, out=U)
+        np.subtract(w1.state_l.u, U, out=U)
         if w2 is None:
-            self._volume(d1, 0.0)
-            return (W,)
+            return (g1, d1, b1), None
         d2, g2, b2 = w2._gap_values(self.xi2(x, t))
-        self._volume(d1, d2)
+        V += d2
+        u2 = np.multiply(w2.s, d2)
+        U += np.subtract(w2.state_l.u, u2, out=u2)
+        U -= self.mid.u
+        return (g1, d1, b1), (d2, g2, b2)
+
+    def _interaction_block(self, x, t, W):
+        w1, w2 = self.wave1, self.wave2
+        if w2 is None:
+            W.fill(0.0)
+            return
+        g1, d1, b1 = w1._gap_values(self.xi1(x, t))
+        d2, g2, b2 = w2._gap_values(self.xi2(x, t))
         lo, hi = _w_window(b1, b2)
+        W[:lo] = 0.0
+        W[hi:] = 0.0  # with W[:lo], all of W when the window is empty
         if hi > lo:
-            u1x = -w1.s * w1._gap_slopes(g1, d1, b1)
-            u2x = -w2.s * w2._gap_slopes(d2, g2, b2)
+            u1x = -w1.s * w1._gap_slopes(g1, d1, b1, np.empty(x.shape))
+            u2x = -w2.s * w2._gap_slopes(d2, g2, b2, np.empty(x.shape))
             W[lo:hi] = _w_stable(self.gas, self.mid.v, d1[lo:hi], d2[lo:hi],
                                  u1x[lo:hi], u2x[lo:hi])
-        return (W,)
 
-    def _fields_block(self, x, t):
-        """All CompositeFields arrays in field order."""
+    def _fields_block(self, x, t, V, U, Vx, Ux, H, W, V1x, V2x):
         gas, w1, w2 = self.gas, self.wave1, self.wave2
-        g1, d1, b1 = w1._gap_values(self.xi1(x, t))
-        v1x = w1._gap_slopes(g1, d1, b1)
-        u1x = -w1.s * v1x
-        if w2 is not None:
-            d2, g2, b2 = w2._gap_values(self.xi2(x, t))
-            v2x = w2._gap_slopes(d2, g2, b2)
-            u2x = -w2.s * v2x
+        (g1, d1, b1), gaps2 = self._state_into(x, t, V, U)
+        u1x = -w1.s * w1._gap_slopes(g1, d1, b1, V1x)
+        if gaps2 is None:
+            V2x.fill(0.0)
+            u2x = 0.0
+            W.fill(0.0)
         else:
-            d2 = 0.0
-            v2x = np.zeros_like(x)
-            u2x = np.zeros_like(x)
-        V = self._volume(d1, d2)
-        U = self._velocity(g1, d2)
-        W = np.zeros_like(V)
-        if w2 is not None:
+            d2, g2, b2 = gaps2
+            u2x = -w2.s * w2._gap_slopes(d2, g2, b2, V2x)
             lo, hi = _w_window(b1, b2)
+            W[:lo] = 0.0
+            W[hi:] = 0.0
             if hi > lo:
                 W[lo:hi] = _w_stable(gas, self.mid.v, d1[lo:hi], d2[lo:hi],
                                      u1x[lo:hi], u2x[lo:hi])
-        Vx = v1x + v2x
-        Ux = u1x + u2x
-        H = U - V ** (-(gas.alpha + 1.0)) * Vx
-        return V, U, Vx, Ux, H, W, v1x, v2x
+        np.add(V1x, V2x, out=Vx)
+        np.add(u1x, u2x, out=Ux)
+        np.multiply(V ** (-(gas.alpha + 1.0)), Vx, out=H)
+        np.subtract(U, H, out=H)
 
 
 def _w_window(b1, b2):

@@ -123,7 +123,8 @@ class RiemannSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Explicit bounds + count, or auto-sized domain (optionally fixed n)."""
+    """Explicit bounds + count, or auto-sized domain with a fixed n or
+    the spacing dx (parse_config takes at most one of grid.n, grid.dx)."""
 
     x_lo: Optional[float] = None
     x_hi: Optional[float] = None
@@ -299,10 +300,14 @@ def parse_config(path) -> ExperimentConfig:
 
     perts = _collect_perturbations(entries)
 
+    n = _pop_int(entries, "grid.n")
+    if n is not None and "grid.dx" in entries:
+        raise ConfigError("grid.n and grid.dx cannot both be given: "
+                          "grid.n fixes the spacing")
     grid = GridSpec(
         x_lo=_pop_float(entries, "grid.x_lo"),
         x_hi=_pop_float(entries, "grid.x_hi"),
-        n=_pop_int(entries, "grid.n"),
+        n=n,
         dx=_pop_float(entries, "grid.dx", default=_DEFAULT_DX),
     )
 

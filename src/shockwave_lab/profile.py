@@ -255,7 +255,7 @@ class ShockProfile:
         """
         xi = np.asarray(xi, dtype=np.float64)
         gl, gr, bounds = self._gap_values(ascending_points(xi, "xi"))
-        vx = self._gap_slopes(gl, gr, bounds)
+        vx = self._gap_slopes(gl, gr, bounds, np.empty(gl.shape))
         return gl.reshape(xi.shape), gr.reshape(xi.shape), vx.reshape(xi.shape)
 
     def _gap_values(self, xi):
@@ -291,11 +291,11 @@ class ShockProfile:
         np.add(gr[j1:], jump, out=gl[j1:])
         return gl, gr, (k0, i0, j1, j2, k3)
 
-    def _gap_slopes(self, gl, gr, bounds):
-        """V_x from the gaps and region bounds of _gap_values: the exact
-        slope g(V) on the tables, the tail rates times the gap beyond."""
+    def _gap_slopes(self, gl, gr, bounds, vx):
+        """V_x from the gaps and region bounds of _gap_values, written into
+        vx and returned: the exact slope g(V) on the tables, the tail rates
+        times the gap beyond."""
         _, i0, j1, j2, _ = bounds
-        vx = np.empty(gl.shape)
         if j1 > i0:
             vx[i0:j1] = _g_from_end(self.gas, self.s, self.state_l.v, gl[i0:j1])
         if j2 > j1:

@@ -57,7 +57,6 @@ from .composite import (W_BOUNDARY_TOL, CompositeWave, ShiftInputs,
 __all__ = [
     "Grid1D",
     "FieldState",
-    "SchemeConfig",
     "PositivityError",
     "semidiscrete_rhs",
     "hyperbolic_dt",
@@ -133,23 +132,15 @@ class FieldState:
         return FieldState(self.t, self.v.copy(), self.u.copy())
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """CFL numbers.  cfl_hyperbolic sets the step advance takes; 0.8 keeps
-    the dt^2 temporal error of the split step within 10% of the spatial
-    error (module docstring; test_temporal_error_within_budget).
-    cfl_viscous is used only by stable_dt, the bound of the explicit RK4
-    reference path rk4_step; the split step's SSP-RK3 stage runs at
-    cfl_hyperbolic alone."""
-
-    cfl_hyperbolic: float = 0.8
-    cfl_viscous: float = 0.4
-
-    def __post_init__(self):
-        for name in ("cfl_hyperbolic", "cfl_viscous"):
-            c = getattr(self, name)
-            if not 0.0 < c <= 0.9:
-                raise ValueError(f"{name} must lie in (0, 0.9]")
+# CFL number of the hyperbolic bound, which sets the step advance takes:
+# the largest measured value that keeps the dt^2 temporal error of the split
+# step within 10% of the spatial error (module docstring;
+# test_temporal_error_within_budget)
+CFL_HYPERBOLIC = 0.8
+# CFL number of the viscous bound, used only by stable_dt, the step of the
+# explicit RK4 reference path rk4_step; the split step's implicit viscous
+# stage has no such bound
+CFL_VISCOUS = 0.4
 
 
 def _face_visc(gas: GasModel, v):
@@ -186,28 +177,28 @@ def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
     return dv, du
 
 
-def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D,
-                  scheme: SchemeConfig = SchemeConfig()) -> float:
-    """Hyperbolic CFL bound cfl dx / max|lambda|, with max|lambda| =
-    sqrt(-p'(v_min)); raises PositivityError if some v <= 0 or is nan.
+def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D) -> float:
+    """Hyperbolic CFL bound CFL_HYPERBOLIC dx / max|lambda|, with
+    max|lambda| = sqrt(-p'(v_min)); raises PositivityError if some
+    v <= 0 or is nan.
 
     The step advance takes.  Its SSP-RK3 stage with central differences
-    is linearly stable up to cfl = sqrt(3), the extent of the three-stage
-    method's stability region on the imaginary axis; the shipped 0.8 is
-    set by the temporal error budget instead (module docstring)."""
+    is linearly stable up to a CFL number of sqrt(3), the extent of the
+    three-stage method's stability region on the imaginary axis;
+    CFL_HYPERBOLIC = 0.8 is set by the temporal error budget instead
+    (module docstring)."""
     vmin = float(state.v.min())
     if not vmin > 0.0:  # also catches a nan, which min propagates
         raise PositivityError("nonpositive specific volume", state.copy())
     lam_max = math.sqrt(gas.a * gas.gamma) * vmin ** (-0.5 * (gas.gamma + 1.0))
-    return scheme.cfl_hyperbolic * grid.dx / lam_max
+    return CFL_HYPERBOLIC * grid.dx / lam_max
 
 
-def stable_dt(gas: GasModel, state: FieldState, grid: Grid1D,
-              scheme: SchemeConfig = SchemeConfig()) -> float:
+def stable_dt(gas: GasModel, state: FieldState, grid: Grid1D) -> float:
     """Explicit step bound: min of hyperbolic and viscous CFL limits."""
-    dt_h = hyperbolic_dt(gas, state, grid, scheme)
+    dt_h = hyperbolic_dt(gas, state, grid)
     vmin = float(state.v.min())
-    dt_v = scheme.cfl_viscous * grid.dx ** 2 * vmin ** (gas.alpha + 1.0) / 2.0
+    dt_v = CFL_VISCOUS * grid.dx ** 2 * vmin ** (gas.alpha + 1.0) / 2.0
     return min(dt_h, dt_v)
 
 

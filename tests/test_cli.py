@@ -57,7 +57,6 @@ perturbation.1.width = 1.0
 grid.x_lo = -60.0
 grid.x_hi = 100.0
 grid.n = 4000
-grid.dx = 0.05
 time.T = 50.0
 time.record_dt = 0.25
 time.snapshot_times = 0, 5, 50
@@ -143,9 +142,21 @@ def test_parse_rejects_non_finite_numbers(tmp_path, key, value):
     ("riemann.v_minus", "-2.0", "specific volume"),
 ])
 def test_parse_rejects_invalid_grid_and_riemann_data(tmp_path, key, value, match):
-    path = _write(tmp_path, _with_value(DIRECT_EXPLICIT_GRID, key, value))
+    # grid.dx spaces an auto-sized grid without grid.n, as in SINGLE_SHOCK_RUN
+    base = SINGLE_SHOCK_RUN if key == "grid.dx" else DIRECT_EXPLICIT_GRID
+    path = _write(tmp_path, _with_value(base, key, value))
     with pytest.raises(ConfigError, match=match):
         parse_config(path)
+
+
+@pytest.mark.parametrize("base", [MINIMAL, DIRECT_EXPLICIT_GRID],
+                         ids=("auto", "explicit"))
+def test_parse_rejects_grid_n_with_grid_dx(tmp_path, base):
+    """grid.n fixes the spacing of both explicit and auto-sized grids, so a
+    grid.dx beside it would be ignored; the config is rejected instead."""
+    text = base.replace("grid.n = 4000\n", "") + "grid.n = 4000\ngrid.dx = 0.05\n"
+    with pytest.raises(ConfigError, match="grid.n and grid.dx"):
+        parse_config(_write(tmp_path, text))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200,
@@ -409,12 +420,10 @@ def test_perturbation_rejects_non_finite(field, value):
         Perturbation(**kwargs)
 
 
-def test_grid_and_scheme_validation():
-    from shockwave_lab import Grid1D, SchemeConfig
+def test_grid_validation():
+    from shockwave_lab import Grid1D
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        SchemeConfig(cfl_hyperbolic=1.5)
 
 
 def test_missing_config_is_usage_error(capsys):

@@ -262,7 +262,18 @@ def test_package_binds_no_ode_solver():
 def test_profiles_build_across_ss_region(gamma, alpha, a, v_m,
                                          log_chi1, log_chi2):
     """Quadrature tables pass the monotonicity checks on any SS datum, so
-    build_profiles never raises IntegrationError."""
+    build_profiles never raises IntegrationError.  Wave 1's gap to its
+    right state and wave 2's gap to its left state, the gaps to the
+    middle state, carry no sign bit on the tables, the computed tails and
+    both sides of both zero-tail bounds: the premise of V >= v_m in the
+    composite and of its W window."""
     gas = GasModel(a=a, gamma=gamma, alpha=alpha)
-    build_profiles(gas, _datum(gas, v_m, v_m * math.exp(log_chi1),
-                               v_m * math.exp(log_chi2)))
+    p1, p2 = build_profiles(gas, _datum(gas, v_m, v_m * math.exp(log_chi1),
+                                        v_m * math.exp(log_chi2)))
+    for p, side in ((p1, 1), (p2, 0)):
+        bounds = [p._xi_zero_l, p._xi_zero_r]
+        near = [np.nextafter(q, d) for q in bounds for d in (-np.inf, np.inf)]
+        span = np.linspace(bounds[0] - 1.0, bounds[1] + 1.0, 4001)
+        xi = np.unique(np.concatenate([p._xi_l, p._xi_r, bounds, near, span]))
+        assert xi[0] < bounds[0] and xi[-1] > bounds[1]
+        assert not np.any(np.signbit(p.gaps(xi)[side]))
