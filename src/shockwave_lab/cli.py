@@ -128,9 +128,7 @@ def main(argv=None) -> int:
         prog="shockwave-lab",
         description="Two-shock composite-wave laboratory for the 1-D "
                     "isentropic Navier-Stokes system")
-    parser.add_argument("command",
-                        choices=("riemann", "profile", "shifts", "simulate",
-                                 "verify"))
+    parser.add_argument("command", choices=(*_CONFIG_COMMANDS, "verify"))
     parser.add_argument("--config", help="experiment configuration file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--suite", default="all",

@@ -178,6 +178,9 @@ class TimeSpec:
             raise ConfigError("time.T must be positive")
         if not self.record_dt > 0.0:
             raise ConfigError("time.record_dt must be positive")
+        for t in self.snapshot_times:
+            if not 0.0 <= t <= self.t_final:
+                raise ConfigError("snapshot times must lie in [0, T]")
 
 
 @dataclass(frozen=True)
@@ -318,9 +321,6 @@ def parse_config(path) -> ExperimentConfig:
         snaps = tuple(float(s) for s in snap_raw.split(",") if s.strip())
     except ValueError:
         raise ConfigError("time.snapshot_times must be a comma list of numbers") from None
-    for t in snaps:
-        if not 0.0 <= t <= t_final:
-            raise ConfigError("snapshot times must lie in [0, T]")
     time = TimeSpec(t_final=t_final, record_dt=record_dt, snapshot_times=snaps)
 
     out_dir = entries.pop("output.dir", "out")

@@ -209,7 +209,6 @@ class ShockProfile:
     U = u_l - s (V - v_l) holds exactly, so U_x = -s V_x <= 0.
     """
 
-    family: int
     gas: GasModel
     state_l: EndState
     state_r: EndState
@@ -351,10 +350,9 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
     ip_l = _monotone_spline(gas, s, state_l.v, xi_l, wl)
     ip_r = _monotone_spline(gas, s, state_r.v, tau_r, w_r)
 
-    return ShockProfile(family=family, gas=gas, state_l=state_l,
-                        state_r=state_r, s=s, chi=chi,
-                        c_minus=c_minus, c_plus=c_plus,
-                        v0=mid, _xi_l=xi_l, _w_l=wl, _xi_r=tau_r, _w_r=w_r,
+    return ShockProfile(gas=gas, state_l=state_l, state_r=state_r, s=s,
+                        chi=chi, c_minus=c_minus, c_plus=c_plus, v0=mid,
+                        _xi_l=xi_l, _w_l=wl, _xi_r=tau_r, _w_r=w_r,
                         _ip_l=ip_l, _ip_r=ip_r,
                         _xi_zero_l=xi_l[0] - _TAIL_ZERO / c_minus,
                         _xi_zero_r=tau_r[-1] + _TAIL_ZERO / c_plus)

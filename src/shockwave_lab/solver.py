@@ -90,7 +90,7 @@ class PositivityError(RuntimeError):
     series and the snapshots taken before the failure.
     """
 
-    def __init__(self, message, state=None):
+    def __init__(self, message, state):
         super().__init__(message)
         self.state = state
         self.series = None
@@ -529,12 +529,10 @@ def run_simulation(cfg) -> SimulationResult:
                 snapshots.append(snapshot(state))
     except (PositivityError, TruncationError) as exc:
         exc.series, exc.snapshots = series, snapshots
-        # a PositivityError carries the state it rejected (or None)
-        last = getattr(exc, "state", state)
-        if last is not None:
-            # h of a state with v <= 0 may be nan; it is written as is
-            with np.errstate(all="ignore"):
-                snapshots.append(snapshot(last))
+        # a PositivityError carries the state it rejected; h of a state
+        # with v <= 0 may be nan, and it is written as is
+        with np.errstate(all="ignore"):
+            snapshots.append(snapshot(getattr(exc, "state", state)))
         raise
 
     return SimulationResult(series=series, snapshots=snapshots, composite=cw,

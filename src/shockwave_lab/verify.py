@@ -3,12 +3,15 @@ one suite and reported as one machine-readable line
 
     <name>,<measured>,<threshold>,<PASS|FAIL>
 
-Suites: riemann, profile, shifts, wdecay, convergence, stability, all.
+The table _SUITES lists the suites in run order, each with its runtime
+limit; run_suite times each suite and appends its <suite>.runtime_s
+line.  'all' runs every suite.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -28,9 +31,6 @@ from .config import (ExperimentConfig, GridSpec, Perturbation, RiemannSpec,
                      TimeSpec)
 
 __all__ = ["CriterionResult", "SUITE_NAMES", "run_suite", "format_result"]
-
-SUITE_NAMES = ("riemann", "profile", "shifts", "wdecay", "convergence",
-               "stability", "all")
 
 # canonical datum: gamma=2, a=1, alpha=0, v_- = 2, v_m = 1, v_+ = 2
 CANONICAL_RIEMANN = RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=2.0, v_m=1.0)
@@ -53,15 +53,46 @@ def format_result(r: CriterionResult) -> str:
     return f"{r.name},{r.measured:.6g},{r.threshold},{'PASS' if r.passed else 'FAIL'}"
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge}
+
+
+def _gate(name, measured, op, bound, per=""):
+    """The criterion `measured op bound`, its threshold text printed from
+    the bound it compares against: a float as %g, a str as written (%g
+    prints 1e-8 as 1e-08), then `per`."""
+    text = bound if isinstance(bound, str) else f"{bound:g}"
+    return CriterionResult(name, measured, f"{op}{text}{per}",
+                           _COMPARE[op](measured, float(bound)))
+
+
+def _order(name, order):
+    """The observed order of a second-order discretization: 2.0+-0.3."""
+    target, tol = 2.0, 0.3
+    return CriterionResult(name, order, f"{target:.1f}+-{tol:g}",
+                           target - tol <= order <= target + tol)
+
+
 def canonical_gas() -> GasModel:
     return GasModel(a=1.0, gamma=2.0, alpha=0.0)
+
+
+def _canonical():
+    """(gas, two-shock data, (p1, p2)) of the canonical datum."""
+    gas = canonical_gas()
+    ts = CANONICAL_RIEMANN.resolve(gas)
+    return gas, ts, build_profiles(gas, ts)
+
+
+def _uniform_grid(x_lo, x_hi, h):
+    """The grid on [x_lo, x_hi] whose spacing is closest to h."""
+    return Grid1D(x_lo, x_hi, int(round((x_hi - x_lo) / h)) + 1)
 
 
 # ----------------------------------------------------------------- riemann
 
 def suite_riemann():
     """Criterion 1: randomized SS data solve to RH exactness."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(RIEMANN_SEED)
     worst_rh = 0.0
     worst_vm = 0.0
@@ -89,15 +120,10 @@ def suite_riemann():
         worst_vm = max(worst_vm, abs(ts.mid.v - v_m) / v_m)
         m1, m2 = entropy_margins(gas, ts)
         min_margin = min(min_margin, *m1, *m2)
-    elapsed = time.perf_counter() - t0
     return [
-        CriterionResult("riemann.rh_residual", worst_rh, "<=1e-12*scale",
-                        worst_rh <= 1e-12),
-        CriterionResult("riemann.vm_roundtrip", worst_vm, "<=1e-10",
-                        worst_vm <= 1e-10),
-        CriterionResult("riemann.entropy_margin", min_margin, ">0",
-                        min_margin > 0.0),
-        CriterionResult("riemann.runtime_s", elapsed, "<5", elapsed < 5.0),
+        _gate("riemann.rh_residual", worst_rh, "<=", 1e-12, "*scale"),
+        _gate("riemann.vm_roundtrip", worst_vm, "<=", 1e-10),
+        _gate("riemann.entropy_margin", min_margin, ">", 0.0),
     ]
 
 
@@ -128,10 +154,7 @@ def measured_tail_rates(profile):
 
 def suite_profile():
     """Criterion 2: canonical profile fidelity (residual order, tail rates)."""
-    t0 = time.perf_counter()
-    gas = canonical_gas()
-    ts = CANONICAL_RIEMANN.resolve(gas)
-    p1, _ = build_profiles(gas, ts)
+    _, _, (p1, _) = _canonical()
     hs = np.array([0.1, 0.05, 0.025])
     res = [_steady_residual_l2(p1, h) for h in hs]
     order = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
@@ -139,37 +162,23 @@ def suite_profile():
     c_minus_fit, c_plus_fit = measured_tail_rates(p1)
     err_plus = abs(c_plus_fit / C_PLUS_TARGET - 1.0)
     err_minus = abs(c_minus_fit / C_MINUS_TARGET - 1.0)
-    elapsed = time.perf_counter() - t0
     return [
-        CriterionResult("profile.residual_order", order, "2.0+-0.3",
-                        1.7 <= order <= 2.3),
-        CriterionResult("profile.c_plus_fit_relerr", err_plus, "<=0.02",
-                        err_plus <= 0.02),
-        CriterionResult("profile.c_minus_fit_relerr", err_minus, "<=0.02",
-                        err_minus <= 0.02),
-        CriterionResult("profile.runtime_s", elapsed, "<10", elapsed < 10.0),
+        _order("profile.residual_order", order),
+        _gate("profile.c_plus_fit_relerr", err_plus, "<=", 0.02),
+        _gate("profile.c_minus_fit_relerr", err_minus, "<=", 0.02),
     ]
 
 
 # ----------------------------------------------------------------- shifts
 
-def _shift_grid(beta):
-    # wide enough that shifted-composite boundary residuals sit below 1e-12
-    margin = 27.0
-    x_lo, x_hi = -margin, beta + margin
-    n = int(round((x_hi - x_lo) / 0.02)) + 1
-    return Grid1D(x_lo, x_hi, n)
-
-
 def suite_shifts():
     """Criterion 3: post-shift excess masses vanish."""
-    t0 = time.perf_counter()
-    gas = canonical_gas()
-    ts = CANONICAL_RIEMANN.resolve(gas)
-    p1, p2 = build_profiles(gas, ts)
+    _, ts, (p1, p2) = _canonical()
     beta = 40.0
     cw0 = CompositeWave(p1, p2, beta)
-    grid = _shift_grid(beta)
+    # margins wide enough that shifted-composite boundary residuals sit
+    # below 1e-12
+    grid = _uniform_grid(-27.0, beta + 27.0, 0.02)
     x = grid.x
     V0, U0 = cw0.state_fields(x, 0.0)
     rng = np.random.default_rng(SHIFT_SEED)
@@ -186,12 +195,7 @@ def suite_shifts():
         si2 = compute_shift_inputs(v0, u0, cw0.shifted(b1, b2), grid)
         scale = max(1.0, abs(si.I01), abs(si.I02))
         worst = max(worst, abs(si2.I01) / scale, abs(si2.I02) / scale)
-    elapsed = time.perf_counter() - t0
-    return [
-        CriterionResult("shifts.zero_mass_residual", worst, "<=1e-8*scale",
-                        worst <= 1e-8),
-        CriterionResult("shifts.runtime_s", elapsed, "<30", elapsed < 30.0),
-    ]
+    return [_gate("shifts.zero_mass_residual", worst, "<=", "1e-8", "*scale")]
 
 
 # ----------------------------------------------------------------- W decay
@@ -200,16 +204,12 @@ def _wdecay_grid(ts, beta, t_max, c_min):
     pad = 40.0 / c_min
     x_lo = ts.s1 * t_max - pad
     x_hi = beta + ts.s2 * t_max + pad
-    n = int(round((x_hi - x_lo) / 0.05)) + 1
-    return Grid1D(x_lo, x_hi, n)
+    return _uniform_grid(x_lo, x_hi, 0.05)
 
 
 def suite_wdecay():
     """Criterion 4: interaction-term decay rate and separation gain."""
-    t0 = time.perf_counter()
-    gas = canonical_gas()
-    ts = CANONICAL_RIEMANN.resolve(gas)
-    p1, p2 = build_profiles(gas, ts)
+    _, ts, (p1, p2) = _canonical()
     c_prime, c_minus_const = predicted_w_decay(ts, p1, p2)
     c_min = min(p1.c_minus, p1.c_plus, p2.c_minus, p2.c_plus)
 
@@ -224,14 +224,10 @@ def suite_wdecay():
     w0_40 = interaction_norm(cw40, 0.0, _wdecay_grid(ts, 40.0, 0.0, c_min))
     w0_60 = interaction_norm(cw60, 0.0, grid60)
     gain = w0_40 / w0_60
-    gain_needed = math.exp(c_minus_const * 20.0 * 0.5)
-    elapsed = time.perf_counter() - t0
     return [
-        CriterionResult("wdecay.rate", fit.rate, f">={0.9 * c_prime:.6g}",
-                        fit.rate >= 0.9 * c_prime),
-        CriterionResult("wdecay.beta_gain", gain, f">={gain_needed:.6g}",
-                        gain >= gain_needed),
-        CriterionResult("wdecay.runtime_s", elapsed, "<60", elapsed < 60.0),
+        _gate("wdecay.rate", fit.rate, ">=", 0.9 * c_prime),
+        _gate("wdecay.beta_gain", gain, ">=",
+              math.exp(c_minus_const * 20.0 * 0.5)),
     ]
 
 
@@ -242,9 +238,7 @@ def _single_shock_run(gas, ts, profile, dx, t_final):
     with the crossings sampled every 0.25."""
     margin = 30.0 / min(profile.c_minus, profile.c_plus)
     x_lo = ts.s1 * t_final - margin
-    x_hi = margin
-    n = int(round((x_hi - x_lo) / dx)) + 1
-    grid = Grid1D(x_lo, x_hi, n)
+    grid = _uniform_grid(x_lo, margin, dx)
     x = grid.x
     V, U, _, _ = profile.evaluate(x)
     state = FieldState(0.0, V.copy(), U.copy())
@@ -268,10 +262,7 @@ def _single_shock_run(gas, ts, profile, dx, t_final):
 
 def suite_convergence():
     """Criterion 5: grid convergence and shock-speed fidelity."""
-    t0 = time.perf_counter()
-    gas = canonical_gas()
-    ts = CANONICAL_RIEMANN.resolve(gas)
-    p1, _ = build_profiles(gas, ts)
+    gas, ts, (p1, _) = _canonical()
     dxs = [0.1, 0.05, 0.025]
     results = [_single_shock_run(gas, ts, p1, dx, 5.0) for dx in dxs]
     errors = np.array([r[0] for r in results])
@@ -279,14 +270,9 @@ def suite_convergence():
     times, crossings = results[-1][1], results[-1][2]
     speed = float(np.polyfit(times, crossings, 1)[0])
     speed_err = abs(speed / ts.s1 - 1.0)
-    elapsed = time.perf_counter() - t0
     return [
-        CriterionResult("convergence.order", order, "2.0+-0.3",
-                        1.7 <= order <= 2.3),
-        CriterionResult("convergence.speed_relerr", speed_err, "<=0.01",
-                        speed_err <= 0.01),
-        CriterionResult("convergence.runtime_s", elapsed, "<120",
-                        elapsed < 120.0),
+        _order("convergence.order", order),
+        _gate("convergence.speed_relerr", speed_err, "<=", 0.01),
     ]
 
 
@@ -325,10 +311,8 @@ def _psi_consistency_order(snap, cw):
 def suite_stability(result=None):
     """Criteria 6-8: composite-wave stability, energy structure, and
     effective-velocity consistency, all from one perturbed run."""
-    t0 = time.perf_counter()
-    cfg = stability_config()
     if result is None:
-        result = run_simulation(cfg)
+        result = run_simulation(stability_config())
     series = result.series
     t = series.t
     early = t <= 5.0 + 1e-9
@@ -342,13 +326,11 @@ def suite_stability(result=None):
     v_min = float(series.column("v_min").min())
     v_max = float(series.column("v_max").max())
     ts = result.two_shock
-    lo_bound = 0.5 * ts.mid.v
-    hi_bound = 1.5 * max(ts.left.v, ts.right.v)
 
     p1, p2 = result.profiles
     _, c_minus_const = predicted_w_decay(ts, p1, p2)
     e_total = series.column("E0") + series.column("E1")
-    denom = e_total[0] + math.exp(-c_minus_const * cfg.beta)
+    denom = e_total[0] + math.exp(-c_minus_const * result.config.beta)
     energy_ratio = float(e_total.max() / denom)
     min_f = float(series.column("min_f").min())
     max_viol = float(series.column("ineq_violation").max())
@@ -357,48 +339,47 @@ def suite_stability(result=None):
               for s in result.snapshots if s.t > 0.0]
     # no snapshot after t = 0 leaves nothing to measure: a failed nan
     psi_order = min(orders, default=math.nan)
-    elapsed = time.perf_counter() - t0
     return [
-        CriterionResult("stability.sup_v_ratio", ratio_v, "<=0.2",
-                        ratio_v <= 0.2),
-        CriterionResult("stability.sup_u_ratio", ratio_u, "<=0.2",
-                        ratio_u <= 0.2),
-        CriterionResult("stability.v_min", v_min, f">={lo_bound:g}",
-                        v_min >= lo_bound),
-        CriterionResult("stability.v_max", v_max, f"<={hi_bound:g}",
-                        v_max <= hi_bound),
-        CriterionResult("energy.bound_ratio", energy_ratio, "<=3",
-                        energy_ratio <= 3.0),
-        CriterionResult("energy.min_f", min_f, ">0", min_f > 0.0),
-        CriterionResult("energy.pointwise_violation", max_viol, "<=1e-12",
-                        max_viol <= 1e-12),
-        CriterionResult("psi.consistency_order", psi_order, ">=1.7",
-                        psi_order >= 1.7),
-        CriterionResult("stability.runtime_s", elapsed, "<600",
-                        elapsed < 600.0),
+        _gate("stability.sup_v_ratio", ratio_v, "<=", 0.2),
+        _gate("stability.sup_u_ratio", ratio_u, "<=", 0.2),
+        _gate("stability.v_min", v_min, ">=", 0.5 * ts.mid.v),
+        _gate("stability.v_max", v_max, "<=",
+              1.5 * max(ts.left.v, ts.right.v)),
+        _gate("energy.bound_ratio", energy_ratio, "<=", 3.0),
+        _gate("energy.min_f", min_f, ">", 0.0),
+        _gate("energy.pointwise_violation", max_viol, "<=", 1e-12),
+        _gate("psi.consistency_order", psi_order, ">=", 1.7),
     ]
 
 
 # ------------------------------------------------------------------ driver
 
+# every suite in run order, with its runtime limit in seconds
 _SUITES = {
-    "riemann": suite_riemann,
-    "profile": suite_profile,
-    "shifts": suite_shifts,
-    "wdecay": suite_wdecay,
-    "convergence": suite_convergence,
-    "stability": suite_stability,
+    "riemann": (suite_riemann, 5.0),
+    "profile": (suite_profile, 10.0),
+    "shifts": (suite_shifts, 30.0),
+    "wdecay": (suite_wdecay, 60.0),
+    "convergence": (suite_convergence, 120.0),
+    "stability": (suite_stability, 600.0),
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str):
-    """Run one suite (or 'all'); returns (results, all_passed)."""
+    """Run one suite, or every suite for 'all', each followed by its
+    <suite>.runtime_s line; returns (results, all_passed)."""
     if name == "all":
-        results = []
-        for suite in _SUITES.values():
-            results.extend(suite())
+        names = list(_SUITES)
     elif name in _SUITES:
-        results = _SUITES[name]()
+        names = [name]
     else:
         raise ValueError(f"unknown suite '{name}'; choose from {SUITE_NAMES}")
+    results = []
+    for suite_name in names:
+        suite, limit = _SUITES[suite_name]
+        t0 = time.perf_counter()
+        results.extend(suite())
+        elapsed = time.perf_counter() - t0
+        results.append(_gate(f"{suite_name}.runtime_s", elapsed, "<", limit))
     return results, all(r.passed for r in results)

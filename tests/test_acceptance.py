@@ -2,7 +2,10 @@
 
 One machine-readable line is printed per criterion:
     <name>,<measured>,<threshold>,<PASS|FAIL>
-Criteria 6-8 share a single stability run (module-scoped fixture).
+Each suite runs through verify.run_suite, so its runtime line is gated
+too.  Criteria 6-8 share a single stability run (module-scoped fixture).
+Each test pins the names and threshold texts of its lines in order, so
+a loosened bound fails here.
 """
 
 import dataclasses
@@ -14,48 +17,78 @@ from shockwave_lab import run_simulation, verify
 from shockwave_lab.config import TimeSpec
 
 
-def _check(results):
+def _check(results, lines):
     for r in results:
         print(verify.format_result(r))
+    assert [(r.name, r.threshold) for r in results] == lines
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"failed criteria: {failed}"
 
 
+def _suite(name):
+    return verify.run_suite(name)[0]
+
+
 def test_criterion_1_riemann_exactness():
-    _check(verify.suite_riemann())
+    _check(_suite("riemann"), [
+        ("riemann.rh_residual", "<=1e-12*scale"),
+        ("riemann.vm_roundtrip", "<=1e-10"),
+        ("riemann.entropy_margin", ">0"),
+        ("riemann.runtime_s", "<5")])
 
 
 def test_criterion_2_profile_fidelity():
-    _check(verify.suite_profile())
+    _check(_suite("profile"), [
+        ("profile.residual_order", "2.0+-0.3"),
+        ("profile.c_plus_fit_relerr", "<=0.02"),
+        ("profile.c_minus_fit_relerr", "<=0.02"),
+        ("profile.runtime_s", "<10")])
 
 
 def test_criterion_3_shift_correctness():
-    _check(verify.suite_shifts())
+    _check(_suite("shifts"), [
+        ("shifts.zero_mass_residual", "<=1e-8*scale"),
+        ("shifts.runtime_s", "<30")])
 
 
 def test_criterion_4_w_decay():
-    _check(verify.suite_wdecay())
+    _check(_suite("wdecay"), [
+        ("wdecay.rate", ">=1.125"),
+        ("wdecay.beta_gain", ">=11.0854"),
+        ("wdecay.runtime_s", "<60")])
 
 
 def test_criterion_5_scheme_convergence():
-    _check(verify.suite_convergence())
+    _check(_suite("convergence"), [
+        ("convergence.order", "2.0+-0.3"),
+        ("convergence.speed_relerr", "<=0.01"),
+        ("convergence.runtime_s", "<120")])
 
 
 @pytest.fixture(scope="module")
 def stability_results():
-    return verify.suite_stability()
+    return _suite("stability")
 
 
 def test_criterion_6_composite_stability(stability_results):
-    _check([r for r in stability_results if r.name.startswith("stability.")])
+    _check([r for r in stability_results if r.name.startswith("stability.")], [
+        ("stability.sup_v_ratio", "<=0.2"),
+        ("stability.sup_u_ratio", "<=0.2"),
+        ("stability.v_min", ">=0.5"),
+        ("stability.v_max", "<=3"),
+        ("stability.runtime_s", "<600")])
 
 
 def test_criterion_7_energy_structure(stability_results):
-    _check([r for r in stability_results if r.name.startswith("energy.")])
+    _check([r for r in stability_results if r.name.startswith("energy.")], [
+        ("energy.bound_ratio", "<=3"),
+        ("energy.min_f", ">0"),
+        ("energy.pointwise_violation", "<=1e-12")])
 
 
 def test_criterion_8_effective_velocity_consistency(stability_results):
-    _check([r for r in stability_results if r.name.startswith("psi.")])
+    _check([r for r in stability_results if r.name.startswith("psi.")], [
+        ("psi.consistency_order", ">=1.7")])
 
 
 def test_stability_v_min_verdict_uses_its_own_bound():
@@ -86,7 +119,6 @@ def test_psi_order_without_a_later_snapshot_is_a_failed_nan():
     assert list(results) == [
         "stability.sup_v_ratio", "stability.sup_u_ratio", "stability.v_min",
         "stability.v_max", "energy.bound_ratio", "energy.min_f",
-        "energy.pointwise_violation", "psi.consistency_order",
-        "stability.runtime_s"]
+        "energy.pointwise_violation", "psi.consistency_order"]
     assert results["energy.min_f"].passed
     assert results["energy.pointwise_violation"].passed

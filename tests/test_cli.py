@@ -384,6 +384,53 @@ def test_cmd_verify_named_suite(capsys):
     assert all(l.endswith(",PASS") for l in lines)
 
 
+def test_verify_driver_times_every_suite_in_table_order(monkeypatch, capsys):
+    """run_suite runs the suites of verify._SUITES in table order and
+    appends each suite's runtime line after that suite's own lines."""
+    from shockwave_lab import verify
+    line = verify.CriterionResult
+    suites = {
+        "second": (lambda: [line("second.a", 1.0, ">0", True),
+                            line("second.b", 2.0, ">0", True)], 5.0),
+        "first": (lambda: [line("first.a", 3.0, "<1", False)], 0.5),
+    }
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    monkeypatch.setattr(verify, "SUITE_NAMES", (*suites, "all"))
+
+    results, ok = verify.run_suite("all")
+    assert [r.name for r in results] == [
+        "second.a", "second.b", "second.runtime_s",
+        "first.a", "first.runtime_s"]
+    assert not ok
+    for r, limit in ((results[2], "<5"), (results[4], "<0.5")):
+        assert r.threshold == limit and r.passed and 0.0 <= r.measured < 0.5
+    results, ok = verify.run_suite("second")
+    assert [r.name for r in results] == ["second.a", "second.b",
+                                         "second.runtime_s"]
+    assert ok
+    with pytest.raises(ValueError, match="unknown suite 'riemann'"):
+        verify.run_suite("riemann")
+
+    assert main(["verify", "--suite", "second"]) == 0
+    assert main(["verify", "--suite", "first"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "first.runtime_s,")
+    assert main(["verify", "--suite", "riemann"]) == 2
+    assert "usage error: unknown suite 'riemann'" in capsys.readouterr().err
+
+
+def test_time_spec_rejects_snapshot_times_outside_the_run():
+    """A snapshot time outside [0, T] is a ConfigError however the
+    TimeSpec is built: run_simulation would otherwise step past T for
+    t = 0.2 and write t = -1 as a t = 0 snapshot."""
+    from shockwave_lab.config import TimeSpec
+    for snaps in ((0.2, -1.0), (0.2,), (-1.0,), (float("nan"),)):
+        with pytest.raises(ConfigError, match=r"must lie in \[0, T\]"):
+            TimeSpec(0.05, 0.025, snapshot_times=snaps)
+    ends = (0.0, 0.05)
+    assert TimeSpec(0.05, 0.025, snapshot_times=ends).snapshot_times == ends
+
+
 def test_perturbation_validation():
     from shockwave_lab.config import Perturbation
     with pytest.raises(ConfigError, match="width"):
