@@ -19,8 +19,8 @@ from . import verify as verify_mod
 from .composite import TruncationError
 from .config import ConfigError, parse_config
 from .profile import build_profiles
-from .solver import (PositivityError, run_simulation, setup_experiment,
-                     write_csv)
+from .solver import (PositivityError, _snapshot_name, run_simulation,
+                     setup_experiment, write_csv)
 
 __all__ = ["main"]
 
@@ -79,7 +79,7 @@ def _write_run(out_dir, series, snapshots):
     diag_path = os.path.join(out_dir, "diag.csv")
     series.to_csv(diag_path)
     for snap in snapshots:
-        snap.write_csv(os.path.join(out_dir, f"snap_t{snap.t:g}.csv"))
+        snap.write_csv(os.path.join(out_dir, _snapshot_name(snap.t)))
     return diag_path
 
 

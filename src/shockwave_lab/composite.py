@@ -149,7 +149,8 @@ def _inv_visc_diff(gas: GasModel, b, d):
 
 
 def _p_second_difference(gas: GasModel, vm: float, d1, d2):
-    """p(vm+d1+d2) - p(vm+d1) - p(vm+d2) + p(vm), stable for tiny gaps.
+    """p(vm+d1+d2) - p(vm+d1) - p(vm+d2) + p(vm), stable for tiny gaps,
+    for float64 arrays d1 and d2 of one shape.
 
     Grouped into single-gap increments when at least one gap is O(vm);
     Taylor series through sixth order in (d1, d2) when both are below
@@ -162,10 +163,7 @@ def _p_second_difference(gas: GasModel, vm: float, d1, d2):
 
     evaluated by Horner's rule in sigma.
     """
-    d1 = np.asarray(d1, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
-    out = np.empty(np.broadcast(d1, d2).shape)
-    d1, d2 = np.broadcast_arrays(d1, d2)
+    out = np.empty(d1.shape)
 
     dmax = np.maximum(np.abs(d1), np.abs(d2))
     small = dmax <= 1e-3 * vm
@@ -205,7 +203,6 @@ def _grouped(gas: GasModel, vm: float, d_big, d_small):
     by construction; their difference is controlled by the big gap, so
     no catastrophic cancellation remains.
     """
-    d_small = np.asarray(d_small, dtype=np.float64)
     base = vm + d_big
     return (pressure_increment(gas, base, d_small)
             - pressure_increment(gas, vm, d_small))

@@ -30,7 +30,8 @@ import numpy as np
 
 from .riemann import (BracketError, EndState, GasModel, hugoniot_u,
                       in_ss_region, solve_intermediate)
-from .solver import _DEFAULT_DX, Grid1D, auto_grid
+from .solver import (_DEFAULT_DX, Grid1D, _event_time, _snapshot_name,
+                     auto_grid)
 
 __all__ = [
     "ConfigError",
@@ -178,9 +179,16 @@ class TimeSpec:
             raise ConfigError("time.T must be positive")
         if not self.record_dt > 0.0:
             raise ConfigError("time.record_dt must be positive")
+        files = {}  # each snapshot event needs a file of its own
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_final:
                 raise ConfigError("snapshot times must lie in [0, T]")
+            t = _event_time(t)
+            name = _snapshot_name(t)
+            if files.setdefault(name, t) != t:
+                raise ConfigError(f"snapshot times {files[name]!r} and {t!r} "
+                                  f"would both write {name} (6 significant "
+                                  "digits)")
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .riemann import EndState, GasModel, TwoShockData, pressure_increment
+from .riemann import (EndState, GasModel, TwoShockData, _check_volume,
+                      pressure_increment)
 
 __all__ = [
     "GAP_TOL",
@@ -104,8 +105,7 @@ def profile_rhs(gas: GasModel, s: float, v_left: float, V):
     Vanishes at v_left exactly and at the far volume up to the RH
     residual of (s, v_left).
     """
-    if np.any(np.asarray(V) <= 0.0):
-        raise ValueError("specific volume must be positive")
+    _check_volume(V)
     scalar = np.ndim(V) == 0
     V = np.asarray(V, dtype=np.float64)
     bracket = s * s * (V - v_left) + gas.pressure(V) - gas.pressure(v_left)
@@ -318,25 +318,22 @@ class ShockProfile:
 
 
 def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
-                      s: float, family: int,
-                      start_volume: Optional[float] = None) -> ShockProfile:
+                      s: float, start_volume: Optional[float] = None) -> ShockProfile:
     """Tabulate the traveling wave into an evaluable ShockProfile.
 
     Starts from V(0) = (v_l + v_r)/2 and tabulates both half lines until
     the endpoint gap drops below GAP_TOL; the table length is fixed by
     the sigma nodes, ~ln(chi / GAP_TOL) / _DSIGMA per half.  start_volume
     overrides the midpoint normalization; translating a profile is
-    equivalent to re-normalizing it, which the tests exploit.
+    equivalent to re-normalizing it, which the tests exploit.  The sign
+    of s gives the family: s < 0 for the 1-wave, s > 0 for the 2-wave.
     """
-    if family not in (1, 2):
-        raise ValueError("family must be 1 or 2")
     # decay_rates raises DegenerateWaveError on a zero-strength wave
     c_minus, c_plus = decay_rates(gas, state_l, state_r, s)
     chi = abs(state_r.v - state_l.v)
-    if family == 1 and not (s < 0.0 and state_r.v < state_l.v):
-        raise ValueError("family-1 wave needs s < 0 and a decreasing volume")
-    if family == 2 and not (s > 0.0 and state_r.v > state_l.v):
-        raise ValueError("family-2 wave needs s > 0 and an increasing volume")
+    if not (s < 0.0 if state_r.v < state_l.v else s > 0.0):
+        raise ValueError("a decreasing volume (family 1) needs s < 0 and an "
+                         "increasing one (family 2) s > 0")
     mid = 0.5 * (state_l.v + state_r.v) if start_volume is None else start_volume
     lo, hi = min(state_l.v, state_r.v), max(state_l.v, state_r.v)
     if not lo < mid < hi:
@@ -360,8 +357,8 @@ def integrate_profile(gas: GasModel, state_l: EndState, state_r: EndState,
 
 def build_profiles(gas: GasModel, ts: TwoShockData):
     """Both shock profiles of a two-shock datum."""
-    p1 = integrate_profile(gas, ts.left, ts.mid, ts.s1, 1)
-    p2 = integrate_profile(gas, ts.mid, ts.right, ts.s2, 2)
+    p1 = integrate_profile(gas, ts.left, ts.mid, ts.s1)
+    p2 = integrate_profile(gas, ts.mid, ts.right, ts.s2)
     return p1, p2
 
 

@@ -193,27 +193,18 @@ def _branch_volume(gas: GasModel, base: EndState, u_level: float, branch: int):
                               np.asarray(v, dtype=np.float64))) - u_level
 
     f_base = base.u - u_level  # > 0 whenever u_level < base.u
+    factor = 0.5 if branch == 1 else 2.0
+    end, f_end = base.v, f_base
     with np.errstate(over="ignore"):
-        if branch == 1:
-            hi, fhi = base.v, f_base
-            lo, flo = base.v, f_base
-            while not flo < 0.0:
-                if lo * 0.5 == 0.0:
-                    raise BracketError(
-                        f"S1 branch bracket expansion reached v = {lo:.3g} "
-                        "without a sign change")
-                lo *= 0.5
-                flo = f(lo)
-        else:
-            lo, flo = base.v, f_base
-            hi, fhi = base.v, f_base
-            while not fhi < 0.0:
-                if not math.isfinite(hi * 2.0):
-                    raise BracketError(
-                        f"S2 branch bracket expansion reached v = {hi:.3g} "
-                        "without a sign change")
-                hi *= 2.0
-                fhi = f(hi)
+        while not f_end < 0.0:
+            if not 0.0 < end * factor < math.inf:
+                raise BracketError(
+                    f"S{branch} branch bracket expansion reached v = {end:.3g} "
+                    "without a sign change")
+            end *= factor
+            f_end = f(end)
+        lo, hi, flo, fhi = ((end, base.v, f_end, f_base) if branch == 1
+                            else (base.v, end, f_base, f_end))
         return _bisect_secant(f, lo, hi, flo, fhi,
                               xtol=1e-13 * max(1.0, hi))
 
@@ -224,8 +215,6 @@ def in_ss_region(gas: GasModel, left: EndState, right: EndState) -> bool:
     SS is the set of states below left's velocity whose volume falls
     strictly between the S1 and S2 curve volumes at that velocity.
     """
-    _check_volume(left.v)
-    _check_volume(right.v)
     if not right.u < left.u:
         return False
     v_s1 = _branch_volume(gas, left, right.u, 1)

@@ -87,14 +87,13 @@ class PositivityError(RuntimeError):
     """Specific volume lost positivity; carries the offending state.
 
     Raised out of run_simulation, it also carries the diagnostics
-    series and the snapshots taken before the failure.
+    series and the snapshots taken before the failure, as `series` and
+    `snapshots`.
     """
 
     def __init__(self, message, state):
         super().__init__(message)
         self.state = state
-        self.series = None
-        self.snapshots = []
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,15 +409,9 @@ class Snapshot:
         write_csv(path, self.COLUMNS, [getattr(self, c) for c in self.COLUMNS])
 
 
-@dataclass
-class SimulationResult:
-    series: "DiagnosticsSeries"
-    snapshots: list
-    composite: CompositeWave
-    two_shock: TwoShockData
-    grid: Grid1D
-    profiles: tuple
-    config: object
+def _snapshot_name(t):
+    """File name of the snapshot at time t; %g keeps 6 significant digits."""
+    return f"snap_t{t:g}.csv"
 
 
 @dataclass
@@ -433,6 +426,15 @@ class ExperimentSetup:
     u0: np.ndarray
     shift_inputs: ShiftInputs
     composite: CompositeWave
+
+
+@dataclass
+class SimulationResult(ExperimentSetup):
+    """The setup of a run with what its evolution recorded."""
+
+    series: "DiagnosticsSeries"
+    snapshots: list
+    config: object
 
 
 def apply_perturbations(V, U, x, perturbations):
@@ -481,16 +483,18 @@ def setup_experiment(cfg) -> ExperimentSetup:
                            composite=cw0.shifted(b1 + 0.0, b2 + 0.0))
 
 
+def _event_time(t):
+    """t rounded to 12 decimals: record and snapshot times that agree to
+    that many decimals are one event of the schedule."""
+    return round(float(t), 12)
+
+
 def _schedule(t_final, record_dt, snapshot_times):
-    records = [float(t) for t in np.arange(0.0, t_final, record_dt)] + [float(t_final)]
-    events = {}
-    for t in records:
-        events[round(t, 12)] = {"record": True, "snapshot": False}
-    for t in snapshot_times:
-        key = round(float(t), 12)
-        entry = events.setdefault(key, {"record": False, "snapshot": False})
-        entry["snapshot"] = True
-    return sorted(events.items())
+    """Ascending (t, record, snapshot) events at _event_time times."""
+    records = {_event_time(t)
+               for t in [*np.arange(0.0, t_final, record_dt), t_final]}
+    snapshots = {_event_time(t) for t in snapshot_times}
+    return [(t, t in records, t in snapshots) for t in sorted(records | snapshots)]
 
 
 def run_simulation(cfg) -> SimulationResult:
@@ -521,11 +525,11 @@ def run_simulation(cfg) -> SimulationResult:
     schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
                          cfg.time.snapshot_times)
     try:
-        for t_target, flags in schedule:
+        for t_target, record, snap in schedule:
             state = advance(gas, state, grid, t_target)
-            if flags["record"]:
+            if record:
                 series.append(diagnostics.make_record(state, cw, grid))
-            if flags["snapshot"]:
+            if snap:
                 snapshots.append(snapshot(state))
     except (PositivityError, TruncationError) as exc:
         exc.series, exc.snapshots = series, snapshots
@@ -535,6 +539,5 @@ def run_simulation(cfg) -> SimulationResult:
             snapshots.append(snapshot(getattr(exc, "state", state)))
         raise
 
-    return SimulationResult(series=series, snapshots=snapshots, composite=cw,
-                            two_shock=exp.two_shock, grid=grid,
-                            profiles=exp.profiles, config=cfg)
+    return SimulationResult(**vars(exp), series=series, snapshots=snapshots,
+                            config=cfg)

@@ -431,6 +431,25 @@ def test_time_spec_rejects_snapshot_times_outside_the_run():
     assert TimeSpec(0.05, 0.025, snapshot_times=ends).snapshot_times == ends
 
 
+def test_time_spec_rejects_snapshot_times_sharing_a_file_name(tmp_path,
+                                                              capsys):
+    """Each snapshot writes snap_t<t:g>.csv, 6 significant digits of its
+    time: two times that differ only beyond them are a ConfigError naming
+    both, not two snapshots in one file.  Times equal to 12 decimals are
+    one snapshot event and pass."""
+    from shockwave_lab.config import TimeSpec
+    text = _with_value(SINGLE_SHOCK_RUN, "time.snapshot_times",
+                       "0.1000001, 0.1000002")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: snapshot times 0.1000001 and "
+                          "0.1000002 would both write snap_t0.1.csv")
+    assert not out.exists()
+    assert TimeSpec(0.2, 0.1, snapshot_times=(0.1, 0.1 + 1e-14, 0.2))
+
+
 def test_perturbation_validation():
     from shockwave_lab.config import Perturbation
     with pytest.raises(ConfigError, match="width"):

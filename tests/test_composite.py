@@ -324,7 +324,7 @@ def test_mid_state_mismatch_rejected(gas, profiles):
     u_m = hugoniot_u(gas, left, 1.1)
     u_p = hugoniot_u(gas, EndState(1.1, u_m), 2.0)
     other = solve_intermediate(gas, left, EndState(2.0, u_p))
-    q2 = integrate_profile(gas, other.mid, other.right, other.s2, 2)
+    q2 = integrate_profile(gas, other.mid, other.right, other.s2)
     with pytest.raises(ValueError):
         CompositeWave(p1, q2, 40.0)
 

@@ -94,8 +94,8 @@ def test_psi_closed_form_alpha_positive(gas):
     u_m = hugoniot_u(gasa, left, 1.0)
     u_p = hugoniot_u(gasa, EndState(1.0, u_m), 2.0)
     ts = solve_intermediate(gasa, left, EndState(2.0, u_p))
-    p1 = integrate_profile(gasa, ts.left, ts.mid, ts.s1, 1)
-    p2 = integrate_profile(gasa, ts.mid, ts.right, ts.s2, 2)
+    p1 = integrate_profile(gasa, ts.left, ts.mid, ts.s1)
+    p2 = integrate_profile(gasa, ts.mid, ts.right, ts.s2)
     cw = CompositeWave(p1, p2, 30.0)
     errs = []
     dxs = (0.08, 0.04)

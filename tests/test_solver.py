@@ -685,6 +685,27 @@ def test_run_simulation_perturbed_series_contract(gas):
     assert res.composite.beta1 != 0.0
 
 
+def test_run_simulation_carries_its_setup(gas):
+    """A SimulationResult extends the ExperimentSetup of its config: the
+    same initial data, shift inputs and shifted composite."""
+    cfg = ExperimentConfig(
+        gas=gas,
+        riemann=RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=2.0, v_m=1.0),
+        beta=30.0,
+        perturbations=(Perturbation("v", 0.03, 15.0, 1.0),),
+        grid=GridSpec(dx=0.1),
+        time=TimeSpec(t_final=0.1, record_dt=0.1),
+    )
+    res = run_simulation(cfg)
+    exp = solver.setup_experiment(cfg)
+    assert res.shift_inputs == exp.shift_inputs
+    np.testing.assert_array_equal(res.v0, exp.v0)
+    np.testing.assert_array_equal(res.u0, exp.u0)
+    assert ((res.composite.beta1, res.composite.beta2)
+            == (exp.composite.beta1, exp.composite.beta2))
+    assert res.config is cfg
+
+
 def test_mirror_image_run_is_reflected():
     """Reflection x -> beta - x, u -> -u swaps the two families and maps a
     run onto the run of the mirrored datum.  On an asymmetric datum the
