@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .riemann import (BracketError, EndState, GasModel, hugoniot_u,
-                      in_ss_region, solve_intermediate)
+from .riemann import (EndState, GasModel, hugoniot_u, in_ss_region,
+                      solve_intermediate)
 from .solver import (_DEFAULT_DX, Grid1D, _event_time, _snapshot_name,
                      auto_grid)
 
@@ -299,7 +299,7 @@ def parse_config(path) -> ExperimentConfig:
         try:
             inside = in_ss_region(gas, EndState(rspec.v_minus, rspec.u_minus),
                                   EndState(rspec.v_plus, rspec.u_plus))
-        except (ValueError, ArithmeticError, BracketError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"riemann data: {exc}") from None
         if not inside:
             raise ConfigError("(v_plus, u_plus) is not in the SS region of "

@@ -13,6 +13,13 @@ Shock curve through a base state (v0, u0):
 with v < v0 the 1-branch and v > v0 the 2-branch.  The sqrt(a) factor
 keeps the curve dimensionally consistent with p = a v**-gamma when
 a != 1 (at a = 1 it reduces to the usual display).
+
+Both factors of the radicand grow in size away from v0, so along the
+locus u rises to u0 as v increases to v0 (S1) and falls beyond it (S2).
+The two-shock region SS(left) is therefore exactly the open set below
+the locus through the left state, u < u_S(v): `in_ss_region` is that one
+comparison, and its sign is the sign at v_m = min(v_left, v_right) of
+the monotone residual whose root `solve_intermediate` finds.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
 
 RH_TOL = 1e-12     # relative tolerance on Rankine-Hugoniot residuals
 VM_XTOL = 1e-14    # absolute tolerance of the v_m root find
+BISECT_MAX_ITER = 200  # iteration cap of the bracketed root find
 
 
 class NoTwoShockSolution(ValueError):
@@ -152,7 +160,7 @@ def _shock_u(gas: GasModel, v0, u0, v):
     return u0 - np.sqrt(np.maximum(rad, 0.0))
 
 
-def _bisect_secant(f, lo, hi, flo, fhi, xtol, max_iter=200):
+def _bisect_secant(f, lo, hi, flo, fhi, xtol):
     """Bracketed bisection refined by a secant step each iteration."""
     if flo == 0.0:
         return lo
@@ -160,7 +168,7 @@ def _bisect_secant(f, lo, hi, flo, fhi, xtol, max_iter=200):
         return hi
     if flo * fhi > 0.0:
         raise BracketError("endpoints do not bracket a root")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -184,42 +192,20 @@ def _bisect_secant(f, lo, hi, flo, fhi, xtol, max_iter=200):
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _branch_volume(gas: GasModel, base: EndState, u_level: float, branch: int):
-    """Invert the shock curve: volume on branch 1 (v < base.v) or 2 at u_level."""
-    def f(v):
-        # v > 0 throughout the bracket; the 0-d array takes hugoniot_u's
-        # arithmetic without its volume check
-        return float(_shock_u(gas, base.v, base.u,
-                              np.asarray(v, dtype=np.float64))) - u_level
-
-    f_base = base.u - u_level  # > 0 whenever u_level < base.u
-    factor = 0.5 if branch == 1 else 2.0
-    end, f_end = base.v, f_base
-    with np.errstate(over="ignore"):
-        while not f_end < 0.0:
-            if not 0.0 < end * factor < math.inf:
-                raise BracketError(
-                    f"S{branch} branch bracket expansion reached v = {end:.3g} "
-                    "without a sign change")
-            end *= factor
-            f_end = f(end)
-        lo, hi, flo, fhi = ((end, base.v, f_end, f_base) if branch == 1
-                            else (base.v, end, f_base, f_end))
-        return _bisect_secant(f, lo, hi, flo, fhi,
-                              xtol=1e-13 * max(1.0, hi))
-
-
 def in_ss_region(gas: GasModel, left: EndState, right: EndState) -> bool:
-    """True iff `right` lies strictly inside SS(left).
+    """True iff `right` lies strictly inside SS(left), i.e. strictly below
+    the shock locus through `left`: right.u < u_S(right.v).
 
-    SS is the set of states below left's velocity whose volume falls
-    strictly between the S1 and S2 curve volumes at that velocity.
+    u_S increases to left.u on S1 (v < left.v) and decreases on S2, so
+    this is v_S1 < right.v < v_S2 at the level right.u.  A state on the
+    locus is single-shock data, not inside; a v**-gamma that overflows
+    reads as not inside.  u_S is hugoniot_u's arithmetic, bit for bit,
+    and equals solve_intermediate's resid(min(left.v, right.v)) + right.u.
     """
-    if not right.u < left.u:
-        return False
-    v_s1 = _branch_volume(gas, left, right.u, 1)
-    v_s2 = _branch_volume(gas, left, right.u, 2)
-    return v_s1 < right.v < v_s2
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_s = _shock_u(gas, left.v, left.u,
+                       np.asarray(right.v, dtype=np.float64))
+    return bool(right.u < u_s)
 
 
 def rh_residuals(gas: GasModel, ts: TwoShockData):
@@ -255,7 +241,9 @@ def solve_intermediate(gas: GasModel, left: EndState, right: EndState) -> TwoSho
     state.  Shock speeds come from s^2 = -dp/dv across each jump.
 
     Raises NoTwoShockSolution when right is not in SS(left), and
-    BracketError when the geometric scan finds no sign change.
+    BracketError when the geometric scan finds no sign change: the
+    residual increases in v_m, so either the weaker shock is below the
+    scan's resolution or v_m is below its floor.
     """
     if not in_ss_region(gas, left, right):
         raise NoTwoShockSolution(
@@ -273,18 +261,24 @@ def solve_intermediate(gas: GasModel, left: EndState, right: EndState) -> TwoSho
                               np.asarray(right.v, dtype=np.float64))) - right.u
 
     # the scan in one array evaluation; the bracket's end values are
-    # then taken from resid, so the root find sees scalar values only
-    grid = np.geomspace(eps, vmax - eps, 64)
-    vals = _shock_u(gas, grid, _shock_u(gas, left.v, left.u, grid),
-                    np.asarray(right.v)) - right.u
-    change = np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)
-    if change.size == 0:
-        raise BracketError(
-            f"no sign change for v_m scanned on ({eps:.3e}, {vmax - eps:.6g}) "
-            "in 64 geometric subdivisions")
-    lo, hi = float(grid[change[0]]), float(grid[change[0] + 1])
-    vm = _bisect_secant(resid, lo, hi, resid(lo), resid(hi),
-                        xtol=VM_XTOL * max(1.0, vmax))
+    # then taken from resid, so the root find sees scalar values only.
+    # A v_m**-gamma that overflows gives the true limit -inf of the
+    # residual at tiny v_m.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.geomspace(eps, vmax - eps, 64)
+        vals = _shock_u(gas, grid, _shock_u(gas, left.v, left.u, grid),
+                        np.asarray(right.v)) - right.u
+        change = np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)
+        if change.size == 0:
+            regime = ("the weaker shock's strength is" if vals[-1] < 0.0
+                      else "v_m is")
+            raise BracketError(
+                f"no sign change for v_m scanned on ({eps:.3e}, {vmax - eps:.6g}) "
+                f"in 64 geometric subdivisions: {regime} below "
+                f"1e-8*min(v_minus, v_plus) = {eps:.3e}")
+        lo, hi = float(grid[change[0]]), float(grid[change[0] + 1])
+        vm = _bisect_secant(resid, lo, hi, resid(lo), resid(hi),
+                            xtol=VM_XTOL * max(1.0, vmax))
     um = float(hugoniot_u(gas, left, vm))
     pl = gas.pressure(left.v)
     pm = gas.pressure(vm)

@@ -125,6 +125,22 @@ time.T = 1.0
         parse_config(_write(tmp_path, text))
 
 
+def test_parse_on_curve_datum_is_not_in_ss_region(tmp_path):
+    """u_plus is hugoniot_u at v_plus through the left state, a single
+    1-shock datum: it fails at parse time, not later in the v_m scan."""
+    text = """\
+gas.gamma = 1.4
+riemann.v_minus = 2.0
+riemann.u_minus = 0.0
+riemann.v_plus = 1.0
+riemann.u_plus = -0.7880804897803273
+composite.beta = 40.0
+time.T = 1.0
+"""
+    with pytest.raises(ConfigError, match="SS region"):
+        parse_config(_write(tmp_path, text))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", MINIMAL_NUMERIC_KEYS)
 def test_parse_rejects_non_finite_numbers(tmp_path, key, value):

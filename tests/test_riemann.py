@@ -10,7 +10,7 @@ from shockwave_lab import (BracketError, EndState, GasModel,
                            NoTwoShockSolution, char_speeds,
                            entropy_margins, hugoniot_u, in_ss_region,
                            rh_residuals, solve_intermediate)
-from shockwave_lab.riemann import VM_XTOL, _bisect_secant, _branch_volume
+from shockwave_lab.riemann import VM_XTOL, _bisect_secant
 
 SQ3 = np.sqrt(3.0)
 
@@ -220,8 +220,9 @@ def test_array_scan_matches_scalar_scan_bitwise():
 
 
 def _hugoniot_branch_volume(gas, base, u_level, branch):
-    """_branch_volume with its residual through the checked hugoniot_u,
-    the call the unchecked _shock_u replaced, kept as its oracle."""
+    """Volume on the S1 (branch 1, v < base.v) or S2 (branch 2) curve
+    through base at u_level < base.u, by bracket expansion and root find
+    on the checked hugoniot_u: the oracle of in_ss_region."""
     def f(v):
         return float(hugoniot_u(gas, base, np.float64(v))) - u_level
 
@@ -235,14 +236,40 @@ def _hugoniot_branch_volume(gas, base, u_level, branch):
     return _bisect_secant(f, lo, hi, flo, fhi, xtol=1e-13 * max(1.0, hi))
 
 
-def test_branch_volume_matches_hugoniot_oracle_bitwise():
-    """On the draws of the bracket-scan test, both branch volumes at the
-    right state's velocity, as in_ss_region takes them, equal the
-    oracle's bit for bit."""
-    for gas, left, right in _scan_draws():
-        for branch in (1, 2):
-            assert (_branch_volume(gas, left, right.u, branch)
-                    == _hugoniot_branch_volume(gas, left, right.u, branch))
+def _reached_u(gas, left, v_m, v_plus):
+    """u at v_plus reached from left along S1 to v_m, then along S2."""
+    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
+    return float(hugoniot_u(gas, mid, v_plus))
+
+
+def test_in_ss_region_matches_branch_volume_oracle():
+    """Right states at relative distances 1e-15 to 1 above and below the
+    shock locus through random left states: outside a 1e-12 band around
+    the locus, in_ss_region equals v_S1 < v_plus < v_S2 at the level
+    u_plus; a state exactly on the locus is not inside; and an inside
+    datum with chi_i / v_m >= 1e-3 solves.  The reached u increases in
+    v_m, so chi_i / v_m >= 1e-3, i.e. v_m <= min(v_minus, v_plus) / 1.001,
+    holds iff the u reached through that v_m is >= u_plus."""
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        gas = GasModel(a=rng.uniform(0.3, 3.0), gamma=rng.uniform(1.001, 3.0))
+        left = EndState(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
+        v_plus = left.v * math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        u_curve = float(hugoniot_u(gas, left, v_plus))
+        assert not in_ss_region(gas, left, EndState(v_plus, u_curve))
+        dist = 10.0 ** rng.uniform(-15.0, 0.0)
+        for sign in (-1.0, 1.0):
+            right = EndState(v_plus,
+                             u_curve + sign * dist * max(1.0, abs(u_curve)))
+            inside = in_ss_region(gas, left, right)
+            if dist > 1e-12:
+                assert inside == (
+                    right.u < left.u
+                    and _hugoniot_branch_volume(gas, left, right.u, 1)
+                    < v_plus < _hugoniot_branch_volume(gas, left, right.u, 2))
+            v_floor = min(left.v, v_plus) / 1.001
+            if inside and _reached_u(gas, left, v_floor, v_plus) >= right.u:
+                solve_intermediate(gas, left, right)
 
 
 def test_speed_formula_equivalence_random():
@@ -257,11 +284,32 @@ def test_speed_formula_equivalence_random():
             assert abs(s * s - (du / dv) ** 2) <= 1e-12 * max(1.0, s * s)
 
 
-def test_bracket_expansion_stops_before_overflow():
-    """With v**-gamma underflowing to 0, the S2 curve is flat at u = u_left;
-    the bracket scan must give up while its volume is still finite."""
-    gas = GasModel(a=1.0, gamma=1075.0, alpha=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(BracketError, match="S2 branch"):
-            in_ss_region(gas, EndState(2.0, 0.0), EndState(2.0, -1.0))
+def test_scan_at_large_gamma_solves_without_overflow():
+    """v_m**-gamma overflows at the small end of the v_m scan (gamma = 50),
+    and 2**-gamma also underflows to 0 (gamma = 1075): the datum still
+    solves, with RH residuals at rounding level, strict entropy margins
+    and no RuntimeWarning."""
+    left, right = EndState(2.0, 0.0), EndState(2.0, -1.0)
+    for gamma in (50.0, 1075.0):
+        gas = GasModel(a=1.0, gamma=gamma, alpha=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ts = solve_intermediate(gas, left, right)
+        assert max(abs(r) for r in rh_residuals(gas, ts)) <= 1e-12
+        m1, m2 = entropy_margins(gas, ts)
+        assert min(*m1, *m2) > 0.0
+
+
+@pytest.mark.parametrize("v_m, v_plus, regime", [
+    (1.0, 1.0 + 1e-9, "weaker shock's strength is below"),
+    (1e-9, 2.0, "v_m is below"),
+], ids=("weak", "strong"))
+def test_scan_failure_names_its_regime(gas, v_m, v_plus, regime):
+    """Constructive data inside SS whose v_m lies beyond the scan, within
+    1e-8 * min(v_minus, v_plus) of its top (weak) or below its bottom
+    (strong): the BracketError says which."""
+    left = EndState(2.0, 0.0)
+    right = EndState(v_plus, _reached_u(gas, left, v_m, v_plus))
+    assert in_ss_region(gas, left, right)
+    with pytest.raises(BracketError, match=regime):
+        solve_intermediate(gas, left, right)
