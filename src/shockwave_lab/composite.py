@@ -32,7 +32,7 @@ Each entry point computes only what it returns:
   values alone, with no profile slopes;
 - `CompositeWave.interaction` gives W alone, from the gaps and the
   slopes, and is what `interaction_norm` integrates;
-- `CompositeWave.fields` gives all eight `CompositeFields` arrays.
+- `CompositeWave.fields` gives all seven `CompositeFields` arrays.
 
 They share the arithmetic of each field, so V and U, and W, are bitwise
 the same whichever entry point computed them.  Each checks once that x
@@ -136,7 +136,6 @@ class CompositeFields:
     U: np.ndarray
     Vx: np.ndarray
     Ux: np.ndarray
-    H: np.ndarray
     W: np.ndarray
     V1x: np.ndarray
     V2x: np.ndarray
@@ -295,8 +294,9 @@ class CompositeWave:
         return W
 
     def fields(self, x, t) -> CompositeFields:
-        """All composite fields at (x, t): V, U, V_x, U_x, H, W."""
-        return CompositeFields(*self._blocks(x, t, self._fields_block, 8))
+        """All composite fields at (x, t): V, U, V_x, U_x, W and the
+        profile slopes V1_x, V2_x."""
+        return CompositeFields(*self._blocks(x, t, self._fields_block, 7))
 
     def _blocks(self, x, t, block, n_out):
         """n_out outputs shaped like x, allocated once and filled by
@@ -353,7 +353,7 @@ class CompositeWave:
             W[lo:hi] = _w_stable(self.gas, self.mid.v, d1[lo:hi], d2[lo:hi],
                                  u1x[lo:hi], u2x[lo:hi])
 
-    def _fields_block(self, x, t, V, U, Vx, Ux, H, W, V1x, V2x):
+    def _fields_block(self, x, t, V, U, Vx, Ux, W, V1x, V2x):
         gas, w1, w2 = self.gas, self.wave1, self.wave2
         (g1, d1, b1), gaps2 = self._state_into(x, t, V, U)
         u1x = -w1.s * w1._gap_slopes(g1, d1, b1, V1x)
@@ -372,8 +372,6 @@ class CompositeWave:
                                      u1x[lo:hi], u2x[lo:hi])
         np.add(V1x, V2x, out=Vx)
         np.add(u1x, u2x, out=Ux)
-        np.multiply(V ** (-(gas.alpha + 1.0)), Vx, out=H)
-        np.subtract(U, H, out=H)
 
 
 def _w_window(b1, b2):

@@ -106,7 +106,22 @@ class RiemannSpec:
             raise ConfigError(
                 "riemann needs exactly one of u_plus (direct) or v_m (constructive)")
 
+    def _check_pressures(self, gas: GasModel):
+        """ConfigError, naming the key, its value and gamma, unless
+        p = a*v**-gamma is a finite float64 at each given volume v > 0."""
+        for key in ("v_minus", "v_plus", "v_m"):
+            v = getattr(self, key)
+            if v is None or not v > 0.0:
+                continue  # a volume <= 0 fails its own check
+            with np.errstate(over="ignore"):
+                p = gas.pressure(np.float64(v))
+            if not np.isfinite(p):
+                raise ConfigError(
+                    f"riemann.{key} = {v!r}: the pressure a*v**-gamma "
+                    f"overflows float64 at gamma = {gas.gamma:g}")
+
     def resolve(self, gas: GasModel):
+        self._check_pressures(gas)
         left = EndState(self.v_minus, self.u_minus)
         if self.v_m is not None:
             if not 0.0 < self.v_m < min(self.v_minus, self.v_plus):
@@ -293,13 +308,14 @@ def parse_config(path) -> ExperimentConfig:
         v_m=_pop_float(entries, "riemann.v_m"),
     )
     single_family = _pop_int(entries, "riemann.single_family")
+    rspec._check_pressures(gas)
 
     # fail early on impossible data (SS-region violation) in the direct form
     if rspec.u_plus is not None:
         try:
             inside = in_ss_region(gas, EndState(rspec.v_minus, rspec.u_minus),
                                   EndState(rspec.v_plus, rspec.u_plus))
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"riemann data: {exc}") from None
         if not inside:
             raise ConfigError("(v_plus, u_plus) is not in the SS region of "

@@ -240,10 +240,11 @@ def solve_intermediate(gas: GasModel, left: EndState, right: EndState) -> TwoSho
     left state along S1 to v_m and then along S2 reaches the right
     state.  Shock speeds come from s^2 = -dp/dv across each jump.
 
-    Raises NoTwoShockSolution when right is not in SS(left), and
+    Raises NoTwoShockSolution when right is not in SS(left),
     BracketError when the geometric scan finds no sign change: the
     residual increases in v_m, so either the weaker shock is below the
-    scan's resolution or v_m is below its floor.
+    scan's resolution or v_m is below its floor, and OverflowError,
+    naming the bracket, when p(v_m) overflows float64.
     """
     if not in_ss_region(gas, left, right):
         raise NoTwoShockSolution(
@@ -277,11 +278,18 @@ def solve_intermediate(gas: GasModel, left: EndState, right: EndState) -> TwoSho
                 f"in 64 geometric subdivisions: {regime} below "
                 f"1e-8*min(v_minus, v_plus) = {eps:.3e}")
         lo, hi = float(grid[change[0]]), float(grid[change[0] + 1])
-        vm = _bisect_secant(resid, lo, hi, resid(lo), resid(hi),
-                            xtol=VM_XTOL * max(1.0, vmax))
+        try:
+            vm = _bisect_secant(resid, lo, hi, resid(lo), resid(hi),
+                                xtol=VM_XTOL * max(1.0, vmax))
+            pm = gas.pressure(vm)
+        except OverflowError:  # resid's Python-float base power
+            pm = math.inf
+    if not math.isfinite(pm):
+        raise OverflowError(
+            f"v_m lies in ({lo:.3e}, {hi:.3e}), where p(v_m) = a*v_m**-gamma "
+            f"overflows float64 at gamma = {gas.gamma:g}")
     um = float(hugoniot_u(gas, left, vm))
     pl = gas.pressure(left.v)
-    pm = gas.pressure(vm)
     pr = gas.pressure(right.v)
     s1 = -math.sqrt(-(pm - pl) / (vm - left.v))
     s2 = math.sqrt(-(pr - pm) / (right.v - vm))

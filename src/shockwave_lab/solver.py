@@ -14,7 +14,10 @@ at the two ends of its interval (Hundsdorfer & Verwer 2003, Numerical
 Solution of Time-Dependent Advection-Diffusion-Reaction Equations, on
 operator splitting): one tridiagonal solve per step.  The implicit
 steps lift the explicit viscous bound, which on the stability
-experiment is 63x smaller.
+experiment is 63x smaller.  The method of lines is one ODE for the
+pair (v, u): advance stacks it once into a (2, n) array that every
+step updates in place, and semidiscrete_rhs returns its derivative as
+one (2, n) array.
 
 The hyperbolic CFL number, 0.8, is the largest of those measured that
 keeps the temporal error within 10% of the spatial error on the shipped
@@ -148,18 +151,20 @@ def _face_visc(gas: GasModel, v):
     return vbar if gas.alpha == 0.0 else vbar ** (gas.alpha + 1.0)
 
 
-def _inviscid_rhs(gas: GasModel, v, u, dx, dv, du):
-    """Interior rows of (dv/dt, du/dt) = (u_x, -p_x) by central
-    differences, written into dv and du (n - 2 rows each)."""
+def _inviscid_rhs(gas: GasModel, q, dx, dq):
+    """Interior rows of d(v, u)/dt = (u_x, -p_x) by central differences,
+    written into dq, shape (2, n - 2); q is the pair (v, u), a (2, n)
+    array or two arrays."""
+    v, u = q
     p = gas.pressure(v)
-    np.subtract(u[2:], u[:-2], out=dv)
-    dv /= 2.0 * dx
-    np.subtract(p[2:], p[:-2], out=du)
-    du /= -2.0 * dx
+    np.subtract(u[2:], u[:-2], out=dq[0])
+    np.subtract(p[:-2], p[2:], out=dq[1])
+    dq /= 2.0 * dx
 
 
 def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
-    """(dv/dt, du/dt) of the second-order central semidiscretization.
+    """d(v, u)/dt of the second-order central semidiscretization, as one
+    (2, n) array whose rows are dv/dt and du/dt.
 
     Viscous flux at half points uses the arithmetic-mean volume;
     boundary rows are pinned (zero time derivative).
@@ -169,11 +174,11 @@ def semidiscrete_rhs(gas: GasModel, state: FieldState, grid: Grid1D):
         raise PositivityError("nonpositive specific volume in rhs evaluation",
                               state.copy())
     dx = grid.dx
-    dv, du = np.zeros_like(v), np.zeros_like(u)
-    _inviscid_rhs(gas, v, u, dx, dv[1:-1], du[1:-1])
+    dq = np.zeros((2, v.size))
+    _inviscid_rhs(gas, (v, u), dx, dq[:, 1:-1])
     sigma = (u[1:] - u[:-1]) / (dx * _face_visc(gas, v))
-    du[1:-1] += (sigma[1:] - sigma[:-1]) / dx
-    return dv, du
+    dq[1, 1:-1] += (sigma[1:] - sigma[:-1]) / dx
+    return dq
 
 
 def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D) -> float:
@@ -203,33 +208,35 @@ def stable_dt(gas: GasModel, state: FieldState, grid: Grid1D) -> float:
 
 def rk4_step(gas: GasModel, state: FieldState, dt: float, grid: Grid1D) -> FieldState:
     """One classical four-stage explicit step; boundary values unchanged."""
-    v, u = state.v, state.u
-    k1v, k1u = semidiscrete_rhs(gas, state, grid)
-    s2 = FieldState(state.t, v + 0.5 * dt * k1v, u + 0.5 * dt * k1u)
-    k2v, k2u = semidiscrete_rhs(gas, s2, grid)
-    s3 = FieldState(state.t, v + 0.5 * dt * k2v, u + 0.5 * dt * k2u)
-    k3v, k3u = semidiscrete_rhs(gas, s3, grid)
-    s4 = FieldState(state.t, v + dt * k3v, u + dt * k3u)
-    k4v, k4u = semidiscrete_rhs(gas, s4, grid)
-    v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    out = FieldState(state.t + dt, v_new, u_new)
-    if not np.all(v_new > 0.0):  # also catches a nan
+    q = np.stack((state.v, state.u))
+
+    def rhs(stage):
+        return semidiscrete_rhs(gas, FieldState(state.t, *stage), grid)
+
+    k1 = semidiscrete_rhs(gas, state, grid)
+    k2 = rhs(q + 0.5 * dt * k1)
+    k3 = rhs(q + 0.5 * dt * k2)
+    k4 = rhs(q + dt * k3)
+    q += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = FieldState(state.t + dt, *q)
+    if not np.all(out.v > 0.0):  # also catches a nan
         raise PositivityError(f"positivity lost at t = {out.t:.6g}", out)
     return out
 
 
-def _crank_nicolson(gas: GasModel, v, u, tau: float, grid: Grid1D):
-    """u advanced by tau under u_t = L u, the viscous part of
-    semidiscrete_rhs with v frozen: (I - tau/2 L) u' = (I + tau/2 L) u,
-    solved for the increment, (I - tau/2 L)(u' - u) = tau L u, so a state
-    with L u = 0 stays exactly as it is.
+def _crank_nicolson(gas: GasModel, q, tau: float, grid: Grid1D):
+    """Advances u = q[1] in place by tau under u_t = L u, the viscous part
+    of semidiscrete_rhs with v = q[0] frozen:
+    (I - tau/2 L) u' = (I + tau/2 L) u, solved for the increment,
+    (I - tau/2 L)(u' - u) = tau L u, so a state with L u = 0 stays
+    exactly as it is.
 
     L is tridiagonal, with face coefficients 1 / (dx^2 vbar^(alpha+1))
     and zero boundary rows, so the boundary values stay pinned and the
     increment solves the n - 2 interior rows alone, a symmetric positive
     definite system (LAPACK dptsv).
     """
+    v, u = q
     dx = grid.dx
     r = (0.5 * tau / (dx * dx)) / _face_visc(gas, v)
     flux = r * (u[1:] - u[:-1])
@@ -238,46 +245,31 @@ def _crank_nicolson(gas: GasModel, v, u, tau: float, grid: Grid1D):
                            overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dptsv failed with info = {info}")
-    u = u.copy()
     u[1:-1] += du
-    return u
 
 
-def _inviscid_step(gas: GasModel, v, u, dt: float, dx: float, work):
-    """Fresh (v, u) after one SSP-RK3 step of the inviscid part (Shu &
-    Osher 1988, J. Comput. Phys. 77:439; Gottlieb, Shu & Tadmor 2001,
-    SIAM Rev. 43:89), in increment form on the interior rows:
+def _inviscid_step(gas: GasModel, q, dt: float, dx: float):
+    """Advances the (2, n) pair q = (v, u) in place by one SSP-RK3 step of
+    the inviscid part (Shu & Osher 1988, J. Comput. Phys. 77:439;
+    Gottlieb, Shu & Tadmor 2001, SIAM Rev. 43:89), in increment form on
+    the interior rows:
 
-        k1 = L(v), k2 = L(v + dt k1), k3 = L(v + dt/4 (k1 + k2)),
-        v' = v + dt/6 (k1 + k2 + 4 k3).
+        k1 = L(q), k2 = L(q + dt k1), k3 = L(q + dt/4 (k1 + k2)),
+        q' = q + dt/6 (k1 + k2 + 4 k3).
 
-    The boundary rows stay pinned, and a state with L(v) = 0 comes back
-    bit for bit.  work is a (6, n) scratch block: the stage state and
-    two (dv, du) stage slopes.
+    The boundary rows stay pinned, and a state with L(q) = 0 keeps its
+    bits.
     """
-    sv, su, av, au, bv, bu = work
-    sv[0], sv[-1], su[0], su[-1] = v[0], v[-1], u[0], u[-1]
-    stage = (sv[1:-1], su[1:-1])
-    interior = (v[1:-1], u[1:-1])
-    # ka holds k1, then k1 + k2, then the increment; kb holds k2, then k3
-    ka, kb = (av[1:-1], au[1:-1]), (bv[1:-1], bu[1:-1])
-    _inviscid_rhs(gas, v, u, dx, *ka)
-    for s, x, k in zip(stage, interior, ka):
-        np.multiply(k, dt, out=s)
-        s += x
-    _inviscid_rhs(gas, sv, su, dx, *kb)
-    for s, x, k, k2 in zip(stage, interior, ka, kb):
-        k += k2
-        np.multiply(k, 0.25 * dt, out=s)
-        s += x
-    _inviscid_rhs(gas, sv, su, dx, *kb)
-    out = v.copy(), u.copy()
-    for y, k, k3 in zip(out, ka, kb):
-        k3 *= 4.0
-        k += k3
-        k *= dt / 6.0
-        y[1:-1] += k
-    return out
+    inner = q[:, 1:-1]
+    stage = q.copy()
+    k1, k2 = np.empty_like(inner), np.empty_like(inner)
+    _inviscid_rhs(gas, q, dx, k1)
+    stage[:, 1:-1] = inner + dt * k1
+    _inviscid_rhs(gas, stage, dx, k2)
+    k1 += k2
+    stage[:, 1:-1] = inner + 0.25 * dt * k1
+    _inviscid_rhs(gas, stage, dx, k2)
+    inner += dt / 6.0 * (k1 + 4.0 * k2)
 
 
 def advance(gas: GasModel, state: FieldState, grid: Grid1D,
@@ -291,28 +283,29 @@ def advance(gas: GasModel, state: FieldState, grid: Grid1D,
     step k and the one before step k + 1 see the same v, so they are
     taken as one step of (dt_k + dt_{k+1}) / 2: the first step opens with
     dt_0 / 2 and the last closes with a half step, which makes a single
-    step the Strang step CN(dt/2), RK3(dt), CN(dt/2).  The inviscid
-    stages run in one scratch block allocated per call; each step still
-    returns fresh arrays.  A PositivityError carries the rejected
-    post-stage state.
+    step the Strang step CN(dt/2), RK3(dt), CN(dt/2).  The pair (v, u) is
+    stacked once into one (2, n) array that every step updates in place;
+    the result's v and u are its rows, and state is never written.  A
+    PositivityError carries the rejected post-stage state.
     """
-    t, v, u = state.t, state.v, state.u
-    work = np.empty((6, v.size))
+    t, q = state.t, np.stack((state.v, state.u))
+    v, u = q
     dt = 0.0  # no step yet, so the first viscous step is a half step
     while t < t_target - 1e-12:
         # the bound reads only v, which the viscous steps leave unchanged
         dt_next = min(hyperbolic_dt(gas, FieldState(t, v, u), grid),
                       t_target - t)
-        u = _crank_nicolson(gas, v, u, 0.5 * (dt + dt_next), grid)
+        _crank_nicolson(gas, q, 0.5 * (dt + dt_next), grid)
         dt = dt_next
-        v, u = _inviscid_step(gas, v, u, dt, grid.dx, work)
+        _inviscid_step(gas, q, dt, grid.dx)
         t += dt
         if not np.all(v > 0.0):  # also catches a nan from a nonpositive stage
             raise PositivityError(f"positivity lost at t = {t:.6g}",
                                   FieldState(t, v, u))
     if dt == 0.0:
         return state
-    return FieldState(t, v, _crank_nicolson(gas, v, u, 0.5 * dt, grid))
+    _crank_nicolson(gas, q, 0.5 * dt, grid)
+    return FieldState(t, v, u)
 
 
 def effective_velocity(gas: GasModel, state: FieldState, grid: Grid1D) -> np.ndarray:
@@ -519,8 +512,9 @@ def run_simulation(cfg) -> SimulationResult:
     def snapshot(st):
         flds = cw.fields(x, st.t)
         h = effective_velocity(gas, st, grid)
+        H = flds.U - flds.V ** (-(gas.alpha + 1.0)) * flds.Vx
         return Snapshot(t=st.t, x=x.copy(), v=st.v.copy(), u=st.u.copy(),
-                        V=flds.V, U=flds.U, h=h, H=flds.H, W=flds.W)
+                        V=flds.V, U=flds.U, h=h, H=H, W=flds.W)
 
     schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
                          cfg.time.snapshot_times)

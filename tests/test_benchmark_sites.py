@@ -42,3 +42,25 @@ def test_benchmark_smoke_ops_pass(tmp_path):
         if op.failed or not op.attempted:
             errors[name] = op.errors
     assert not errors, errors
+
+
+def test_benchmark_traced_smoke_ops_pass(tmp_path):
+    """One traced smoke-size operation of every workload fails nothing,
+    so the tracer's hooks still read what the package passes them, and
+    its per-layer metrics count the Riemann solves and profile builds
+    that its spans wrapped."""
+    spans, workloads = _load("spans"), _load("workloads")
+    errors = {}
+    for name in workloads.WORKLOADS:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        work = workloads.make_workload(name, 1, str(workdir), smoke=True)
+        tracer = spans.Tracer()
+        op = work.run_op(0, tracer=tracer)
+        if op.failed or not op.attempted:
+            errors[name] = op.errors
+            continue
+        metrics = spans.layer_metrics(tracer, op.wall_s, work.parse_s)
+        assert metrics["riemann.calls"][0] > 0, name
+        assert metrics["profile.calls"][0] > 0, name
+    assert not errors, errors

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockwave_lab import diagnostics, solver
+from shockwave_lab import GasModel, diagnostics, solver
 from shockwave_lab.composite import (CompositeWave, TruncationError,
                                      compute_shift_inputs)
 from shockwave_lab.cli import main
-from shockwave_lab.config import ConfigError, parse_config
+from shockwave_lab.config import ConfigError, RiemannSpec, parse_config
 
 MINIMAL = """\
 # minimal two-shock experiment
@@ -139,6 +139,51 @@ time.T = 1.0
 """
     with pytest.raises(ConfigError, match="SS region"):
         parse_config(_write(tmp_path, text))
+
+
+OVERFLOW_PRESSURE = ("riemann.v_minus = 1e-200: the pressure a*v**-gamma "
+                     "overflows float64 at gamma = 2")
+
+
+@pytest.mark.parametrize("volumes, form, message", [
+    ("1e-200", "riemann.v_m = 1e-201", OVERFLOW_PRESSURE),
+    ("1e-200", "riemann.u_plus = -1.0", OVERFLOW_PRESSURE),
+    ("1e-150", "riemann.u_plus = -1e140",
+     "OverflowError: v_m lies in ("),
+], ids=("constructive", "direct", "solved-v_m"))
+def test_overflowing_pressure_is_named(tmp_path, capsys, volumes, form,
+                                       message):
+    """A given volume whose pressure a*v**-gamma overflows float64 fails
+    at parse time, in either form, with a ConfigError naming the key, its
+    value and gamma; RiemannSpec.resolve makes the same check.  Given
+    pressures that are finite but a solved v_m whose pressure overflows
+    fail in the Riemann solve, naming that regime.  No RuntimeWarning
+    (the suite turns one into an error)."""
+    text = f"""\
+gas.gamma = 2.0
+riemann.v_minus = {volumes}
+riemann.u_minus = 0.0
+riemann.v_plus = {volumes}
+{form}
+composite.beta = 40.0
+time.T = 1.0
+"""
+    path = _write(tmp_path, text)
+    assert main(["riemann", "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if message == OVERFLOW_PRESSURE:
+        assert err.startswith("config error: ")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        spec = RiemannSpec(1e-200, 0.0, 1e-200, v_m=1e-201)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            spec.resolve(GasModel(gamma=2.0))
+    else:
+        assert "p(v_m) = a*v_m**-gamma overflows float64 at gamma = 2" in err
+        cfg = parse_config(path)
+        with pytest.raises(OverflowError, match=r"p\(v_m\)"):
+            cfg.riemann.resolve(cfg.gas)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

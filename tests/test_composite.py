@@ -18,8 +18,9 @@ from shockwave_lab.composite import (_BLOCK, CompositeFields, TruncationError,
                                      _p_second_difference, _w_stable, w_naive)
 from shockwave_lab import composite as composite_mod
 from shockwave_lab import profile as profile_mod
-from shockwave_lab.config import Perturbation
-from shockwave_lab.solver import auto_grid
+from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
+                                  RiemannSpec, TimeSpec)
+from shockwave_lab.solver import auto_grid, run_simulation
 
 SQ3 = np.sqrt(3.0)
 
@@ -223,11 +224,22 @@ def test_beta_doubling_shrinks_w(profiles, two_shock):
     assert w10 / w20 >= np.exp(c_minus * 10.0 * 0.5)
 
 
-def test_composite_h_definition(composite40, gas):
-    x = np.linspace(-5.0, 45.0, 400)
-    f = composite40.fields(x, 1.3)
-    H_expect = f.U - f.Vx / f.V ** (gas.alpha + 1.0)
-    assert np.allclose(f.H, H_expect, rtol=0, atol=1e-14)
+def test_composite_h_definition(gas):
+    """A snapshot's H is the composite's effective velocity
+    U - V_x / V^(alpha+1) at the snapshot's points and time."""
+    cfg = ExperimentConfig(
+        gas=gas,
+        riemann=RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=2.0, v_m=1.0),
+        beta=30.0,
+        grid=GridSpec(dx=0.1),
+        time=TimeSpec(t_final=1.3, record_dt=1.3, snapshot_times=(0.0, 1.3)),
+    )
+    res = run_simulation(cfg)
+    assert [snap.t for snap in res.snapshots] == [0.0, 1.3]
+    for snap in res.snapshots:
+        f = res.composite.fields(snap.x, snap.t)
+        H_expect = f.U - f.Vx / f.V ** (gas.alpha + 1.0)
+        assert np.allclose(snap.H, H_expect, rtol=0, atol=1e-14)
 
 
 def test_pressure_second_difference_mpmath_oracle(gas):
@@ -413,7 +425,7 @@ def test_blocks_split_invariant(datum, beta, t, x1, x2):
     whole = cw.fields(x, t)
     parts = [cw.fields(x[lo:hi], t) for lo, hi in slices]
     assert any(hi - lo == 1 for lo, hi in slices)
-    for name in ("V", "U", "Vx", "Ux", "H", "W", "V1x", "V2x"):
+    for name in ("V", "U", "Vx", "Ux", "W", "V1x", "V2x"):
         joined = np.concatenate([getattr(f, name) for f in parts])
         assert joined.tobytes() == getattr(whole, name).tobytes(), name
     V, U = cw.state_fields(x, t)
@@ -613,8 +625,7 @@ def _oracle_fields(cw, x, t):
     U = U + (w2.state_l.u - w2.s * d2) - mid.u
     W = _w_stable(gas, mid.v, d1, d2, u1x, u2x)
     Vx, Ux = v1x + v2x, u1x + u2x
-    H = U - V ** (-(gas.alpha + 1.0)) * Vx
-    return CompositeFields(V, U, Vx, Ux, H, W, v1x, v2x)
+    return CompositeFields(V, U, Vx, Ux, W, v1x, v2x)
 
 
 def _fill_case(gamma, alpha, a, v_m, r1, r2, t):
@@ -670,7 +681,7 @@ def test_zero_tail_fills_match_formula_bitwise(case, monkeypatch):
         for got, want in zip(p.gaps(xi), _oracle_gaps(p, xi)):
             assert got.tobytes() == want.tobytes()
         assert xi[0] < p._xi_zero_l and xi[-1] > p._xi_zero_r
-    names = ("V", "U", "Vx", "Ux", "H", "W", "V1x", "V2x")
+    names = ("V", "U", "Vx", "Ux", "W", "V1x", "V2x")
     nz = np.flatnonzero(ref.W)
     lo = int(np.searchsorted(cw.xi2(x, t), cw.wave2._xi_zero_l, "left"))
     hi = int(np.searchsorted(cw.xi1(x, t), cw.wave1._xi_zero_r, "right"))

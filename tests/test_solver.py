@@ -177,16 +177,16 @@ def test_rk4_fourth_order_vs_reference(gas):
 
 
 def _inviscid_rhs(gas, state, grid):
-    """Full-length (dv/dt, du/dt) of the inviscid part, boundary rows 0."""
-    dv, du = np.zeros_like(state.v), np.zeros_like(state.u)
-    solver._inviscid_rhs(gas, state.v, state.u, grid.dx, dv[1:-1], du[1:-1])
-    return dv, du
+    """Full-length d(v, u)/dt of the inviscid part, boundary rows 0."""
+    dq = np.zeros((2, grid.n))
+    solver._inviscid_rhs(gas, (state.v, state.u), grid.dx, dq[:, 1:-1])
+    return dq
 
 
 def _inviscid_step(gas, state, dt, grid):
-    v, u = solver._inviscid_step(gas, state.v, state.u, dt, grid.dx,
-                                 np.empty((6, grid.n)))
-    return FieldState(state.t + dt, v, u)
+    q = np.stack((state.v, state.u))
+    solver._inviscid_step(gas, q, dt, grid.dx)
+    return FieldState(state.t + dt, *q)
 
 
 def test_inviscid_step_third_order_vs_reference(gas):
@@ -223,15 +223,14 @@ def test_inviscid_step_matches_three_stage_formula(alpha):
 
 @pytest.mark.parametrize("v", [1.3, 0.7, 1.0 / 3.0, 2.9])
 def test_inviscid_step_keeps_constant_state_bitwise(gas, v):
-    """The increment form returns a state with a zero inviscid RHS bit
-    for bit, in fresh arrays."""
+    """In increment form, a step on the pair in place keeps a state with
+    a zero inviscid RHS bit for bit."""
     grid = Grid1D(0.0, 5.0, 101)
     state = _const_state(101, v=v)
     out = _inviscid_step(gas, state, 0.8 * hyperbolic_dt(gas, state, grid),
                          grid)
     assert out.v.tobytes() == state.v.tobytes()
     assert out.u.tobytes() == state.u.tobytes()
-    assert out.v is not state.v and out.u is not state.u
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -266,7 +265,10 @@ def test_crank_nicolson_matches_dense_solve(alpha):
     eye = np.eye(n)
     for dt in (0.05, 0.8335, 1.709):
         dense = np.linalg.solve(eye - 0.5 * dt * L, (eye + 0.5 * dt * L) @ u0)
-        out = solver._crank_nicolson(gas, v, u0, dt, grid)
+        q = np.stack((v, u0))
+        solver._crank_nicolson(gas, q, dt, grid)
+        assert q[0].tobytes() == v.tobytes()
+        out = q[1]
         assert np.max(np.abs(out - dense)) <= 1e-14
         assert out[0] == u0[0] and out[-1] == u0[-1]
 
@@ -320,7 +322,7 @@ def test_merged_steps_damp_odd_even_mode(gas, two_shock, monkeypatch,
     sign = (-1.0) ** np.arange(grid.n)
     state = FieldState(0.0, np.full(grid.n, v), -0.2 + 1e-3 * sign)
     t_target = 5.5 * hyperbolic_dt(gas_alpha, state, grid)
-    taus = _record_calls(monkeypatch, "_crank_nicolson", 3)
+    taus = _record_calls(monkeypatch, "_crank_nicolson", 2)
     out = advance(gas_alpha, state, grid, t_target)
     assert len(taus) == 7  # 6 steps
     lam = -4.0 / (grid.dx ** 2 * v ** (alpha + 1.0))
@@ -385,6 +387,22 @@ def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="a 3, b 2"):
         write_csv(path, ["a", "b"], [np.arange(3.0), np.arange(2.0)])
     assert not path.exists()
+
+
+def test_steppers_leave_their_input_untouched(gas):
+    """advance steps one stacked copy of (v, u) in place and rk4_step
+    forms its stages on one: neither writes the input arrays, and the
+    result shares no memory with them."""
+    grid, v0, u0 = _bump_grid_state()
+    state = FieldState(0.0, v0.copy(), u0.copy())
+    for out in (advance(gas, state, grid, 0.3),
+                rk4_step(gas, state, stable_dt(gas, state, grid), grid)):
+        assert state.v.tobytes() == v0.tobytes()
+        assert state.u.tobytes() == u0.tobytes()
+        assert out.t > state.t and out.v.tobytes() != v0.tobytes()
+        for new in (out.v, out.u):
+            for old in (state.v, state.u):
+                assert not np.shares_memory(new, old)
 
 
 def test_strang_preserves_equilibrium(gas):
@@ -468,7 +486,7 @@ def test_nan_volume_fails_before_a_step(gas):
 def _recording_steps(monkeypatch):
     """Route solver._inviscid_step, called once per step of advance,
     through a wrapper that records each dt."""
-    return _record_calls(monkeypatch, "_inviscid_step", 3)
+    return _record_calls(monkeypatch, "_inviscid_step", 2)
 
 
 def test_one_viscous_solve_per_step(gas, monkeypatch):
@@ -478,7 +496,7 @@ def test_one_viscous_solve_per_step(gas, monkeypatch):
     state = _const_state(101)
     dt = hyperbolic_dt(gas, state, grid)
     dts = _recording_steps(monkeypatch)
-    taus = _record_calls(monkeypatch, "_crank_nicolson", 3)
+    taus = _record_calls(monkeypatch, "_crank_nicolson", 2)
     out = advance(gas, state, grid, 10 * dt)
     assert len(dts) == 10 and len(taus) == 11
     assert taus == pytest.approx([0.5 * dt] + [dt] * 9 + [0.5 * dt],
