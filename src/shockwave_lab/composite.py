@@ -271,7 +271,12 @@ class CompositeWave:
 
     @property
     def far_right(self):
-        return self.wave2.state_r if self.wave2 is not None else self.wave1.state_r
+        return self.waves[-1].state_r
+
+    @property
+    def waves(self) -> tuple:
+        """The profiles, left to right: (wave1,) or (wave1, wave2)."""
+        return (self.wave1,) if self.wave2 is None else (self.wave1, self.wave2)
 
     def shifted(self, beta1: float, beta2: float) -> "CompositeWave":
         return CompositeWave(self.wave1, self.wave2, self.beta, beta1, beta2)
@@ -414,7 +419,7 @@ def _shift_inputs(rv, ru, cw: CompositeWave, grid) -> ShiftInputs:
                 f"boundary residual {worst:.3e} at {edge} exceeds "
                 f"{BOUNDARY_DECAY_TOL:.0e}; widen the grid")
     c_lo = cw.wave1.c_minus
-    c_hi = (cw.wave2 if cw.wave2 is not None else cw.wave1).c_plus
+    c_hi = cw.waves[-1].c_plus
     # the tail terms first: the quadrature overwrites rv[0] and ru[0]
     v_lo, v_hi = rv[0] / c_lo, rv[-1] / c_hi
     u_lo, u_hi = ru[0] / c_lo, ru[-1] / c_hi

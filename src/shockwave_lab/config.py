@@ -18,6 +18,10 @@ One assignment per line, '#' starts a comment, e.g.
     time.T   = 50.0
     time.snapshot_times = 0, 5, 50
     output.dir = out
+
+`parse_config` only maps keys to values: each rule on a value lives in
+the config type that holds it and runs when that type is constructed, so
+a config built in code is checked exactly as a parsed one.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .riemann import (EndState, GasModel, hugoniot_u, in_ss_region,
-                      solve_intermediate)
+from .riemann import (EndState, GasModel, _check_pressure, hugoniot_u,
+                      in_ss_region, solve_intermediate)
 from .solver import (_DEFAULT_DX, Grid1D, _event_time, _snapshot_name,
                      auto_grid)
 
@@ -105,27 +109,33 @@ class RiemannSpec:
         if (self.u_plus is None) == (self.v_m is None):
             raise ConfigError(
                 "riemann needs exactly one of u_plus (direct) or v_m (constructive)")
+        if self.v_m is not None and not 0.0 < self.v_m < min(self.v_minus, self.v_plus):
+            raise ConfigError("v_m must lie in (0, min(v_minus, v_plus))")
 
-    def _check_pressures(self, gas: GasModel):
-        """ConfigError, naming the key, its value and gamma, unless
-        p = a*v**-gamma is a finite float64 at each given volume v > 0."""
-        for key in ("v_minus", "v_plus", "v_m"):
-            v = getattr(self, key)
-            if v is None or not v > 0.0:
-                continue  # a volume <= 0 fails its own check
-            with np.errstate(over="ignore"):
-                p = gas.pressure(np.float64(v))
-            if not np.isfinite(p):
-                raise ConfigError(
-                    f"riemann.{key} = {v!r}: the pressure a*v**-gamma "
-                    f"overflows float64 at gamma = {gas.gamma:g}")
+    def check(self, gas: GasModel):
+        """ConfigError unless p = a*v**-gamma is a finite float64 at each
+        given volume v > 0 and, in the direct form, (v_plus, u_plus) lies
+        strictly inside the SS region of (v_minus, u_minus)."""
+        try:
+            for key in ("v_minus", "v_plus", "v_m"):
+                v = getattr(self, key)
+                if v is not None and v > 0.0:  # a volume <= 0 fails its own check
+                    _check_pressure(gas, v, f"riemann.{key}")
+            inside = self.u_plus is None or in_ss_region(
+                gas, EndState(self.v_minus, self.u_minus),
+                EndState(self.v_plus, self.u_plus))
+        except OverflowError as exc:
+            raise ConfigError(str(exc)) from None
+        except ValueError as exc:
+            raise ConfigError(f"riemann data: {exc}") from None
+        if not inside:
+            raise ConfigError("(v_plus, u_plus) is not in the SS region of "
+                              "(v_minus, u_minus): no two-shock solution")
 
     def resolve(self, gas: GasModel):
-        self._check_pressures(gas)
+        self.check(gas)
         left = EndState(self.v_minus, self.u_minus)
         if self.v_m is not None:
-            if not 0.0 < self.v_m < min(self.v_minus, self.v_plus):
-                raise ConfigError("v_m must lie in (0, min(v_minus, v_plus))")
             u_m = float(hugoniot_u(gas, left, self.v_m))
             u_plus = float(hugoniot_u(gas, EndState(self.v_m, u_m), self.v_plus))
         else:
@@ -140,14 +150,17 @@ class RiemannSpec:
 @dataclass(frozen=True)
 class GridSpec:
     """Explicit bounds + count, or auto-sized domain with a fixed n or
-    the spacing dx (parse_config takes at most one of grid.n, grid.dx)."""
+    the spacing dx, at most one of them; neither means dx = 0.05."""
 
     x_lo: Optional[float] = None
     x_hi: Optional[float] = None
     n: Optional[int] = None
-    dx: float = _DEFAULT_DX
+    dx: Optional[float] = None
 
     def __post_init__(self):
+        if self.n is not None and self.dx is not None:
+            raise ConfigError("grid.n and grid.dx cannot both be given: "
+                              "grid.n fixes the spacing")
         if (self.x_lo is None) != (self.x_hi is None):
             raise ConfigError("grid.x_lo and grid.x_hi must be given together")
         if self.explicit and self.n is None:
@@ -156,7 +169,7 @@ class GridSpec:
             raise ConfigError("grid.x_hi must exceed grid.x_lo")
         if self.n is not None and self.n < 16:
             raise ConfigError("grid.n must be at least 16")
-        if not self.dx > 0.0:
+        if self.dx is not None and not self.dx > 0.0:
             raise ConfigError("grid.dx must be positive")
 
     @property
@@ -170,7 +183,8 @@ class GridSpec:
             grid = Grid1D(self.x_lo, self.x_hi, self.n)
         else:
             try:
-                grid = auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
+                grid = auto_grid(gas, ts, beta, t_final, n=self.n,
+                                 dx=_DEFAULT_DX if self.dx is None else self.dx)
             except ValueError as exc:  # grid.dx leaves too few points
                 raise ConfigError(f"grid.dx: {exc}") from None
         if grid.dx * c_max > MAX_DX_RATE:
@@ -218,6 +232,7 @@ class ExperimentConfig:
     single_family: Optional[int] = None
 
     def __post_init__(self):
+        self.riemann.check(self.gas)
         if self.single_family not in (None, 1, 2):
             raise ConfigError("riemann.single_family must be 1 or 2")
         if self.single_family is None and not self.beta > 0.0:
@@ -242,29 +257,25 @@ def _read_entries(path):
     return entries
 
 
-def _pop_float(entries, key, default=None, required=False):
+_REQUIRED = object()  # _pop's default for a key that must be given
+
+
+def _pop(entries, key, default=_REQUIRED, kind=float):
+    """entries[key] removed and read as a finite `kind`; default when the
+    key is absent, ConfigError when it is absent and required."""
     if key not in entries:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}'")
         return default
     val = entries.pop(key)
     try:
-        num = float(val)
+        num = kind(val)
     except ValueError:
-        raise ConfigError(f"key '{key}' must be a number, got '{val}'") from None
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"key '{key}' must be {noun}, got '{val}'") from None
     if not math.isfinite(num):
         raise ConfigError(f"key '{key}' must be finite, got '{val}'")
     return num
-
-
-def _pop_int(entries, key, default=None):
-    if key not in entries:
-        return default
-    val = entries.pop(key)
-    try:
-        return int(val)
-    except ValueError:
-        raise ConfigError(f"key '{key}' must be an integer, got '{val}'") from None
 
 
 def _collect_perturbations(entries):
@@ -280,66 +291,52 @@ def _collect_perturbations(entries):
         target = entries.pop(f"perturbation.{idx}.target", None)
         if target is None:
             raise ConfigError(f"perturbation.{idx}.target is required")
-        amp = _pop_float(entries, f"perturbation.{idx}.amplitude", required=True)
-        center = _pop_float(entries, f"perturbation.{idx}.center", required=True)
-        width = _pop_float(entries, f"perturbation.{idx}.width", required=True)
-        perts.append(Perturbation(target=target, amplitude=amp,
-                                  center=center, width=width))
+        perts.append(Perturbation(
+            target=target,
+            amplitude=_pop(entries, f"perturbation.{idx}.amplitude"),
+            center=_pop(entries, f"perturbation.{idx}.center"),
+            width=_pop(entries, f"perturbation.{idx}.width")))
     return tuple(perts)
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment configuration file."""
+    """Read an experiment configuration file into an ExperimentConfig.
+
+    Checks keys only: missing, duplicate, unknown and malformed ones, and
+    numbers that do not parse or are not finite; the config types check
+    the values when they are built."""
     entries = _read_entries(path)
 
-    a = _pop_float(entries, "gas.a", default=1.0)
-    gamma = _pop_float(entries, "gas.gamma", required=True)
-    alpha = _pop_float(entries, "gas.alpha", default=0.0)
+    a = _pop(entries, "gas.a", 1.0)
+    gamma = _pop(entries, "gas.gamma")
+    alpha = _pop(entries, "gas.alpha", 0.0)
     try:
         gas = GasModel(a=a, gamma=gamma, alpha=alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     rspec = RiemannSpec(
-        v_minus=_pop_float(entries, "riemann.v_minus", required=True),
-        u_minus=_pop_float(entries, "riemann.u_minus", default=0.0),
-        v_plus=_pop_float(entries, "riemann.v_plus", required=True),
-        u_plus=_pop_float(entries, "riemann.u_plus"),
-        v_m=_pop_float(entries, "riemann.v_m"),
+        v_minus=_pop(entries, "riemann.v_minus"),
+        u_minus=_pop(entries, "riemann.u_minus", 0.0),
+        v_plus=_pop(entries, "riemann.v_plus"),
+        u_plus=_pop(entries, "riemann.u_plus", None),
+        v_m=_pop(entries, "riemann.v_m", None),
     )
-    single_family = _pop_int(entries, "riemann.single_family")
-    rspec._check_pressures(gas)
-
-    # fail early on impossible data (SS-region violation) in the direct form
-    if rspec.u_plus is not None:
-        try:
-            inside = in_ss_region(gas, EndState(rspec.v_minus, rspec.u_minus),
-                                  EndState(rspec.v_plus, rspec.u_plus))
-        except ValueError as exc:
-            raise ConfigError(f"riemann data: {exc}") from None
-        if not inside:
-            raise ConfigError("(v_plus, u_plus) is not in the SS region of "
-                              "(v_minus, u_minus): no two-shock solution")
-
-    beta = _pop_float(entries, "composite.beta",
-                      default=0.0 if single_family is not None else None,
-                      required=single_family is None)
+    single_family = _pop(entries, "riemann.single_family", None, int)
+    beta = _pop(entries, "composite.beta",
+                _REQUIRED if single_family is None else 0.0)
 
     perts = _collect_perturbations(entries)
 
-    n = _pop_int(entries, "grid.n")
-    if n is not None and "grid.dx" in entries:
-        raise ConfigError("grid.n and grid.dx cannot both be given: "
-                          "grid.n fixes the spacing")
     grid = GridSpec(
-        x_lo=_pop_float(entries, "grid.x_lo"),
-        x_hi=_pop_float(entries, "grid.x_hi"),
-        n=n,
-        dx=_pop_float(entries, "grid.dx", default=_DEFAULT_DX),
+        x_lo=_pop(entries, "grid.x_lo", None),
+        x_hi=_pop(entries, "grid.x_hi", None),
+        n=_pop(entries, "grid.n", None, int),
+        dx=_pop(entries, "grid.dx", None),
     )
 
-    t_final = _pop_float(entries, "time.T", required=True)
-    record_dt = _pop_float(entries, "time.record_dt", default=t_final / 200.0)
+    t_final = _pop(entries, "time.T")
+    record_dt = _pop(entries, "time.record_dt", t_final / 200.0)
     snap_raw = entries.pop("time.snapshot_times", "")
     try:
         snaps = tuple(float(s) for s in snap_raw.split(",") if s.strip())

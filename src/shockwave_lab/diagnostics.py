@@ -250,8 +250,9 @@ def pointwise_inequality_report(cw: CompositeWave, flds: CompositeFields,
     """Analytic pointwise checks on the composite fields of cw at one time,
     with dpV = p'(V) on their V.
 
-    Wave steepening: (1/p'(V))_t >= min(-s1, s2) |(1/p'(V))_x| with
-    V_t = -s1 V1' - s2 V2' taken analytically from the profiles.
+    Wave steepening: (1/p'(V))_t >= min |s| |(1/p'(V))_x|, the min over
+    the waves of cw, with V_t = -s1 V1' - s2 V2' taken analytically from
+    the profiles.
     Coefficient floor: -p'(V) - (alpha+1) U_x / (2 V^(alpha+2)) >=
     -max(p'(v_far_left), p'(v_far_right)).
 
@@ -263,14 +264,10 @@ def pointwise_inequality_report(cw: CompositeWave, flds: CompositeFields,
     d2p = gas.d2pressure(V)
     pref = d2p / dpV ** 2
 
-    s1 = cw.wave1.s
-    lhs = pref * (s1 * flds.V1x)
-    speeds = [-s1]
+    lhs = pref * (cw.wave1.s * flds.V1x)
     if cw.wave2 is not None:
-        s2 = cw.wave2.s
-        lhs = lhs + pref * (s2 * flds.V2x)
-        speeds.append(s2)
-    rhs = min(speeds) * pref * np.abs(flds.Vx)
+        lhs = lhs + pref * (cw.wave2.s * flds.V2x)
+    rhs = min(abs(w.s) for w in cw.waves) * pref * np.abs(flds.Vx)
     steepening = float(np.max(rhs - lhs))
 
     floor = -max(gas.dpressure(cw.far_left.v), gas.dpressure(cw.far_right.v))

@@ -62,6 +62,16 @@ def _check_volume(v):
         raise ValueError("specific volume must be positive")
 
 
+def _check_pressure(gas, v, name):
+    """OverflowError, naming the volume `name` = v and gamma, unless the
+    pressure a*v**-gamma is a finite float64 at the volume v > 0."""
+    with np.errstate(over="ignore"):
+        p = gas.pressure(np.float64(v))
+    if not np.isfinite(p):
+        raise OverflowError(f"{name} = {v!r}: the pressure a*v**-gamma "
+                            f"overflows float64 at gamma = {gas.gamma:g}")
+
+
 @dataclass(frozen=True)
 class GasModel:
     """Power-law gas: p = a v^-gamma, viscosity mu = v^-alpha (mu0 = 1)."""
@@ -145,9 +155,11 @@ def hugoniot_u(gas: GasModel, base: EndState, v):
     """Velocity on the shock locus through `base` at volume v.
 
     Both branches carry u <= base.u; the radicand is nonnegative for
-    every v > 0 and is clamped against rounding at v = base.v.
+    every v > 0 and is clamped against rounding at v = base.v.  A base
+    pressure that overflows float64 raises OverflowError.
     """
     _check_volume(v)
+    _check_pressure(gas, base.v, "base.v")
     scalar = np.ndim(v) == 0
     v = np.asarray(v, dtype=np.float64)
     return _scalar_or_array(_shock_u(gas, base.v, base.u, v), scalar)
@@ -199,11 +211,12 @@ def in_ss_region(gas: GasModel, left: EndState, right: EndState) -> bool:
     u_S increases to left.u on S1 (v < left.v) and decreases on S2, so
     this is v_S1 < right.v < v_S2 at the level right.u.  A state on the
     locus is single-shock data, not inside; a v**-gamma that overflows
-    reads as not inside.  u_S is hugoniot_u's arithmetic, bit for bit,
-    and equals solve_intermediate's resid(min(left.v, right.v)) + right.u.
+    reads as not inside.  u_S is hugoniot_u's arithmetic, bit for bit
+    (numpy's scalar power equals Python's), and equals
+    solve_intermediate's resid(min(left.v, right.v)) + right.u.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u_s = _shock_u(gas, left.v, left.u,
+        u_s = _shock_u(gas, np.float64(left.v), left.u,
                        np.asarray(right.v, dtype=np.float64))
     return bool(right.u < u_s)
 
@@ -240,12 +253,15 @@ def solve_intermediate(gas: GasModel, left: EndState, right: EndState) -> TwoSho
     left state along S1 to v_m and then along S2 reaches the right
     state.  Shock speeds come from s^2 = -dp/dv across each jump.
 
-    Raises NoTwoShockSolution when right is not in SS(left),
-    BracketError when the geometric scan finds no sign change: the
-    residual increases in v_m, so either the weaker shock is below the
-    scan's resolution or v_m is below its floor, and OverflowError,
+    Raises OverflowError, naming the volume, when the pressure of an end
+    state overflows float64, NoTwoShockSolution when right is not in
+    SS(left), BracketError when the geometric scan finds no sign change:
+    the residual increases in v_m, so either the weaker shock is below
+    the scan's resolution or v_m is below its floor, and OverflowError,
     naming the bracket, when p(v_m) overflows float64.
     """
+    _check_pressure(gas, left.v, "left.v")
+    _check_pressure(gas, right.v, "right.v")
     if not in_ss_region(gas, left, right):
         raise NoTwoShockSolution(
             "right state is not strictly inside the SS region of the left state")

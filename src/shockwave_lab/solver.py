@@ -452,12 +452,10 @@ def setup_experiment(cfg) -> ExperimentSetup:
     ts = cfg.riemann.resolve(gas)
     p1, p2 = build_profiles(gas, ts)
     if cfg.single_family is None:
-        waves = (p1, p2)
         cw0 = CompositeWave(p1, p2, cfg.beta)
     else:
-        waves = ((p1, p2)[cfg.single_family - 1],)
-        cw0 = CompositeWave(waves[0], None, cfg.beta)
-    c_max = max(max(p.c_minus, p.c_plus) for p in waves)
+        cw0 = CompositeWave((p1, p2)[cfg.single_family - 1], None, cfg.beta)
+    c_max = max(max(p.c_minus, p.c_plus) for p in cw0.waves)
 
     grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final, c_max)
     V0, U0 = cw0.state_fields(grid.x, 0.0)

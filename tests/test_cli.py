@@ -1,15 +1,19 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockwave_lab import GasModel, diagnostics, solver
+from shockwave_lab import GasModel, config, diagnostics, solver
 from shockwave_lab.composite import (CompositeWave, TruncationError,
                                      compute_shift_inputs)
 from shockwave_lab.cli import main
-from shockwave_lab.config import ConfigError, RiemannSpec, parse_config
+from shockwave_lab.config import (ConfigError, ExperimentConfig, GridSpec,
+                                  Perturbation, RiemannSpec, TimeSpec,
+                                  parse_config)
+from shockwave_lab.verify import CANONICAL_RIEMANN
 
 MINIMAL = """\
 # minimal two-shock experiment
@@ -184,6 +188,169 @@ time.T = 1.0
         cfg = parse_config(path)
         with pytest.raises(OverflowError, match=r"p\(v_m\)"):
             cfg.riemann.resolve(cfg.gas)
+
+
+CODE_BUILT_FAULTS = """\
+gas.gamma = 2.0
+riemann.v_minus = {v_minus}
+riemann.u_minus = 0.0
+riemann.v_plus = 2.0
+{lines}
+composite.beta = 40.0
+time.T = 1.0
+"""
+
+
+@pytest.mark.parametrize("v_minus, lines, build", [
+    (2.0, "riemann.v_m = 1.0\ngrid.n = 100\ngrid.dx = 0.01",
+     lambda: GridSpec(n=100, dx=0.01)),
+    (2.0, "riemann.u_plus = 1.0",
+     lambda: ExperimentConfig(GasModel(), RiemannSpec(2.0, 0.0, 2.0, u_plus=1.0),
+                              40.0)),
+    (1e-200, "riemann.v_m = 1.0",
+     lambda: ExperimentConfig(GasModel(), RiemannSpec(1e-200, 0.0, 2.0, v_m=1.0),
+                              40.0)),
+    (2.0, "riemann.v_m = 2.5", lambda: RiemannSpec(2.0, 0.0, 2.0, v_m=2.5)),
+], ids=("grid-n-and-dx", "outside-ss", "pressure-overflow", "v_m-range"))
+def test_code_built_config_is_checked_as_parsed(tmp_path, v_minus, lines,
+                                                build):
+    """A config built in code fails at construction with the message
+    parse_config gives for the same data."""
+    text = CODE_BUILT_FAULTS.format(v_minus=v_minus, lines=lines)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(_write(tmp_path, text))
+    with pytest.raises(ConfigError) as built:
+        build()
+    assert str(built.value) == str(parsed.value)
+
+
+PERTURBATION_KEYS = ("target", "amplitude", "center", "width")
+
+
+def _draft_text(draft):
+    """The config file of a draft: key -> value, None for an absent key."""
+    lines = []
+    for key, value in draft.items():
+        if value is None or value == ():
+            continue
+        if key == "perturbation.1":
+            lines += [f"{key}.{k} = {x}" for k, x in zip(PERTURBATION_KEYS, value)]
+        elif key == "time.snapshot_times":
+            lines.append(f"{key} = {', '.join(map(repr, value))}")
+        else:
+            lines.append(f"{key} = {value!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _draft_config(d):
+    """The ExperimentConfig of a draft built in code, with parse_config's
+    defaults for absent keys."""
+    t_final = d["time.T"]
+    record_dt = d.get("time.record_dt")
+    return ExperimentConfig(
+        gas=GasModel(d["gas.a"], d["gas.gamma"], d["gas.alpha"]),
+        riemann=RiemannSpec(d["riemann.v_minus"], d["riemann.u_minus"],
+                            d["riemann.v_plus"], u_plus=d.get("riemann.u_plus"),
+                            v_m=d.get("riemann.v_m")),
+        beta=d.get("composite.beta") or 0.0,
+        perturbations=((Perturbation(*d["perturbation.1"]),)
+                       if d.get("perturbation.1") else ()),
+        grid=GridSpec(d.get("grid.x_lo"), d.get("grid.x_hi"), d.get("grid.n"),
+                      d.get("grid.dx")),
+        time=TimeSpec(t_final, t_final / 200.0 if record_dt is None
+                      else record_dt, d["time.snapshot_times"]),
+        single_family=d.get("riemann.single_family"))
+
+
+def _merge(*parts):
+    return {key: value for part in parts for key, value in part.items()}
+
+
+def _maybe(*values):
+    return st.sampled_from((None, *values))
+
+
+# a valid draft, then at most one fault that breaks a rule of the config
+# types; a key set to None is left out of the file
+DRAFTS = st.builds(
+    _merge,
+    st.fixed_dictionaries({
+        "gas.a": st.sampled_from((1.0, 2.5)),
+        "gas.gamma": st.sampled_from((1.4, 2.0, 3.0)),
+        "gas.alpha": st.sampled_from((0.0, 0.5)),
+        "riemann.v_minus": st.sampled_from((2.0, 1.5)),
+        "riemann.u_minus": st.sampled_from((0.0, 0.3)),
+        "riemann.v_plus": st.sampled_from((2.0, 3.0)),
+        "riemann.single_family": _maybe(1, 2),
+        "composite.beta": st.just(40.0),
+        "perturbation.1": _maybe(("v", 0.05, 20.0, 1.0), ("u", 0.02, -3.0, 0.5)),
+        "time.T": st.sampled_from((1.0, 50.0)),
+        "time.record_dt": _maybe(0.25),
+        "time.snapshot_times": st.sampled_from(((), (0.0, 1.0))),
+    }),
+    st.sampled_from(({"riemann.v_m": 1.0}, {"riemann.u_plus": -3.0})),
+    st.sampled_from(({}, {"grid.n": 4000}, {"grid.dx": 0.1},
+                     {"grid.x_lo": -60.0, "grid.x_hi": 100.0, "grid.n": 4000})),
+    st.one_of(st.just({}), st.sampled_from((
+        {"riemann.v_minus": 1e-200},
+        {"riemann.v_plus": 1e-200},
+        {"riemann.u_plus": 1.0, "riemann.v_m": None},
+        {"riemann.u_plus": -3.0, "riemann.v_m": 1.0},
+        {"riemann.u_plus": None, "riemann.v_m": None},
+        {"riemann.u_plus": None, "riemann.v_m": 2.5},
+        {"riemann.single_family": 3},
+        {"composite.beta": -1.0},
+        {"composite.beta": None, "riemann.single_family": None},
+        {"perturbation.1": ("w", 0.05, 20.0, 1.0)},
+        {"perturbation.1": ("v", 0.05, 20.0, 0.0)},
+        {"grid.n": 4000, "grid.dx": 0.1},
+        {"grid.x_lo": -60.0, "grid.x_hi": None},
+        {"grid.x_lo": 200.0, "grid.x_hi": 100.0, "grid.n": 4000, "grid.dx": None},
+        {"grid.n": 8, "grid.dx": None},
+        {"grid.dx": -0.1, "grid.n": None},
+        {"time.record_dt": 0.0},
+        {"time.snapshot_times": (0.0, 60.0)},
+    ))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draft=DRAFTS)
+def test_config_round_trip_code_and_file(tmp_path, draft):
+    """A drafted config built in code and the same config written to a
+    file and parsed either both raise ConfigError or give equal configs."""
+    try:
+        built = _draft_config(draft)
+    except ConfigError:
+        built = ConfigError
+    try:
+        parsed = parse_config(_write(tmp_path, _draft_text(draft)))
+    except ConfigError:
+        parsed = ConfigError
+    assert parsed == built
+
+
+def _readme_config_example():
+    readme = Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Configuration format", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def _config_docstring_example():
+    return "\n".join(re.findall(r"^    (.*)$", config.__doc__,
+                                flags=re.MULTILINE)) + "\n"
+
+
+@pytest.mark.parametrize("example", [_readme_config_example,
+                                     _config_docstring_example],
+                         ids=("README", "config-docstring"))
+def test_documented_config_examples_parse(tmp_path, example):
+    """The documented example configs parse, so a renamed key shows."""
+    cfg = parse_config(_write(tmp_path, example()))
+    assert cfg.riemann == CANONICAL_RIEMANN
+    assert cfg.grid.n == 4000 and len(cfg.perturbations) == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -267,6 +267,19 @@ def test_pointwise_inequality_single_shock(profiles):
     assert rep.f_floor <= 1e-12
 
 
+@pytest.mark.parametrize("family", [1, 2])
+def test_steepening_check_sees_a_lone_wave_of_either_family(profiles, family):
+    """A lone wave with its slope V1_x halved steepens at half the rate
+    its speed implies: the check reads that violation for either family,
+    its speed taken as |s| of the wave whichever family it is."""
+    cw = CompositeWave(profiles[family - 1], None, 0.0)
+    grid = Grid1D(-25.0, 25.0, 1001)
+    flds = cw.fields(grid.x, 0.0)
+    flds = dataclasses.replace(flds, V1x=0.5 * flds.V1x)
+    rep = pointwise_inequality_report(cw, flds, cw.gas.dpressure(flds.V))
+    assert rep.steepening > 0.4
+
+
 def test_f_floor_formula(composite40, gas):
     """f + (alpha+1) U_x / (2 V^(alpha+2)) >= -max p'(v_far) pointwise."""
     grid = _grid()

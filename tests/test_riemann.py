@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -313,3 +314,19 @@ def test_scan_failure_names_its_regime(gas, v_m, v_plus, regime):
     assert in_ss_region(gas, left, right)
     with pytest.raises(BracketError, match=regime):
         solve_intermediate(gas, left, right)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_volumes_are_named_without_warnings(gas):
+    """An end volume whose pressure a*v**-gamma overflows float64 reads as
+    not inside SS, and the Riemann solve and the shock locus raise an
+    OverflowError naming it, with no RuntimeWarning."""
+    tiny, fine = EndState(1e-200, 0.0), EndState(2.0, 0.0)
+    assert not in_ss_region(gas, tiny, EndState(1e-200, -1.0))
+    text = "= 1e-200: the pressure a*v**-gamma overflows float64 at gamma = 2"
+    for left, right, name in ((tiny, EndState(1e-200, -1.0), "left.v"),
+                              (fine, EndState(1e-200, -1.0), "right.v")):
+        with pytest.raises(OverflowError, match=re.escape(f"{name} {text}")):
+            solve_intermediate(gas, left, right)
+    with pytest.raises(OverflowError, match=re.escape(f"base.v {text}")):
+        hugoniot_u(gas, tiny, 1e-201)
