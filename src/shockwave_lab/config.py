@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .profile import _TAIL_ZERO
 from .riemann import (EndState, GasModel, _check_pressure, hugoniot_u,
                       in_ss_region, solve_intermediate)
 from .solver import (_DEFAULT_DX, Grid1D, _event_time, _snapshot_name,
@@ -80,15 +81,27 @@ class Perturbation:
     def __call__(self, x):
         """A exp(-z*z), z = (x - x0)/w, at the points x, computed in one
         array; negating z*z and scaling the exponential in place give the
-        same bits as the formula."""
-        z = np.array(x, dtype=np.float64)
-        z -= self.center
+        same bits as the formula.  Where z*z >= _TAIL_ZERO the exponential
+        rounds to 0 (profile's tail rule), so those points get A * 0.0,
+        the formula's signed zero, without the slow path that exp takes
+        for an underflowing argument."""
+        z = np.empty(np.shape(x))
+        np.subtract(x, self.center, out=z)
         z /= self.width
         np.multiply(z, z, out=z)
+        zero = z >= _TAIL_ZERO
         np.negative(z, out=z)
+        z[zero] = 0.0
         np.exp(z, out=z)
+        z[zero] = 0.0
         z *= self.amplitude
         return z
+
+    def reach(self, tol: float) -> float:
+        """Distance from the centre beyond which the bump's magnitude is
+        below tol, w sqrt(ln(|A| / tol)); 0 if it is nowhere above tol."""
+        ratio = abs(self.amplitude) / tol
+        return self.width * math.sqrt(math.log(ratio)) if ratio > 1.0 else 0.0
 
     @property
     def area(self) -> float:

@@ -106,9 +106,11 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     """Cumulative-trapezoid anti-derivatives of the perturbation from x_lo.
 
     This is the one evaluation of the composite for a record; the other
-    diagnostics read it from the returned fields.  Raises TruncationError
-    if the perturbation has not decayed below the boundary tolerance at
-    the left edge (the anchor of the integrals).
+    diagnostics read it from the returned fields.  Raises TruncationError,
+    naming the edge, if the perturbation has not decayed below the
+    boundary tolerance at x_lo (the anchor of the integrals) or at x_hi
+    (beyond which the integrals stop): on a window of a larger grid,
+    either edge may cut a perturbation that the grid holds.
     """
     x = grid.x
     dx = grid.dx
@@ -116,10 +118,11 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     flds = cw.fields(x, state.t)
     rv = state.v - flds.V
     ru = state.u - flds.U
-    worst = float(np.maximum(abs(rv[0]), abs(ru[0])))  # keeps a nan
-    if not worst <= BOUNDARY_DECAY_TOL:
-        raise TruncationError(
-            f"perturbation {worst:.3e} at x_lo exceeds {BOUNDARY_DECAY_TOL:.0e}")
+    for edge, k in (("x_lo", 0), ("x_hi", -1)):
+        worst = float(np.maximum(abs(rv[k]), abs(ru[k])))  # keeps a nan
+        if not worst <= BOUNDARY_DECAY_TOL:
+            raise TruncationError(f"perturbation {worst:.3e} at {edge} "
+                                  f"exceeds {BOUNDARY_DECAY_TOL:.0e}")
     phi = cumtrapz(rv, x)
     psi = cumtrapz(ru, x)
     v_x = gradient(state.v, dx)

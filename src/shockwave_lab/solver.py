@@ -33,6 +33,14 @@ stability grid by 0.924 per step, against 0.73 for two half steps
 (test_merged_steps_damp_odd_even_mode,
 test_crank_nicolson_damps_odd_even_mode).
 
+run_simulation steps and records only where the waves are: on a window
+of the grid that covers, at each event time t, the domain outside which
+the composite tails sit below ~1e-13 for all times up to t (the domain
+auto_grid sizes for T), and that grows with it.  Beyond the window the
+solution is its far states to within 1e-13, and those points keep their
+values; the window's edges are pinned as the grid's are.  On the
+stability experiment the window starts at 52% of the grid.
+
 Classical RK4 on the full semidiscretization (`rk4_step` at
 `stable_dt`, the min of the hyperbolic and viscous bounds) is kept as
 the explicit reference path that the split step is tested against.
@@ -113,13 +121,28 @@ class Grid1D:
         if not self.x_hi > self.x_lo:
             raise ValueError("x_hi must exceed x_lo")
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_hi - self.x_lo) / (self.n - 1)
 
     @cached_property
     def x(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.n)
+
+    def window(self, lo: int, hi: int) -> "Grid1D":
+        """Points lo, ..., hi - 1 of this grid as a grid of their own.
+
+        Its x is a view of this grid's x and its dx is this grid's dx, bit
+        for bit; a Grid1D rebuilt from x[lo], x[hi - 1] and hi - lo would
+        differ in both, since linspace rounds each point from its own end
+        points."""
+        if not 0 <= lo < hi <= self.n:
+            raise ValueError(f"window [{lo}, {hi}) is not inside the "
+                             f"{self.n} points of the grid")
+        x = self.x[lo:hi]
+        win = Grid1D(float(x[0]), float(x[-1]), hi - lo)
+        vars(win).update(x=x, dx=self.dx)  # the cached properties' values
+        return win
 
 
 @dataclass
@@ -288,7 +311,17 @@ def advance(gas: GasModel, state: FieldState, grid: Grid1D,
     the result's v and u are its rows, and state is never written.  A
     PositivityError carries the rejected post-stage state.
     """
-    t, q = state.t, np.stack((state.v, state.u))
+    q = np.stack((state.v, state.u))
+    t = _advance_pair(gas, q, grid, state.t, t_target)
+    return state if t == state.t else FieldState(t, *q)
+
+
+def _advance_pair(gas: GasModel, q, grid: Grid1D, t: float,
+                  t_target: float) -> float:
+    """The steps of advance on the (2, n) pair q = (v, u) of grid, in
+    place, from t; returns the time reached, t itself if no step was
+    taken.  q may be a view, such as the window q[:, lo:hi] of a larger
+    pair."""
     v, u = q
     dt = 0.0  # no step yet, so the first viscous step is a half step
     while t < t_target - 1e-12:
@@ -302,10 +335,9 @@ def advance(gas: GasModel, state: FieldState, grid: Grid1D,
         if not np.all(v > 0.0):  # also catches a nan from a nonpositive stage
             raise PositivityError(f"positivity lost at t = {t:.6g}",
                                   FieldState(t, v, u))
-    if dt == 0.0:
-        return state
-    _crank_nicolson(gas, q, 0.5 * dt, grid)
-    return FieldState(t, v, u)
+    if dt != 0.0:
+        _crank_nicolson(gas, q, 0.5 * dt, grid)
+    return t
 
 
 def effective_velocity(gas: GasModel, state: FieldState, grid: Grid1D) -> np.ndarray:
@@ -317,10 +349,11 @@ def _effective_velocity(gas: GasModel, v, u, v_x):
     return u - v_x / v ** (gas.alpha + 1.0)
 
 
-def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
-              n: Optional[int] = None, dx: float = _DEFAULT_DX) -> Grid1D:
-    """Domain [s1 T - m_lo, beta + s2 T + m_hi], each margin sized so the
-    composite tails sit below ~1e-13 at that edge for all t <= T.
+def _wave_domain(gas: GasModel, ts: TwoShockData, beta: float):
+    """The function t -> (s1 t - m_lo, beta + s2 t + m_hi), the ends of
+    the domain outside which the composite tails sit below ~1e-13 for
+    every time up to t: auto_grid's domain at T, and the stepping window
+    of run_simulation at each event time.
 
     A tail of strength chi and rate c falls to the gap d at the length
     L(chi, c, d) = max(20, ln(chi/d)) / c.  The left margin is wave 1's
@@ -352,8 +385,17 @@ def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
                tail(ts.chi2, c2m, inner_goal(ts.left.v, ts.s2, c2m)) - beta)
     m_hi = max(tail(ts.chi2, c2p, _BOUNDARY_GOAL),
                tail(ts.chi1, c1p, inner_goal(ts.right.v, ts.s1, c1p)) - beta)
-    x_lo = ts.s1 * t_final - m_lo
-    x_hi = beta + ts.s2 * t_final + m_hi
+    return lambda t: (ts.s1 * t - m_lo, beta + ts.s2 * t + m_hi)
+
+
+def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
+              n: Optional[int] = None, dx: float = _DEFAULT_DX) -> Grid1D:
+    """Domain [s1 T - m_lo, beta + s2 T + m_hi] of _wave_domain at
+    T = t_final, with each margin sized so the composite tails sit below
+    ~1e-13 at that edge for all t <= T; n points, or as many as spacing
+    dx needs.
+    """
+    x_lo, x_hi = _wave_domain(gas, ts, beta)(t_final)
     if n is None:
         n = int(math.ceil((x_hi - x_lo) / dx)) + 1
         if n < 16:
@@ -488,14 +530,53 @@ def _schedule(t_final, record_dt, snapshot_times):
     return [(t, t in records, t in snapshots) for t in sorted(records | snapshots)]
 
 
+def _window_bounds(grid: Grid1D, x_lo: float, x_hi: float):
+    """Smallest [lo, hi) of grid points that reaches from x_lo to x_hi,
+    clipped to the grid."""
+    x = grid.x
+    lo = int(np.searchsorted(x, x_lo, side="right")) - 1
+    hi = int(np.searchsorted(x, x_hi, side="left")) + 1
+    return max(lo, 0), min(hi, grid.n)
+
+
+def _open_sides(perturbations, beta):
+    """(left, right): whether some bump reaches beyond [0, beta], where
+    the waves start, on that side, above _BOUNDARY_GOAL.  The
+    perturbation of a bump between the waves runs into the shocks, so the
+    waves' domain holds it; beyond them it also spreads away from the
+    shocks, by advection and diffusion, and the window takes the grid out
+    to its end on that side."""
+    left = right = False
+    for p in perturbations:
+        r = p.reach(_BOUNDARY_GOAL)
+        if r > 0.0:
+            left |= p.center - r < 0.0
+            right |= p.center + r > beta
+    return left, right
+
+
 def run_simulation(cfg) -> SimulationResult:
     """Full experiment: setup_experiment, then evolution.
 
-    Evolves the perturbed data with advance, recording diagnostics at the
-    configured cadence and snapshots at the configured times.  A
-    PositivityError or a TruncationError of the diagnostics leaves with
+    Evolves the perturbed data with advance's steps, recording
+    diagnostics at the configured cadence and snapshots at the configured
+    times.  The steps and the records take the window grid.window(lo, hi)
+    of the grid, where the waves are: before the steps toward each event
+    time t it grows to cover _wave_domain's domain at t, outside which
+    the composite tails sit below ~1e-13 for all times up to t.  A bump
+    between the waves lies inside that domain; one that reaches beyond
+    them opens the window to the grid's end on its side (_open_sides).
+    The window is clipped to the grid and never shrinks, so an auto-sized
+    grid reaches its full size at T and an explicit grid keeps its extent
+    and dx.  Points outside the window keep their last values, within
+    1e-13 of the far states; snapshots cover the whole grid.  The dt of a
+    step reads min v, which lies between the shocks, so the steps are
+    those of the whole grid.
+
+    A PositivityError or a TruncationError of the diagnostics leaves with
     the series and snapshots taken so far as its `series` and
-    `snapshots`, and a snapshot of the failing state appended to them.
+    `snapshots`, and a whole-grid snapshot of the failing state appended
+    to them.
     """
     from . import diagnostics  # deferred: diagnostics imports this module
 
@@ -503,7 +584,9 @@ def run_simulation(cfg) -> SimulationResult:
     exp = setup_experiment(cfg)
     grid, cw = exp.grid, exp.composite
     x = grid.x
-    state = FieldState(0.0, exp.v0, exp.u0)
+    q = np.stack((exp.v0, exp.u0))  # the whole grid's pair
+    v, u = q
+    t = 0.0
     series = diagnostics.DiagnosticsSeries()
     snapshots = []
 
@@ -514,21 +597,35 @@ def run_simulation(cfg) -> SimulationResult:
         return Snapshot(t=st.t, x=x.copy(), v=st.v.copy(), u=st.u.copy(),
                         V=flds.V, U=flds.U, h=h, H=H, W=flds.W)
 
+    domain = _wave_domain(gas, exp.two_shock, cfg.beta)
+    open_lo, open_hi = _open_sides(cfg.perturbations, cfg.beta)
+    lo, hi, win = grid.n, 0, None
     schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
                          cfg.time.snapshot_times)
     try:
         for t_target, record, snap in schedule:
-            state = advance(gas, state, grid, t_target)
+            x_lo, x_hi = domain(t_target)
+            lo_t, hi_t = _window_bounds(grid, -math.inf if open_lo else x_lo,
+                                        math.inf if open_hi else x_hi)
+            if lo_t < lo or hi_t > hi:
+                lo, hi = min(lo, lo_t), max(hi, hi_t)
+                win = grid.window(lo, hi)
+            t = _advance_pair(gas, q[:, lo:hi], win, t, t_target)
             if record:
-                series.append(diagnostics.make_record(state, cw, grid))
+                series.append(diagnostics.make_record(
+                    FieldState(t, v[lo:hi], u[lo:hi]), cw, win))
             if snap:
-                snapshots.append(snapshot(state))
+                snapshots.append(snapshot(FieldState(t, v, u)))
     except (PositivityError, TruncationError) as exc:
         exc.series, exc.snapshots = series, snapshots
-        # a PositivityError carries the state it rejected; h of a state
-        # with v <= 0 may be nan, and it is written as is
+        if isinstance(exc, PositivityError):
+            # the window's state it rejected, in the whole grid's pair; h
+            # of a state with v <= 0 may be nan, and it is written as is
+            t = exc.state.t
+            q[:, lo:hi] = exc.state.v, exc.state.u
+            exc.state = FieldState(t, v, u)
         with np.errstate(all="ignore"):
-            snapshots.append(snapshot(getattr(exc, "state", state)))
+            snapshots.append(snapshot(FieldState(t, v, u)))
         raise
 
     return SimulationResult(**vars(exp), series=series, snapshots=snapshots,

@@ -13,7 +13,7 @@ from shockwave_lab.cli import main
 from shockwave_lab.config import (ConfigError, ExperimentConfig, GridSpec,
                                   Perturbation, RiemannSpec, TimeSpec,
                                   parse_config)
-from shockwave_lab.verify import CANONICAL_RIEMANN
+from shockwave_lab.verify import CANONICAL_RIEMANN, stability_config
 
 MINIMAL = """\
 # minimal two-shock experiment
@@ -699,6 +699,29 @@ def test_perturbation_bump_is_the_gaussian_bitwise():
         want = amp * np.exp(-z * z)
         assert Perturbation("u", amp, x0, w)(x).tobytes() == want.tobytes()
     assert x.tobytes() == x_in
+
+
+@pytest.mark.parametrize("n", (4000, 580_759))
+def test_perturbation_tail_keeps_the_formulas_signed_zeros(n):
+    """The bump fills its underflowing tail, z*z >= 747, without calling
+    exp; on the stability grid and on a grid the size of the largest
+    datum-sweep grid it is still A * exp(-z * z) bit for bit, with -0.0
+    for a negative amplitude."""
+    from shockwave_lab.config import Perturbation
+    from shockwave_lab.solver import auto_grid
+    base = stability_config()
+    ts = base.riemann.resolve(base.gas)
+    x = auto_grid(base.gas, ts, base.beta, base.time.t_final, n=n).x
+    x0 = 20.0 if n == 4000 else float(x[n // 2])
+    w = 1.0 if n == 4000 else 0.09 * (x[-1] - x[0]) / (2.0 * np.sqrt(747.0))
+    for amp in (0.05, -0.05):
+        z = (x - x0) / w
+        want = amp * np.exp(-z * z)
+        got = Perturbation("v", amp, x0, w)(x)
+        assert got.tobytes() == want.tobytes()
+        tail = z * z >= 747.0
+        assert 0.5 < np.mean(tail) < 0.95
+        assert np.all(np.signbit(got[tail]) == (amp < 0.0))
 
 
 @pytest.mark.parametrize("field", ("amplitude", "center", "width"))

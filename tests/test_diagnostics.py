@@ -59,6 +59,25 @@ def test_antiderivatives_boundary_guard(composite40):
         antiderivatives(state, composite40, grid)
 
 
+@pytest.mark.parametrize("edge", ("x_lo", "x_hi"))
+def test_antiderivatives_names_the_window_edge_that_cuts_a_bump(composite40,
+                                                                edge):
+    """On a window of the grid that ends inside a bump, the records raise
+    TruncationError naming that edge; the whole grid holds the bump."""
+    grid = _grid()
+    bump = Perturbation("u", 0.05, 5.0 if edge == "x_lo" else 35.0, 1.0)
+    state = _perturbed_state(composite40, grid, bumps=(bump,))
+    antiderivatives(state, composite40, grid)
+    k = int(np.searchsorted(grid.x, bump.center))
+    lo, hi = (k, grid.n) if edge == "x_lo" else (0, k + 1)
+    win = grid.window(lo, hi)
+    cut = FieldState(state.t, state.v[lo:hi], state.u[lo:hi])
+    with pytest.raises(TruncationError, match=f"at {edge} exceeds"):
+        antiderivatives(cut, composite40, win)
+    with pytest.raises(TruncationError, match=f"at {edge} exceeds"):
+        make_record(cut, composite40, win)
+
+
 @pytest.mark.parametrize("target", ("v", "u"))
 def test_antiderivatives_boundary_guard_nan(composite40, target):
     """A nan at x_lo is not a decayed perturbation, in either field."""

@@ -841,3 +841,104 @@ def test_setup_experiment_memory():
     assert setup.u0.tobytes() == u0.tobytes()
     assert setup.shift_inputs == _shift_inputs(v0 - V0, u0 - U0, cw0,
                                                setup.grid)
+
+
+def _windowed_run_and_reference(monkeypatch, perts):
+    """run_simulation on an explicit grid wider than the waves' domain at
+    T, the (lo, hi) of every window it took, and the reference: advance
+    and make_record on the whole grid over the same schedule."""
+    from shockwave_lab import diagnostics
+    gas = GasModel(a=1.0, gamma=2.0, alpha=0.0)
+    t_final = 1.0
+    cfg = ExperimentConfig(
+        gas=gas,
+        riemann=RiemannSpec(v_minus=2.0, u_minus=0.0, v_plus=2.0, v_m=1.0),
+        beta=20.0, perturbations=perts,
+        grid=GridSpec(x_lo=-80.0, x_hi=100.0, n=901),
+        time=TimeSpec(t_final=t_final, record_dt=0.125,
+                      snapshot_times=(t_final,)))
+    windows = []
+    window = Grid1D.window
+
+    def recording(grid, lo, hi):
+        windows.append((lo, hi))
+        return window(grid, lo, hi)
+
+    monkeypatch.setattr(Grid1D, "window", recording)
+    res = run_simulation(cfg)
+    monkeypatch.undo()
+
+    setup = solver.setup_experiment(cfg)
+    grid, cw = setup.grid, setup.composite
+    state, records = FieldState(0.0, setup.v0, setup.u0), []
+    for t, record, _ in solver._schedule(t_final, cfg.time.record_dt,
+                                         cfg.time.snapshot_times):
+        state = advance(gas, state, grid, t)
+        if record:
+            records.append(diagnostics.make_record(state, cw, grid))
+    return res, windows, records, state
+
+
+def _assert_matches_reference(res, records, state):
+    from shockwave_lab.diagnostics import DIAG_CSV_COLUMNS
+    assert len(res.series) == len(records) == 9
+    for name in DIAG_CSV_COLUMNS:
+        want = np.array([getattr(r, name) for r in records])
+        got = res.series.column(name)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= tol, name
+    snap = res.snapshots[-1]
+    assert snap.t == state.t
+    assert np.max(np.abs(snap.v - state.v)) <= 1e-12
+    assert np.max(np.abs(snap.u - state.u)) <= 1e-12
+
+
+def test_windowed_run_matches_whole_grid_reference(monkeypatch):
+    """Stepping and recording on the waves' window gives the records and
+    the final state of the whole grid's steps and records, and the window
+    starts strictly inside the grid, so the comparison is not vacuous."""
+    perts = (Perturbation("v", 0.05, 10.0, 1.0),
+             Perturbation("u", 0.05, 10.0, 1.0))
+    res, windows, records, state = _windowed_run_and_reference(monkeypatch,
+                                                               perts)
+    lo, hi = windows[0]
+    assert 0 < lo and hi < res.grid.n
+    assert len(windows) > 1  # it grows with the waves, and never shrinks
+    assert all(a1 <= a0 and b1 >= b0
+               for (a0, b0), (a1, b1) in zip(windows, windows[1:]))
+    _assert_matches_reference(res, records, state)
+
+
+@pytest.mark.parametrize("center", [-45.0, 75.0], ids=["left", "right"])
+def test_bump_beyond_the_waves_lies_inside_the_window(monkeypatch, center):
+    """A bump outside both waves spreads away from them as well as into
+    them, so the window reaches the grid's end on its side; the run still
+    matches the whole grid's.  (A window holding only the bump's support
+    at t = 0 is off by ~1e-4 here.)"""
+    res, windows, records, state = _windowed_run_and_reference(
+        monkeypatch, (Perturbation("u", 0.05, center, 1.0),))
+    lo, hi = windows[0]
+    if center < 0.0:
+        assert lo == 0 and hi < res.grid.n
+    else:
+        assert lo > 0 and hi == res.grid.n
+    _assert_matches_reference(res, records, state)
+
+
+def test_grid_window_is_a_view_with_the_parents_spacing():
+    """Grid1D.window shares the parent's points and dx bit for bit, where
+    a grid rebuilt from its end points would not."""
+    grid = Grid1D(-69.22453359302851, 109.2245335930285, 4000)
+    win = grid.window(1234, 3210)
+    assert win.n == 3210 - 1234
+    assert np.shares_memory(win.x, grid.x)
+    np.testing.assert_array_equal(win.x, grid.x[1234:3210])
+    assert win.dx.hex() == grid.dx.hex()
+    assert (win.x_lo, win.x_hi) == (grid.x[1234], grid.x[3209])
+    rebuilt = Grid1D(win.x_lo, win.x_hi, win.n)
+    assert (rebuilt.dx != grid.dx
+            or not np.array_equal(rebuilt.x, grid.x[1234:3210]))
+    assert grid.window(0, grid.n).x.tobytes() == grid.x.tobytes()
+    for lo, hi in ((-1, 100), (0, 4001), (100, 100)):
+        with pytest.raises(ValueError, match="window"):
+            grid.window(lo, hi)
