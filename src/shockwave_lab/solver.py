@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .kernels import gradient
+from .kernels import G17_WORDS, G17_WORK, g17_words, gradient
 from .riemann import GasModel, TwoShockData
 from .profile import build_profiles, decay_rates
 # compute_shift_inputs is unused here, but perfbench's tracer wraps it in
@@ -89,9 +89,11 @@ __all__ = [
 _BOUNDARY_GOAL = 1e-13
 # grid spacing of an auto-sized domain when neither n nor dx is given
 _DEFAULT_DX = 0.05
-# rows per block in write_csv: the block's Python floats (~32 bytes each)
-# are all alive at once, so whole 4000-row snapshots would add ~1 MB
-_CSV_BLOCK = 512
+# values per block in write_csv.  A value takes 8 bytes of input, 8 *
+# G17_WORK of kernel work and 2 * 8 * G17_WORDS of text (its words, then
+# the bytes in row order): ~230 bytes, so ~1 MB at this size, allocated
+# once per call and reused by every block.
+_CSV_VALUES = 4096
 
 
 class PositivityError(RuntimeError):
@@ -407,21 +409,48 @@ def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
 
 def write_csv(path, names, columns):
     """Header of names, then one row per index of the equal-length columns,
-    each value with 17 significant digits so a float64 reads back exactly.
-    Columns of unequal length raise ValueError."""
-    columns = [np.asarray(c) for c in columns]
+    each value as the text of "%.17g" % value (17 significant digits, so a
+    float64 reads back exactly).  Columns of unequal length raise
+    ValueError.
+
+    The text comes from kernels.g17_words, the same bytes as Python's
+    "%.17g" (which formats the few values the kernel hands back).  Values
+    are formatted in blocks of _CSV_VALUES: each block's columns are laid
+    out as (word, column, row) arrays, transposed to row order, and the pad
+    bytes dropped in one pass.
+    """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
     sizes = [c.size for c in columns]
     if len(set(sizes)) > 1:
         raise ValueError("write_csv columns differ in length: "
                          + ", ".join(f"{name} {size}"
                                      for name, size in zip(names, sizes)))
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    m = len(columns)
     n = max(sizes, default=0)
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
-        for i in range(0, n, _CSV_BLOCK):
-            block = [c[i:i + _CSV_BLOCK].tolist() for c in columns]
-            f.writelines(row % values for values in zip(*block))
+    rows = max(1, min(n, _CSV_VALUES // max(m, 1)))
+    x = np.empty(m * rows)
+    words = np.empty(G17_WORDS * m * rows, "<u8")
+    work = np.empty(G17_WORK * m * rows)
+    text = bytearray(8 * G17_WORDS * m * rows)
+    # the separator after each value, in the pad byte 7 of its last word
+    sep = np.full((m, 1), ord(","), np.uint64)
+    sep[-1:] = ord("\n")
+    sep <<= 56
+    with open(path, "wb") as f:
+        f.write((",".join(names) + "\n").encode())
+        for lo in range(0, n, rows):
+            b = min(rows, n - lo)
+            if b < rows:
+                text = bytearray(8 * G17_WORDS * m * b)
+            xb = x[:m * b].reshape(m, b)
+            for c, col in enumerate(columns):
+                xb[c] = col[lo:lo + b]
+            wb = words[:G17_WORDS * m * b].reshape(G17_WORDS, m, b)
+            g17_words(x[:m * b], wb.reshape(G17_WORDS, m * b), work)
+            wb[-1] |= sep
+            np.copyto(np.frombuffer(text, "<u8").reshape(b, m, G17_WORDS),
+                      wb.transpose(2, 1, 0))
+            f.write(text.translate(None, b"\0"))
 
 
 @dataclass

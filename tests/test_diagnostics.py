@@ -79,6 +79,20 @@ def test_antiderivatives_names_the_window_edge_that_cuts_a_bump(composite40,
 
 
 @pytest.mark.parametrize("target", ("v", "u"))
+@pytest.mark.parametrize("edge, row", (("x_lo", 1), ("x_hi", -2)))
+def test_antiderivatives_guard_sees_the_row_next_to_the_edge(composite40,
+                                                             target, edge, row):
+    """advance pins the edge rows, so a perturbation that reaches an edge
+    during a run shows first on the row next to it: a state exact at the
+    edge row but off by 1e-9 beside it raises, naming the edge."""
+    grid = _grid()
+    state = _perturbed_state(composite40, grid)
+    getattr(state, target)[row] += 1e-9
+    with pytest.raises(TruncationError, match=f"at {edge} exceeds"):
+        antiderivatives(state, composite40, grid)
+
+
+@pytest.mark.parametrize("target", ("v", "u"))
 def test_antiderivatives_boundary_guard_nan(composite40, target):
     """A nan at x_lo is not a decayed perturbation, in either field."""
     grid = _grid()

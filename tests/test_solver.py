@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -13,8 +14,10 @@ from shockwave_lab import (CompositeWave, EndState, FieldState, GasModel,
                            build_profiles, effective_velocity, hugoniot_u,
                            hyperbolic_dt, profile_rhs, rk4_step,
                            run_simulation, sample_uniform, semidiscrete_rhs,
-                           solve_intermediate, solver, stable_dt, verify,
-                           write_csv)
+                           kernels, solve_intermediate, solver, stable_dt,
+                           verify, write_csv)
+from shockwave_lab import cli, diagnostics
+from shockwave_lab.cli import main
 from shockwave_lab.composite import (BOUNDARY_DECAY_TOL, W_BOUNDARY_TOL,
                                      _shift_inputs)
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
@@ -362,22 +365,155 @@ def _write_csv_per_value(path, names, columns):
             f.write(",".join("%.17g" % val for val in row) + "\n")
 
 
+def _assert_writers_agree(tmp_path, columns):
+    names = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "new.csv", names, columns)
+    _write_csv_per_value(tmp_path / "old.csv", names, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 @pytest.mark.parametrize("rows", [0, 1, 1100])
 def test_write_csv_matches_per_value_formatting(tmp_path, rows):
     special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
                         -2.2250738585072e-309, 2.0 ** -1022, 1.0 / 3.0,
                         np.pi, -1e300, 1.7976931348623157e308])
+    extremes = np.array([2 ** 63 - 1, -2 ** 63, 2 ** 53 + 1, -2 ** 53 - 1,
+                         10 ** 17, 10 ** 17 - 1, 99999999999999999],
+                        dtype=np.int64)
     rng = np.random.default_rng(3)
     columns = [np.resize(special, rows),
                rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows),
                np.arange(rows, dtype=np.int64) * (2 ** 50 + 1) - 7,
-               np.resize(special[::-1], rows).tolist()]
-    names = ["a", "b", "i", "c"]
-    write_csv(tmp_path / "new.csv", names, columns)
-    _write_csv_per_value(tmp_path / "old.csv", names, columns)
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "old.csv").read_bytes()
-    assert new.count(b"\n") == rows + 1
+               np.resize(special[::-1], rows).tolist(),
+               np.resize(extremes, rows)]
+    _assert_writers_agree(tmp_path, columns)
+    assert (tmp_path / "new.csv").read_bytes().count(b"\n") == rows + 1
+
+
+def test_write_csv_matches_per_value_formatting_on_every_exponent(tmp_path):
+    """Random signs and mantissas at each of the 2048 binary exponents:
+    subnormals, values outside the kernel's fast range, nan and inf."""
+    rng = np.random.default_rng(27)
+    exponent = np.repeat(np.arange(2048, dtype=np.uint64), 24)
+    bits = ((rng.integers(0, 2, exponent.size, dtype=np.uint64) << 63)
+            | (exponent << 52)
+            | rng.integers(0, 2 ** 52, exponent.size, dtype=np.uint64))
+    _assert_writers_agree(tmp_path, list(bits.view(np.float64).reshape(4, -1)))
+
+
+def test_write_csv_matches_at_powers_of_ten_and_fast_range_ends(tmp_path):
+    """10^p for every p and both ends of the kernel's fast range, each with
+    its neighbours one ulp away: where the exponent K and the carry to
+    10^17 are decided."""
+    at = np.array([float(f"1e{p}") for p in range(-323, 309)]
+                  + [kernels._G17_MIN, kernels._G17_MAX])
+    at = np.concatenate([at, np.nextafter(at, np.inf),
+                         np.nextafter(at, -np.inf)])
+    _assert_writers_agree(tmp_path, [at, -at])
+
+
+def _rounding_ties():
+    """Doubles with 18 significant digits, the last a 5, whose rounding to
+    17 digits is a tie broken to even.  j / 2^n is j * 5^n / 10^n exactly,
+    so for odd j < 2^53 it is one when j * 5^n has 18 digits: 131073/2**17
+    and the like, n = 2..25."""
+    rng = np.random.default_rng(17)
+    ties = [131073 / 2 ** 17]
+    for n in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** n), min(10 ** 18 // 5 ** n, 2 ** 53)
+        ties += [(int(j) | 1) / 2 ** n for j in rng.integers(lo, hi - 1, 20)]
+    for x in ties:
+        digits = decimal.Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return np.array(ties)
+
+
+def test_write_csv_hands_rounding_ties_to_python(tmp_path):
+    """The kernel hands every exact tie to "%.17g" itself, and the file
+    still matches the oracle byte for byte, ties broken both ways."""
+    ties = _rounding_ties()
+    assert ties.size > 100
+    out = np.empty((kernels.G17_WORDS, ties.size), "<u8")
+    back = kernels.g17_words(ties, out, np.empty(kernels.G17_WORK * ties.size))
+    assert np.array_equal(back, np.arange(ties.size))
+    # the 17th digit is odd (rounds up) for some ties, even for others
+    parity = {decimal.Decimal(t).as_tuple().digits[16] % 2 for t in ties}
+    assert parity == {0, 1}
+    _assert_writers_agree(tmp_path, [ties, -ties])
+
+
+def test_write_csv_memory_is_one_block(tmp_path):
+    """Writing 200,000 rows x 8 columns (12.8 MB of float64) peaks below
+    1.5 MB: write_csv formats _CSV_VALUES values at a time in buffers it
+    allocates once and reuses."""
+    rng = np.random.default_rng(8)
+    columns = [rng.standard_normal(200_000) for _ in range(8)]
+    names = [f"c{i}" for i in range(8)]
+    write_csv(tmp_path / "warm.csv", names, [c[:10] for c in columns])
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", names, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+
+
+# the paper's experiment, shortened to T = 0.5 on 4000 points
+SHORT_CANONICAL_RUN = """\
+gas.gamma = 2.0
+riemann.v_minus = 2.0
+riemann.u_minus = 0.0
+riemann.v_m = 1.0
+riemann.v_plus = 2.0
+composite.beta = 40.0
+perturbation.1.target = v
+perturbation.1.amplitude = 0.05
+perturbation.1.center = 20.0
+perturbation.1.width = 1.0
+perturbation.2.target = u
+perturbation.2.amplitude = 0.05
+perturbation.2.center = 20.0
+perturbation.2.width = 1.0
+grid.n = 4000
+time.T = 0.5
+time.record_dt = 0.25
+time.snapshot_times = 0, 0.5
+"""
+
+
+def test_cli_csv_output_matches_per_value_formatting(tmp_path, monkeypatch):
+    """diag.csv and the snapshots of a short canonical run, and the
+    riemann, profile and shifts CSVs: write_csv writes the bytes the
+    per-value oracle writes, and its kernel formats every value itself."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SHORT_CANONICAL_RUN)
+
+    def run(out_dir):
+        for command in ("simulate", "riemann", "profile", "shifts"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out_dir)]) == 0
+        return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+
+    handed_back = []
+    kernel = solver.g17_words
+
+    def counted(x, out, work):
+        back = kernel(x, out, work)
+        handed_back.append(back.size)
+        return back
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "g17_words", counted)
+        new = run(tmp_path / "new")
+    assert handed_back and sum(handed_back) == 0
+    for module in (cli, diagnostics, solver):
+        monkeypatch.setattr(module, "write_csv", _write_csv_per_value)
+    old = run(tmp_path / "old")
+    assert sorted(new) == ["diag.csv", "profile1.csv", "profile2.csv",
+                           "riemann.csv", "shifts.csv", "snap_t0.5.csv",
+                           "snap_t0.csv"]
+    assert new == old
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
