@@ -6,6 +6,11 @@ Each suite runs through verify.run_suite, so its runtime line is gated
 too.  Criteria 6-8 share a single stability run (module-scoped fixture).
 Each test pins the names and threshold texts of its lines in order, so
 a loosened bound fails here.
+
+The lines that do not time the machine, the stability run's diag.csv and
+snapshots and the CSVs of the other commands on the stability config
+must also equal, byte for byte, the committed fixture of
+refactor_fixture.py, so a change that moves any bit of them fails here.
 """
 
 import dataclasses
@@ -13,8 +18,11 @@ import math
 
 import pytest
 
+import refactor_fixture
 from shockwave_lab import run_simulation, verify
 from shockwave_lab.config import TimeSpec
+
+FIXTURE_LINES, FIXTURE_DIAG, FIXTURE_MANIFEST = refactor_fixture.load()
 
 
 def _check(results, lines):
@@ -23,6 +31,10 @@ def _check(results, lines):
     assert [(r.name, r.threshold) for r in results] == lines
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"failed criteria: {failed}"
+    moved = [f"{line} != fixture {FIXTURE_LINES[line.split(',', 1)[0]]}"
+             for line in refactor_fixture.verify_lines(results)
+             if line != FIXTURE_LINES[line.split(",", 1)[0]]]
+    assert not moved, f"verify lines differ from the fixture: {moved}"
 
 
 def _suite(name):
@@ -66,8 +78,23 @@ def test_criterion_5_scheme_convergence():
 
 
 @pytest.fixture(scope="module")
-def stability_results():
-    return _suite("stability")
+def stability_run():
+    """The stability suite's lines and the T = 50 run they measure."""
+    runs = []
+
+    def kept(cfg):
+        runs.append(run_simulation(cfg))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "run_simulation", kept)
+        results = _suite("stability")
+    return results, runs[0]
+
+
+@pytest.fixture(scope="module")
+def stability_results(stability_run):
+    return stability_run[0]
 
 
 def test_criterion_6_composite_stability(stability_results):
@@ -89,6 +116,36 @@ def test_criterion_7_energy_structure(stability_results):
 def test_criterion_8_effective_velocity_consistency(stability_results):
     _check([r for r in stability_results if r.name.startswith("psi.")], [
         ("psi.consistency_order", ">=1.7")])
+
+
+def test_fixture_environment_is_this_one():
+    """The fixture's bytes hold for the numpy, scipy and platform it was
+    made on; on others, regenerate it at the parent commit first."""
+    made = {k: FIXTURE_MANIFEST[k] for k in ("numpy", "scipy", "platform")}
+    assert made == refactor_fixture.environment(), (
+        f"fixture made with {made}; regenerate it with "
+        f"{refactor_fixture.REGENERATE}")
+
+
+def test_stability_run_matches_fixture(stability_run, tmp_path):
+    """The T = 50 run's diag.csv, byte for byte, and its snapshots."""
+    refactor_fixture.write_run(stability_run[1], tmp_path)
+    diff = refactor_fixture.first_csv_difference(
+        (tmp_path / "diag.csv").read_text(), FIXTURE_DIAG)
+    assert diff is None, f"diag.csv differs from the fixture: {diff}"
+    names = refactor_fixture.SNAPSHOT_FILES
+    got = refactor_fixture.digests(tmp_path, names)
+    moved = [n for n in names if got[n] != FIXTURE_MANIFEST["sha256"][n]]
+    assert not moved, f"snapshots differ from the fixture: {moved}"
+
+
+def test_commands_match_fixture(tmp_path):
+    """The riemann, profile and shifts CSVs of the stability config."""
+    refactor_fixture.write_commands(verify.stability_config(), tmp_path)
+    names = refactor_fixture.COMMAND_FILES
+    got = refactor_fixture.digests(tmp_path, names)
+    moved = [n for n in names if got[n] != FIXTURE_MANIFEST["sha256"][n]]
+    assert not moved, f"CSVs differ from the fixture: {moved}"
 
 
 def test_stability_v_min_verdict_uses_its_own_bound():
