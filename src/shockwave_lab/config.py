@@ -35,8 +35,7 @@ import numpy as np
 from .profile import _TAIL_ZERO
 from .riemann import (EndState, GasModel, _check_pressure, hugoniot_u,
                       in_ss_region, solve_intermediate)
-from .solver import (_DEFAULT_DX, Grid1D, _event_time, _snapshot_name,
-                     auto_grid)
+from .solver import Grid1D, auto_grid
 
 __all__ = [
     "ConfigError",
@@ -196,8 +195,7 @@ class GridSpec:
             grid = Grid1D(self.x_lo, self.x_hi, self.n)
         else:
             try:
-                grid = auto_grid(gas, ts, beta, t_final, n=self.n,
-                                 dx=_DEFAULT_DX if self.dx is None else self.dx)
+                grid = auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
             except ValueError as exc:  # grid.dx leaves too few points
                 raise ConfigError(f"grid.dx: {exc}") from None
         if grid.dx * c_max > MAX_DX_RATE:
@@ -210,8 +208,16 @@ class GridSpec:
         return grid
 
 
+def _event_time(t):
+    """t rounded to 12 decimals: record and snapshot times that agree to
+    that many decimals are one event of the schedule."""
+    return round(float(t), 12)
+
+
 @dataclass(frozen=True)
 class TimeSpec:
+    """The run's schedule: its events and its snapshots' file names."""
+
     t_final: float
     record_dt: float
     snapshot_times: tuple = ()
@@ -226,11 +232,24 @@ class TimeSpec:
             if not 0.0 <= t <= self.t_final:
                 raise ConfigError("snapshot times must lie in [0, T]")
             t = _event_time(t)
-            name = _snapshot_name(t)
+            name = self.snapshot_name(t)
             if files.setdefault(name, t) != t:
                 raise ConfigError(f"snapshot times {files[name]!r} and {t!r} "
                                   f"would both write {name} (6 significant "
                                   "digits)")
+
+    @staticmethod
+    def snapshot_name(t):
+        """File name of the snapshot at time t (%g: 6 significant digits)."""
+        return f"snap_t{t:g}.csv"
+
+    def events(self):
+        """Ascending (t, record, snapshot) events at _event_time times."""
+        records = {_event_time(t) for t in
+                   [*np.arange(0.0, self.t_final, self.record_dt), self.t_final]}
+        snapshots = {_event_time(t) for t in self.snapshot_times}
+        return [(t, t in records, t in snapshots)
+                for t in sorted(records | snapshots)]
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .composite import (BOUNDARY_DECAY_TOL, CompositeFields, CompositeWave,
                         TruncationError)
-from .kernels import cumtrapz, gradient, trapz, trapz_inplace
-from .riemann import pressure_increment
-from .solver import FieldState, Grid1D, _effective_velocity, write_csv
+from .kernels import cumtrapz, gradient, trapz, trapz_inplace, write_csv
+from .riemann import GasModel, pressure_increment
+
+if TYPE_CHECKING:  # solver imports this module to record its runs
+    from .solver import FieldState, Grid1D
 
 __all__ = [
     "PerturbationFields",
@@ -40,6 +43,7 @@ __all__ = [
     "DiagnosticsRecord",
     "DiagnosticsSeries",
     "DIAG_CSV_COLUMNS",
+    "effective_velocity",
     "antiderivatives",
     "closed_form_Psi",
     "sobolev_norms",
@@ -100,6 +104,15 @@ class InequalityReport:
     @property
     def max_violation(self) -> float:
         return max(self.steepening, self.f_floor)
+
+
+def effective_velocity(gas: GasModel, state: FieldState, grid: Grid1D) -> np.ndarray:
+    """h = u - v^-(alpha+1) v_x with central differences for v_x."""
+    return _effective_velocity(gas, state.v, state.u, gradient(state.v, grid.dx))
+
+
+def _effective_velocity(gas: GasModel, v, u, v_x):
+    return u - v_x / v ** (gas.alpha + 1.0)
 
 
 def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> PerturbationFields:

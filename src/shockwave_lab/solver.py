@@ -33,13 +33,12 @@ stability grid by 0.924 per step, against 0.73 for two half steps
 (test_merged_steps_damp_odd_even_mode,
 test_crank_nicolson_damps_odd_even_mode).
 
-run_simulation steps and records only where the waves are: on a window
-of the grid that covers, at each event time t, the domain outside which
-the composite tails sit below ~1e-13 for all times up to t (the domain
-auto_grid sizes for T), and that grows with it.  Beyond the window the
-solution is its far states to within 1e-13, and those points keep their
-values; the window's edges are pinned as the grid's are.  On the
-stability experiment the window starts at 52% of the grid.
+run_simulation steps and records only on a window of the grid where the
+waves are, which grows with them (52% of the grid at the start of the
+stability experiment; see its docstring), at the events of the config's
+TimeSpec.  Each decision has one owner: the schedule and the snapshot
+file names are TimeSpec's, the records diagnostics', and the CSV text
+kernels.write_csv's, re-exported here for Snapshot.
 
 Classical RK4 on the full semidiscretization (`rk4_step` at
 `stable_dt`, the min of the hyperbolic and viscous bounds) is kept as
@@ -56,14 +55,17 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .kernels import G17_WORDS, G17_WORK, g17_words, gradient
 from .riemann import GasModel, TwoShockData
 from .profile import build_profiles, decay_rates
-# compute_shift_inputs is unused here, but perfbench's tracer wraps it in
-# this module's namespace by name
+# perfbench's tracer wraps compute_shift_inputs (unused here) and
+# effective_velocity in this namespace and make_record in diagnostics,
+# which run_simulation calls through the module
 from .composite import (W_BOUNDARY_TOL, CompositeWave, ShiftInputs,
                         TruncationError, _shift_inputs, compute_shift_inputs,
                         solve_shifts)
+from . import diagnostics
+from .diagnostics import DiagnosticsSeries, effective_velocity
+from .kernels import write_csv
 
 __all__ = [
     "Grid1D",
@@ -74,7 +76,6 @@ __all__ = [
     "stable_dt",
     "rk4_step",
     "advance",
-    "effective_velocity",
     "auto_grid",
     "apply_perturbations",
     "setup_experiment",
@@ -89,11 +90,6 @@ __all__ = [
 _BOUNDARY_GOAL = 1e-13
 # grid spacing of an auto-sized domain when neither n nor dx is given
 _DEFAULT_DX = 0.05
-# values per block in write_csv.  A value takes 8 bytes of input, 8 *
-# G17_WORK of kernel work and 2 * 8 * G17_WORDS of text (its words, then
-# the bytes in row order): ~230 bytes, so ~1 MB at this size, allocated
-# once per call and reused by every block.
-_CSV_VALUES = 4096
 
 
 class PositivityError(RuntimeError):
@@ -342,15 +338,6 @@ def _advance_pair(gas: GasModel, q, grid: Grid1D, t: float,
     return t
 
 
-def effective_velocity(gas: GasModel, state: FieldState, grid: Grid1D) -> np.ndarray:
-    """h = u - v^-(alpha+1) v_x with central differences for v_x."""
-    return _effective_velocity(gas, state.v, state.u, gradient(state.v, grid.dx))
-
-
-def _effective_velocity(gas: GasModel, v, u, v_x):
-    return u - v_x / v ** (gas.alpha + 1.0)
-
-
 def _wave_domain(gas: GasModel, ts: TwoShockData, beta: float):
     """The function t -> (s1 t - m_lo, beta + s2 t + m_hi), the ends of
     the domain outside which the composite tails sit below ~1e-13 for
@@ -391,66 +378,21 @@ def _wave_domain(gas: GasModel, ts: TwoShockData, beta: float):
 
 
 def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
-              n: Optional[int] = None, dx: float = _DEFAULT_DX) -> Grid1D:
+              n: Optional[int] = None, dx: Optional[float] = None) -> Grid1D:
     """Domain [s1 T - m_lo, beta + s2 T + m_hi] of _wave_domain at
     T = t_final, with each margin sized so the composite tails sit below
     ~1e-13 at that edge for all t <= T; n points, or as many as spacing
-    dx needs.
+    dx needs (_DEFAULT_DX if None).
     """
     x_lo, x_hi = _wave_domain(gas, ts, beta)(t_final)
     if n is None:
+        dx = _DEFAULT_DX if dx is None else dx
         n = int(math.ceil((x_hi - x_lo) / dx)) + 1
         if n < 16:
             raise ValueError(f"dx = {dx:g} gives {n} points on the auto-sized "
                              f"domain [{x_lo:.6g}, {x_hi:.6g}]; a grid needs "
                              "at least 16")
     return Grid1D(x_lo, x_hi, n)
-
-
-def write_csv(path, names, columns):
-    """Header of names, then one row per index of the equal-length columns,
-    each value as the text of "%.17g" % value (17 significant digits, so a
-    float64 reads back exactly).  Columns of unequal length raise
-    ValueError.
-
-    The text comes from kernels.g17_words, the same bytes as Python's
-    "%.17g" (which formats the few values the kernel hands back).  Values
-    are formatted in blocks of _CSV_VALUES: each block's columns are laid
-    out as (word, column, row) arrays, transposed to row order, and the pad
-    bytes dropped in one pass.
-    """
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    sizes = [c.size for c in columns]
-    if len(set(sizes)) > 1:
-        raise ValueError("write_csv columns differ in length: "
-                         + ", ".join(f"{name} {size}"
-                                     for name, size in zip(names, sizes)))
-    m = len(columns)
-    n = max(sizes, default=0)
-    rows = max(1, min(n, _CSV_VALUES // max(m, 1)))
-    x = np.empty(m * rows)
-    words = np.empty(G17_WORDS * m * rows, "<u8")
-    work = np.empty(G17_WORK * m * rows)
-    text = bytearray(8 * G17_WORDS * m * rows)
-    # the separator after each value, in the pad byte 7 of its last word
-    sep = np.full((m, 1), ord(","), np.uint64)
-    sep[-1:] = ord("\n")
-    sep <<= 56
-    with open(path, "wb") as f:
-        f.write((",".join(names) + "\n").encode())
-        for lo in range(0, n, rows):
-            b = min(rows, n - lo)
-            if b < rows:
-                text = bytearray(8 * G17_WORDS * m * b)
-            xb = x[:m * b].reshape(m, b)
-            for c, col in enumerate(columns):
-                xb[c] = col[lo:lo + b]
-            wb = words[:G17_WORDS * m * b].reshape(G17_WORDS, m, b)
-            g17_words(x[:m * b], wb.reshape(G17_WORDS, m * b), work)
-            wb[-1] |= sep
-            np.copyto(np.frombuffer(text, "<u8").reshape(b, m, G17_WORDS),
-                      wb.transpose(2, 1, 0))
-            f.write(text.translate(None, b"\0"))
 
 
 @dataclass
@@ -473,11 +415,6 @@ class Snapshot:
         write_csv(path, self.COLUMNS, [getattr(self, c) for c in self.COLUMNS])
 
 
-def _snapshot_name(t):
-    """File name of the snapshot at time t; %g keeps 6 significant digits."""
-    return f"snap_t{t:g}.csv"
-
-
 @dataclass
 class ExperimentSetup:
     """Everything before the first time step: the perturbed initial data
@@ -496,7 +433,7 @@ class ExperimentSetup:
 class SimulationResult(ExperimentSetup):
     """The setup of a run with what its evolution recorded."""
 
-    series: "DiagnosticsSeries"
+    series: DiagnosticsSeries
     snapshots: list
     config: object
 
@@ -543,20 +480,6 @@ def setup_experiment(cfg) -> ExperimentSetup:
     return ExperimentSetup(two_shock=ts, profiles=(p1, p2), grid=grid,
                            v0=v0, u0=u0, shift_inputs=si,
                            composite=cw0.shifted(b1 + 0.0, b2 + 0.0))
-
-
-def _event_time(t):
-    """t rounded to 12 decimals: record and snapshot times that agree to
-    that many decimals are one event of the schedule."""
-    return round(float(t), 12)
-
-
-def _schedule(t_final, record_dt, snapshot_times):
-    """Ascending (t, record, snapshot) events at _event_time times."""
-    records = {_event_time(t)
-               for t in [*np.arange(0.0, t_final, record_dt), t_final]}
-    snapshots = {_event_time(t) for t in snapshot_times}
-    return [(t, t in records, t in snapshots) for t in sorted(records | snapshots)]
 
 
 def _window_bounds(grid: Grid1D, x_lo: float, x_hi: float):
@@ -607,8 +530,6 @@ def run_simulation(cfg) -> SimulationResult:
     `snapshots`, and a whole-grid snapshot of the failing state appended
     to them.
     """
-    from . import diagnostics  # deferred: diagnostics imports this module
-
     gas = cfg.gas
     exp = setup_experiment(cfg)
     grid, cw = exp.grid, exp.composite
@@ -616,7 +537,7 @@ def run_simulation(cfg) -> SimulationResult:
     q = np.stack((exp.v0, exp.u0))  # the whole grid's pair
     v, u = q
     t = 0.0
-    series = diagnostics.DiagnosticsSeries()
+    series = DiagnosticsSeries()
     snapshots = []
 
     def snapshot(st):
@@ -629,10 +550,8 @@ def run_simulation(cfg) -> SimulationResult:
     domain = _wave_domain(gas, exp.two_shock, cfg.beta)
     open_lo, open_hi = _open_sides(cfg.perturbations, cfg.beta)
     lo, hi, win = grid.n, 0, None
-    schedule = _schedule(cfg.time.t_final, cfg.time.record_dt,
-                         cfg.time.snapshot_times)
     try:
-        for t_target, record, snap in schedule:
+        for t_target, record, snap in cfg.time.events():
             x_lo, x_hi = domain(t_target)
             lo_t, hi_t = _window_bounds(grid, -math.inf if open_lo else x_lo,
                                         math.inf if open_hi else x_hi)

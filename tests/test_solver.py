@@ -496,7 +496,7 @@ def test_cli_csv_output_matches_per_value_formatting(tmp_path, monkeypatch):
         return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
 
     handed_back = []
-    kernel = solver.g17_words
+    kernel = kernels.g17_words
 
     def counted(x, out, work):
         back = kernel(x, out, work)
@@ -504,7 +504,7 @@ def test_cli_csv_output_matches_per_value_formatting(tmp_path, monkeypatch):
         return back
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "g17_words", counted)
+        m.setattr(kernels, "g17_words", counted)
         new = run(tmp_path / "new")
     assert handed_back and sum(handed_back) == 0
     for module in (cli, diagnostics, solver):
@@ -1007,8 +1007,7 @@ def _windowed_run_and_reference(monkeypatch, perts):
     setup = solver.setup_experiment(cfg)
     grid, cw = setup.grid, setup.composite
     state, records = FieldState(0.0, setup.v0, setup.u0), []
-    for t, record, _ in solver._schedule(t_final, cfg.time.record_dt,
-                                         cfg.time.snapshot_times):
+    for t, record, _ in cfg.time.events():
         state = advance(gas, state, grid, t)
         if record:
             records.append(diagnostics.make_record(state, cw, grid))
