@@ -190,8 +190,15 @@ class GridSpec:
 
     def resolve(self, gas, ts, beta, t_final, c_max) -> Grid1D:
         """The grid; ConfigError unless dx * c_max <= MAX_DX_RATE, so that
-        it resolves profiles whose fastest tail rate is c_max."""
+        it resolves profiles whose fastest tail rate is c_max, and unless
+        an explicit grid strictly contains [0, beta], where the waves
+        start."""
         if self.explicit:
+            if not (self.x_lo < 0.0 and beta < self.x_hi):
+                raise ConfigError(
+                    f"grid.x_lo = {self.x_lo:g} and grid.x_hi = {self.x_hi:g} "
+                    f"must strictly contain [0, {beta:g}], where the waves "
+                    "start")
             grid = Grid1D(self.x_lo, self.x_hi, self.n)
         else:
             try:

@@ -451,9 +451,10 @@ def apply_perturbations(V, U, x, perturbations):
 def setup_experiment(cfg) -> ExperimentSetup:
     """Riemann solve, profiles, grid, perturbed initial data and shifts.
 
-    The configured perturbations are added to the unshifted composite.
-    The shifts zero the excess masses of the result: both of them for a
-    two-shock composite, the volume mass alone for a single wave
+    The configured perturbations are added to the unshifted composite;
+    data they leave with some v <= 0 raise PositivityError with the t = 0
+    state.  The shifts zero the excess masses of the result: both of them
+    for a two-shock composite, the volume mass alone for a single wave
     (cfg.single_family), whose shift beta2 is 0.
     """
     gas = cfg.gas
@@ -468,6 +469,11 @@ def setup_experiment(cfg) -> ExperimentSetup:
     grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final, c_max)
     V0, U0 = cw0.state_fields(grid.x, 0.0)
     v0, u0 = apply_perturbations(V0, U0, grid.x, cfg.perturbations)
+    i = int(np.argmin(v0))  # the first nan, if any
+    if not v0[i] > 0.0:
+        raise PositivityError(f"nonpositive specific volume at t = 0: "
+                              f"v0 = {v0[i]:.6g} at x = {grid.x[i]:.6g}",
+                              FieldState(0.0, v0, u0))
     # nothing reads V0 and U0 after this: the residuals take their place
     si = _shift_inputs(np.subtract(v0, V0, out=V0),
                        np.subtract(u0, U0, out=U0), cw0, grid)

@@ -555,6 +555,57 @@ def test_simulate_truncation_failure_keeps_partial_run(tmp_path, capsys,
     assert [p.name for p in out_dir.glob("snap_t*.csv")] == ["snap_t0.2.csv"]
 
 
+BUMP_AT_20 = ("perturbation.1.target = v\nperturbation.1.amplitude = {}\n"
+              "perturbation.1.center = 20.0\nperturbation.1.width = 1.0\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["simulate", "shifts"])
+@pytest.mark.parametrize("text, interval", [
+    (MINIMAL + BUMP_AT_20.format(0.05)
+     + "grid.x_lo = 100\ngrid.x_hi = 200\ngrid.n = 2001\n", "[0, 40]"),
+    (MINIMAL + "grid.x_lo = -60\ngrid.x_hi = 30\ngrid.n = 2001\n", "[0, 40]"),
+    (MINIMAL + "grid.x_lo = 0\ngrid.x_hi = 100\ngrid.n = 2001\n", "[0, 40]"),
+    (SINGLE_SHOCK_RUN.replace("grid.dx = 0.1", "grid.x_lo = 0.5\n"
+                              "grid.x_hi = 20\ngrid.n = 200"), "[0, 0]"),
+], ids=["beyond", "cuts-wave-2", "on-wave-1", "single-wave"])
+def test_explicit_grid_must_contain_the_waves(tmp_path, capsys, command,
+                                              text, interval):
+    """An explicit grid that does not strictly contain [0, beta], where
+    the waves start, is a config error of both commands before any step;
+    the window of a grid beyond the waves used to shrink to one point
+    and crash in Grid1D.window."""
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, text),
+                 "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.x_lo = ")
+    assert f"must strictly contain {interval}, where the waves start" in err
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["simulate", "shifts"])
+def test_nonpositive_initial_data_fails_at_t0(tmp_path, capsys, command):
+    """A bump that leaves some v0 <= 0 stops both commands with a
+    PositivityError naming t = 0, the smallest v0 and its x, before any
+    record and without a RuntimeWarning; a t = 0 row used to be written
+    with p_rel_ratio = nan after a log1p warning."""
+    text = (MINIMAL + BUMP_AT_20.format(-2.0)
+            + "grid.x_lo = -60\ngrid.x_hi = 100\ngrid.n = 2001\n")
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, text),
+                 "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"{command} error: PositivityError: nonpositive specific "
+                   "volume at t = 0: v0 = -1 at x = 20\n")
+    assert not list(out_dir.iterdir())
+    with pytest.raises(solver.PositivityError) as info:
+        solver.setup_experiment(parse_config(_write(tmp_path, text)))
+    state = info.value.state
+    assert state.t == 0.0 and state.v.min() == pytest.approx(-1.0)
+
+
 def test_cmd_shifts_single_family_matches_simulate(tmp_path, capsys):
     cfg_path = _write(tmp_path, SINGLE_SHOCK_RUN)
     assert main(["simulate", "--config", cfg_path,
