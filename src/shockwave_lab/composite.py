@@ -59,12 +59,23 @@ tail) and a suffix (wave 1's filled right tail) of a block, so W is
 formed on the window between them and is +0.0 outside it; on the long
 grids of very unequal strengths most points lie outside.
 
-The quadratures over these fields integrate in place with
-`kernels.trapz_inplace`, which consumes its integrand, so they pass it
-only arrays of their own: `compute_shift_inputs` subtracts v0 and u0 into
-the (V, U) it evaluates, and `interaction_norm` squares W in place.  The
-peak memory of a call is its inputs plus 2 grid arrays, or 1 for
-`interaction_norm`, plus O(block) temporaries.
+A block whose points all lie in one of those tails is filled with +0.0
+without evaluating either wave: `CompositeWave._w_vanishes` decides it
+from the block's end points alone, with the comparisons `_gap_values`
+makes, xi2 of the last point against wave 2's `_xi_zero_l` and xi1 of
+the first against wave 1's `_xi_zero_r`.
+
+The quadratures over these fields, `compute_shift_inputs` and
+`interaction_norm`, never hold a grid-sized array.  They integrate with
+`kernels.trapz_points`, which asks for its integrand leaf by leaf, at
+most one `_BLOCK` of points at a time, and sums the panels in numpy's own
+order, so each result is numpy's trapezoid over the whole grid bit for
+bit.  `compute_shift_inputs` evaluates (V, U) and forms the residuals one
+leaf at a time; `interaction_norm` forms W one leaf at a time and skips
+every leaf on which `_w_vanishes` holds, whose panels sum to exactly
++0.0.  On the long grids of very unequal strengths W is formed on a few
+percent of the points, and the memory of either call is its inputs plus
+O(`_BLOCK`) temporaries.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import trapz_inplace
+from .kernels import trapz_points
 from .riemann import GasModel, TwoShockData, pressure_increment
 from .profile import ShockProfile, ascending_points
 
@@ -342,9 +353,19 @@ class CompositeWave:
         U -= self.mid.u
         return (g1, d1, b1), (d2, g2, b2)
 
+    def _w_vanishes(self, x_first, x_last, t):
+        """Whether W is exactly +0.0 at every point from x_first to x_last
+        at t: there is no wave 2, or all the points lie in wave 2's filled
+        left tail (d2 = +0) or in wave 1's filled right tail (d1 = +0).
+        The scalar xi2(x_last) and xi1(x_first) are computed, and compared
+        with the tail bounds, exactly as _gap_values does on arrays."""
+        return (self.wave2 is None
+                or self.xi2(x_last, t) < self.wave2._xi_zero_l
+                or self.xi1(x_first, t) > self.wave1._xi_zero_r)
+
     def _interaction_block(self, x, t, W):
         w1, w2 = self.wave1, self.wave2
-        if w2 is None:
+        if self._w_vanishes(x[0], x[-1], t):
             W.fill(0.0)
             return
         g1, d1, b1 = w1._gap_values(self.xi1(x, t))
@@ -392,40 +413,54 @@ def compute_shift_inputs(v0, u0, cw: CompositeWave, grid) -> ShiftInputs:
 
     Composite trapezoid on the grid plus analytic exponential-tail
     corrections beyond it, using the composite's own decay rates.  v0 and
-    u0 must have shape (grid.n,); they are read, not written.  The
-    residuals are formed in the (V, U) arrays of the composite evaluation
-    and integrated in place, so a call holds 2 grid-sized arrays beyond
-    its inputs, plus O(block) temporaries.  Raises TruncationError when
-    the integrands have not decayed below the boundary tolerance at the
-    grid edges.
+    u0 must have shape (grid.n,); they are read, not written.  (V, U) and
+    the residuals are evaluated one leaf of kernels.trapz_points at a
+    time, so a call holds no grid-sized array beyond its inputs, only
+    O(block) temporaries, and each integral is numpy's trapezoid of the
+    whole residual bit for bit.  Raises TruncationError when the
+    integrands have not decayed below the boundary tolerance at the grid
+    edges.
     """
     v0 = np.asarray(v0, dtype=np.float64)
     u0 = np.asarray(u0, dtype=np.float64)
     if v0.shape != (grid.n,) or u0.shape != (grid.n,):
         raise ValueError(f"v0 and u0 must have shape ({grid.n},) of the "
                          f"grid, got {v0.shape} and {u0.shape}")
-    V, U = cw.state_fields(grid.x, 0.0)
-    return _shift_inputs(np.subtract(v0, V, out=V),
-                         np.subtract(u0, U, out=U), cw, grid)
+    x = grid.x
+    return _shift_inputs(v0, u0, lambda lo, hi: cw.state_fields(x[lo:hi], 0.0),
+                         cw, grid)
 
 
-def _shift_inputs(rv, ru, cw: CompositeWave, grid) -> ShiftInputs:
-    """compute_shift_inputs from the residuals rv = v0 - V, ru = u0 - U
-    of an evaluation the caller already holds; consumes rv and ru."""
-    for edge, k in (("x_lo", 0), ("x_hi", -1)):
-        worst = float(np.maximum(abs(rv[k]), abs(ru[k])))  # keeps a nan
+def _shift_inputs(v0, u0, state, cw: CompositeWave, grid) -> ShiftInputs:
+    """compute_shift_inputs with the unshifted composite's (V, U) at
+    grid.x[lo:hi] given by state(lo, hi), which may read an evaluation the
+    caller already holds."""
+    n = grid.n
+    ends = [None, None]  # the residuals at x[0] and x[-1]
+
+    def residuals(lo, hi):
+        V, U = state(lo, hi)
+        r = np.empty((2, hi - lo))
+        np.subtract(v0[lo:hi], V, out=r[0])
+        np.subtract(u0[lo:hi], U, out=r[1])
+        if lo == 0:
+            ends[0] = r[:, 0]
+        if hi == n:
+            ends[1] = r[:, -1]
+        return r
+
+    I0 = trapz_points(residuals, grid.x)
+    (rv_lo, ru_lo), (rv_hi, ru_hi) = ends
+    for edge, rv, ru in (("x_lo", rv_lo, ru_lo), ("x_hi", rv_hi, ru_hi)):
+        worst = float(np.maximum(abs(rv), abs(ru)))  # keeps a nan
         if not worst <= BOUNDARY_DECAY_TOL:
             raise TruncationError(
                 f"boundary residual {worst:.3e} at {edge} exceeds "
                 f"{BOUNDARY_DECAY_TOL:.0e}; widen the grid")
     c_lo = cw.wave1.c_minus
     c_hi = cw.waves[-1].c_plus
-    # the tail terms first: the quadrature overwrites rv[0] and ru[0]
-    v_lo, v_hi = rv[0] / c_lo, rv[-1] / c_hi
-    u_lo, u_hi = ru[0] / c_lo, ru[-1] / c_hi
-    I01 = trapz_inplace(rv, grid.x) + v_lo + v_hi
-    I02 = trapz_inplace(ru, grid.x) + u_lo + u_hi
-    return ShiftInputs(I01=I01, I02=I02)
+    return ShiftInputs(I01=float(I0[0] + rv_lo / c_lo + rv_hi / c_hi),
+                       I02=float(I0[1] + ru_lo / c_lo + ru_hi / c_hi))
 
 
 def solve_shifts(si: ShiftInputs, ts: TwoShockData):
@@ -462,13 +497,30 @@ def predicted_w_decay(ts: TwoShockData, p1: ShockProfile, p2: ShockProfile):
 def interaction_norm(cw: CompositeWave, t: float, grid) -> float:
     """L2 norm of W(., t) by composite trapezoid on the grid.
 
-    W is squared and integrated in place, so a call holds 1 grid-sized
-    array beyond the grid, plus O(block) temporaries.
+    W is formed and squared one leaf of kernels.trapz_points at a time,
+    and not at all on a leaf that lies wholly outside its support
+    (CompositeWave._w_vanishes), where W is exactly +0.0; so a call holds
+    no grid-sized array, only O(block) temporaries, and the norm is
+    numpy's trapezoid of W * W over the whole grid bit for bit.  W at
+    the two grid edges comes from the first and last leaf.
     """
-    W = cw.interaction(grid.x, t)
-    edge = float(np.maximum(abs(W[0]), abs(W[-1])))  # keeps a nan
+    x = grid.x
+    edges = [0.0, 0.0]  # W at x[0] and x[-1]
+
+    def w_squared(lo, hi):
+        if cw._w_vanishes(x[lo], x[hi - 1], t):
+            return None
+        W = cw.interaction(x[lo:hi], t)
+        if lo == 0:
+            edges[0] = W[0]
+        if hi == x.size:
+            edges[1] = W[-1]
+        return np.multiply(W, W, out=W)
+
+    sq = trapz_points(w_squared, x)
+    edge = float(np.maximum(abs(edges[0]), abs(edges[1])))  # keeps a nan
     if not edge <= W_BOUNDARY_TOL:
         warnings.warn(
             f"interaction residual {edge:.3e} at the grid boundary exceeds "
             f"{W_BOUNDARY_TOL:.0e}; the norm is truncated", TruncationWarning)
-    return float(np.sqrt(trapz_inplace(np.multiply(W, W, out=W), grid.x)))
+    return float(np.sqrt(sq))

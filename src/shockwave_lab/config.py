@@ -188,11 +188,12 @@ class GridSpec:
     def explicit(self) -> bool:
         return self.x_lo is not None and self.x_hi is not None
 
-    def resolve(self, gas, ts, beta, t_final, c_max) -> Grid1D:
-        """The grid; ConfigError unless dx * c_max <= MAX_DX_RATE, so that
-        it resolves profiles whose fastest tail rate is c_max, and unless
-        an explicit grid strictly contains [0, beta], where the waves
-        start."""
+    def resolve(self, gas, ts, beta, t_final, c_max, family=None) -> Grid1D:
+        """The grid of the waves starting on [0, beta], or of the lone wave
+        of that family starting at 0 (beta = 0); ConfigError unless
+        dx * c_max <= MAX_DX_RATE, so that it resolves profiles whose
+        fastest tail rate is c_max, and unless an explicit grid strictly
+        contains [0, beta], where the waves start."""
         if self.explicit:
             if not (self.x_lo < 0.0 and beta < self.x_hi):
                 raise ConfigError(
@@ -202,7 +203,8 @@ class GridSpec:
             grid = Grid1D(self.x_lo, self.x_hi, self.n)
         else:
             try:
-                grid = auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx)
+                grid = auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx,
+                                 family=family)
             except ValueError as exc:  # grid.dx leaves too few points
                 raise ConfigError(f"grid.dx: {exc}") from None
         if grid.dx * c_max > MAX_DX_RATE:

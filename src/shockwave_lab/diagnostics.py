@@ -28,7 +28,7 @@ import numpy as np
 
 from .composite import (BOUNDARY_DECAY_TOL, CompositeFields, CompositeWave,
                         TruncationError)
-from .kernels import cumtrapz, gradient, trapz, trapz_inplace, write_csv
+from .kernels import cumtrapz, gradient, trapz, trapz_points, write_csv
 from .riemann import GasModel, pressure_increment
 
 if TYPE_CHECKING:  # solver imports this module to record its runs
@@ -239,8 +239,8 @@ def energy_functionals(fields: PerturbationFields, dpV):
     Both are nonnegative because p' < 0.
     """
     x = fields.x
-    e0 = trapz_inplace(fields.phi ** 2 - fields.Psi ** 2 / dpV, x)
-    e1 = trapz_inplace(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, x)
+    e0 = trapz_points(fields.phi ** 2 - fields.Psi ** 2 / dpV, x)
+    e1 = trapz_points(fields.phi_x ** 2 - fields.Psi_x ** 2 / dpV, x)
     return e0, e1
 
 

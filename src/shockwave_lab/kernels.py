@@ -1,6 +1,7 @@
 """Kernels that match a reference bit for bit: grid kernels for 1-D
 float64 samples (a second-order derivative on a uniform grid and trapezoid
-quadrature, running and total) and the text of "%.17g".
+quadrature, running and total), numpy's summation order, and the text of
+"%.17g".
 
 Each grid kernel performs the floating-point operations of its numpy or
 scipy counterpart in the same order, so its result is bit for bit the same:
@@ -8,21 +9,44 @@ scipy counterpart in the same order, so its result is bit for bit the same:
 - ``gradient(f, dx)``: numpy's ``gradient(f, dx, edge_order=2)``;
 - ``cumtrapz(y, x)``: scipy's ``cumulative_trapezoid(y, x, initial=0)``;
 - ``trapz(y, dx)``: numpy's ``trapezoid(y, dx=dx)``;
-- ``trapz_inplace(y, x)``: numpy's ``trapezoid(y, x)``.
+- ``trapz_points(y, x)``: numpy's ``trapezoid(y, x)``;
+- ``pairwise_sum(n, terms)``: numpy's ``ndarray.sum`` of the n terms.
+
+``pairwise_sum`` reproduces the tree in which numpy sums a contiguous
+float64 array (pairwise summation, Higham 1993, SIAM J. Sci. Comput.
+14:783): a node of n > 128 terms is the sum of its first n2 terms and its
+last n - n2, where n2 is n // 2 rounded down to a multiple of 8, and a
+node of at most 128 terms is summed without a split.  Numpy splits every
+node by this rule whatever its offset, so each subtree is summed exactly
+as numpy sums its terms alone.  The kernel splits by the same rule down
+to leaves of at most ``_LEAF`` terms, asks its ``terms`` callback for
+each leaf, lets numpy sum the leaf, and adds the leaf sums up the same
+tree.  Every addition is one that numpy makes, in its order, so the sum
+is numpy's to the bit, not merely close to it.  The order is numpy's
+implementation, not its documented contract: the tests compare the
+kernel with ``ndarray.sum`` at sizes around every split and fail if
+numpy changes it, and the committed stability fixture's environment
+check pins the numpy version its bytes were made with.  The callback
+may give ``None`` for a leaf of +0.0 terms, which sums to +0.0 in any
+order.
+
+``trapz_points`` is the one total integral over sample points.  Its
+integrand is an array or a callback that gives it leaf by leaf, at the
+``_LEAF + 1 = _BLOCK`` points of a leaf's panels at most; it reads the
+integrand and never writes it, and its memory is O(``_BLOCK``)
+temporaries beyond its inputs, where ``trapezoid(y, x)`` makes four
+arrays of ``y``'s size.  An integrand evaluated leaf by leaf, such as a
+composite wave's residuals, then never needs a grid-sized array at all.
 
 ``g17_words(x, out, work)`` writes the text of ``"%.17g" % v`` for each
 value, byte for byte (see its section below): ~0.15 us a value in blocks
 of 4096, where the ``%`` operator takes ~1 us (2 shared cores, numpy 2.4).
 ``write_csv``, the package's one CSV writer, lays that text out in rows.
 
-The quadratures over sample points ``x`` form their spacing here.
-``trapz_inplace`` is the one total integral over sample points; it consumes
-``y``: it writes the panels over ``y[:-1]``, ``_BLOCK`` at a time, so its
-memory is its inputs plus O(``_BLOCK``) temporaries, where
-``trapezoid(y, x)`` makes four arrays of ``y``'s size.  The counterparts
-spend much of their time on argument handling: at n = 4000, on one core
-with numpy 2.4 and scipy 1.17, scipy's cumulative trapezoid takes ~45 us
-against cumtrapz's ~28 us, and numpy's gradient ~19 us against ~11 us.
+The counterparts spend much of their time on argument handling: at
+n = 4000, on one core with numpy 2.4 and scipy 1.17, scipy's cumulative
+trapezoid takes ~45 us against cumtrapz's ~28 us, and numpy's gradient
+~19 us against ~11 us.
 """
 
 from __future__ import annotations
@@ -32,12 +56,15 @@ import math
 
 import numpy as np
 
-__all__ = ["gradient", "cumtrapz", "trapz", "trapz_inplace", "g17_words",
-           "write_csv"]
+__all__ = ["gradient", "cumtrapz", "trapz", "trapz_points", "pairwise_sum",
+           "g17_words", "write_csv"]
 
-# panels per pass of trapz_inplace: its two temporaries of this many
-# floats stay in cache
+# points per leaf of trapz_points, at most: a leaf's temporaries stay in
+# cache, and its points fit one block of the composite's evaluation
 _BLOCK = 16384
+# terms per leaf of pairwise_sum, at most: a leaf of _LEAF panels spans
+# _BLOCK points.  Any value of at least 128 gives the same sum.
+_LEAF = _BLOCK - 1
 
 
 def gradient(f: np.ndarray, dx: float) -> np.ndarray:
@@ -74,25 +101,62 @@ def trapz(y: np.ndarray, dx: float) -> float:
     return float(_panels(y, dx).sum())
 
 
-def trapz_inplace(y: np.ndarray, x: np.ndarray) -> float:
-    """Trapezoid integral of y at the points x; consumes y.
+def pairwise_sum(n: int, terms):
+    """The sum of n float64 terms in numpy's order (see the module
+    docstring).  terms(lo, hi) returns terms lo..hi-1 as a contiguous
+    array whose last axis has hi - lo entries, at most _LEAF, or None
+    when they are all +0.0; rows along the other axes are summed
+    separately.  Returns what ndarray.sum(axis=-1) of all n terms would,
+    a float64 or an array of them, or the float 0.0 if every leaf was
+    None."""
+    return _pairwise_node(terms, 0, n)
 
-    Each panel (x[i+1] - x[i]) * (y[i+1] + y[i]) / 2 is written over
-    y[i], block by block, and one sum over all of y[:-1] adds them, so
-    the result is numpy's trapezoid(y, x) bit for bit.  Pass an array
-    nothing else reads afterwards.
+
+def _pairwise_node(terms, lo, hi):
+    """pairwise_sum's node of terms lo..hi-1.  A module function, not a
+    closure: a closure that calls itself is a reference cycle, which
+    would keep the callback, and the arrays it reads, alive until the
+    cyclic garbage collector runs."""
+    if hi - lo <= _LEAF:
+        leaf = terms(lo, hi)
+        return 0.0 if leaf is None else leaf.sum(axis=-1)
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return _pairwise_node(terms, lo, mid) + _pairwise_node(terms, mid, hi)
+
+
+def trapz_points(y, x: np.ndarray):
+    """Trapezoid integral of y at the points x.
+
+    y is an array whose last axis matches x, or a function y(lo, hi) that
+    returns such an array for the points x[lo:hi], or None where the
+    integrand is +0.0 at all of them (x finite); it is asked for leaves
+    of at most _BLOCK points, each sharing its end point with the next.  Each panel
+    (x[i+1] - x[i]) * (y[i+1] + y[i]) / 2 is summed by pairwise_sum, so
+    the result is numpy's trapezoid(y, x) bit for bit, a float for 1-D y
+    and an array of one integral per row otherwise.  y is only read.
     """
-    if y.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"trapz_inplace needs 1-D y and x of one shape, "
-                         f"got {y.shape} and {x.shape}")
-    m = y.shape[0] - 1
-    for lo in range(0, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
-        p = x[lo + 1:hi + 1] - x[lo:hi]
-        p *= y[lo + 1:hi + 1] + y[lo:hi]
+    if callable(y):
+        read = y
+    else:
+        if x.ndim != 1 or y.shape[-1:] != x.shape:
+            raise ValueError(f"trapz_points needs y with a last axis like "
+                             f"the 1-D x, got {y.shape} and {x.shape}")
+
+        def read(lo, hi):
+            return y[..., lo:hi]
+
+    def panels(lo, hi):
+        v = read(lo, hi + 1)
+        if v is None:
+            return None
+        p = v[..., 1:] + v[..., :-1]
+        p *= x[lo + 1:hi + 1] - x[lo:hi]
         p /= 2.0
-        y[lo:hi] = p
-    return float(y[:-1].sum())
+        return p
+
+    total = pairwise_sum(max(x.size - 1, 0), panels)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 # --- "%.17g" text ----------------------------------------------------------

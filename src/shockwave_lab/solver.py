@@ -338,7 +338,8 @@ def _advance_pair(gas: GasModel, q, grid: Grid1D, t: float,
     return t
 
 
-def _wave_domain(gas: GasModel, ts: TwoShockData, beta: float):
+def _wave_domain(gas: GasModel, ts: TwoShockData, beta: float,
+                 family: Optional[int] = None):
     """The function t -> (s1 t - m_lo, beta + s2 t + m_hi), the ends of
     the domain outside which the composite tails sit below ~1e-13 for
     every time up to t: auto_grid's domain at T, and the stepping window
@@ -355,15 +356,29 @@ def _wave_domain(gas: GasModel, ts: TwoShockData, beta: float):
     K = |p'(v_far) - p'(v_m)| + |s| c |v_m^-(alpha+1) - v_far^-(alpha+1)|
     (s and c the speed and rate of the tail's wave), so the inner gap is
     d = min(1e-13, W_BOUNDARY_TOL / (2 K)), with half the tolerance left
-    for the terms of W beyond first order in d.  With beta = 0 the inner
-    term sizes the far side of a lone wave.
+    for the terms of W beyond first order in d.
+
+    A lone wave of family 1 or 2 (`family`) starts at 0 and moves at its
+    own speed s; beta plays no part.  Its domain reaches m beyond both 0
+    and s t, with m = L(chi, c, 1e-13) from its own strength chi and the
+    slower of its rates, c = min(c-, c+).  Its faster tail, on the side
+    of the middle state, starts from a gap up to ~8 times larger than L
+    assumes (8.2e-13 at that edge with its own rate, in a scan of the SS
+    region); with the slower rate both edges stay near 1e-13.
     """
-    c1m, c1p = decay_rates(gas, ts.left, ts.mid, ts.s1)
-    c2m, c2p = decay_rates(gas, ts.mid, ts.right, ts.s2)
-    vm, ap1 = ts.mid.v, gas.alpha + 1.0
 
     def tail(chi, c, goal):
         return max(20.0, math.log(chi / goal)) / c
+
+    if family is not None:
+        s, chi, sides = ((ts.s1, ts.chi1, (ts.left, ts.mid)) if family == 1
+                         else (ts.s2, ts.chi2, (ts.mid, ts.right)))
+        m = tail(chi, min(decay_rates(gas, *sides, s)), _BOUNDARY_GOAL)
+        return lambda t: (min(s * t, 0.0) - m, max(s * t, 0.0) + m)
+
+    c1m, c1p = decay_rates(gas, ts.left, ts.mid, ts.s1)
+    c2m, c2p = decay_rates(gas, ts.mid, ts.right, ts.s2)
+    vm, ap1 = ts.mid.v, gas.alpha + 1.0
 
     def inner_goal(v_far, s, c):
         K = (abs(gas.dpressure(v_far) - gas.dpressure(vm))
@@ -378,13 +393,15 @@ def _wave_domain(gas: GasModel, ts: TwoShockData, beta: float):
 
 
 def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
-              n: Optional[int] = None, dx: Optional[float] = None) -> Grid1D:
+              n: Optional[int] = None, dx: Optional[float] = None,
+              family: Optional[int] = None) -> Grid1D:
     """Domain [s1 T - m_lo, beta + s2 T + m_hi] of _wave_domain at
     T = t_final, with each margin sized so the composite tails sit below
-    ~1e-13 at that edge for all t <= T; n points, or as many as spacing
-    dx needs (_DEFAULT_DX if None).
+    ~1e-13 at that edge for all t <= T, or the domain of the lone wave
+    of that family; n points, or as many as spacing dx needs
+    (_DEFAULT_DX if None).
     """
-    x_lo, x_hi = _wave_domain(gas, ts, beta)(t_final)
+    x_lo, x_hi = _wave_domain(gas, ts, beta, family)(t_final)
     if n is None:
         dx = _DEFAULT_DX if dx is None else dx
         n = int(math.ceil((x_hi - x_lo) / dx)) + 1
@@ -460,13 +477,15 @@ def setup_experiment(cfg) -> ExperimentSetup:
     gas = cfg.gas
     ts = cfg.riemann.resolve(gas)
     p1, p2 = build_profiles(gas, ts)
-    if cfg.single_family is None:
+    family = cfg.single_family
+    if family is None:
         cw0 = CompositeWave(p1, p2, cfg.beta)
-    else:
-        cw0 = CompositeWave((p1, p2)[cfg.single_family - 1], None, cfg.beta)
+    else:  # a lone wave starts at 0 whatever composite.beta says
+        cw0 = CompositeWave((p1, p2)[family - 1], None, 0.0)
     c_max = max(max(p.c_minus, p.c_plus) for p in cw0.waves)
 
-    grid = cfg.grid.resolve(gas, ts, cfg.beta, cfg.time.t_final, c_max)
+    grid = cfg.grid.resolve(gas, ts, cw0.beta, cfg.time.t_final, c_max,
+                            family)
     V0, U0 = cw0.state_fields(grid.x, 0.0)
     v0, u0 = apply_perturbations(V0, U0, grid.x, cfg.perturbations)
     i = int(np.argmin(v0))  # the first nan, if any
@@ -474,9 +493,8 @@ def setup_experiment(cfg) -> ExperimentSetup:
         raise PositivityError(f"nonpositive specific volume at t = 0: "
                               f"v0 = {v0[i]:.6g} at x = {grid.x[i]:.6g}",
                               FieldState(0.0, v0, u0))
-    # nothing reads V0 and U0 after this: the residuals take their place
-    si = _shift_inputs(np.subtract(v0, V0, out=V0),
-                       np.subtract(u0, U0, out=U0), cw0, grid)
+    si = _shift_inputs(v0, u0, lambda lo, hi: (V0[lo:hi], U0[lo:hi]), cw0,
+                       grid)
     if cfg.single_family is None:
         b1, b2 = solve_shifts(si, ts)
     else:
@@ -553,8 +571,8 @@ def run_simulation(cfg) -> SimulationResult:
         return Snapshot(t=st.t, x=x.copy(), v=st.v.copy(), u=st.u.copy(),
                         V=flds.V, U=flds.U, h=h, H=H, W=flds.W)
 
-    domain = _wave_domain(gas, exp.two_shock, cfg.beta)
-    open_lo, open_hi = _open_sides(cfg.perturbations, cfg.beta)
+    domain = _wave_domain(gas, exp.two_shock, cw.beta, cfg.single_family)
+    open_lo, open_hi = _open_sides(cfg.perturbations, cw.beta)
     lo, hi, win = grid.n, 0, None
     try:
         for t_target, record, snap in cfg.time.events():

@@ -26,7 +26,7 @@ from .solver import (FieldState, Grid1D, advance, apply_perturbations,
                      run_simulation, semidiscrete_rhs)
 from .diagnostics import (antiderivatives, closed_form_Psi,
                           fit_exponential_rate)
-from .kernels import trapz_inplace
+from .kernels import trapz_points
 from .config import (ExperimentConfig, GridSpec, Perturbation, RiemannSpec,
                      TimeSpec)
 
@@ -256,7 +256,7 @@ def _single_shock_run(gas, ts, profile, dx, t_final):
         times.append(state.t)
         crossings.append(crossing(state.v))
     V_exact, _, _, _ = profile.evaluate(x - ts.s1 * t_final)
-    err = float(np.sqrt(trapz_inplace((state.v - V_exact) ** 2, x)))
+    err = float(np.sqrt(trapz_points((state.v - V_exact) ** 2, x)))
     return err, np.array(times), np.array(crossings)
 
 

@@ -606,6 +606,37 @@ def test_nonpositive_initial_data_fails_at_t0(tmp_path, capsys, command):
     assert state.t == 0.0 and state.v.min() == pytest.approx(-1.0)
 
 
+def test_single_wave_run_ignores_beta(tmp_path):
+    """A single-family run is sized, windowed and checked from its one
+    wave: composite.beta moves neither its grid nor a byte of its output,
+    its tails at both grid edges stay below 1e-13 up to T, and an
+    explicit grid need only contain [0, 0].  With beta = 40 the grid of
+    this run used to grow from 523 to 923 points for a wave 2 it does not
+    have."""
+    outs, grids = [], []
+    for tag, extra in (("plain", ""), ("beta", "composite.beta = 40.0\n")):
+        cfg_path = _write(tmp_path, SINGLE_SHOCK_RUN + extra, f"{tag}.cfg")
+        setup = solver.setup_experiment(parse_config(cfg_path))
+        grids.append((setup.grid.x_lo, setup.grid.x_hi, setup.grid.n))
+        out_dir = tmp_path / tag
+        assert main(["simulate", "--config", cfg_path,
+                     "--out", str(out_dir)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert grids[0] == grids[1] and outs[0] == outs[1]
+    assert "diag.csv" in outs[0] and "snap_t0.2.csv" in outs[0]
+    cw, wave = setup.composite, setup.composite.wave1
+    edges = np.array(grids[0][:2])
+    for t in (0.0, 0.2):
+        V, U = cw.state_fields(edges, t)
+        assert np.all(np.abs(V - [wave.state_l.v, wave.state_r.v]) <= 1e-13)
+        assert np.all(np.abs(U - [wave.state_l.u, wave.state_r.u]) <= 1e-13)
+    explicit = SINGLE_SHOCK_RUN.replace(
+        "grid.dx = 0.1", "grid.x_lo = -30\ngrid.x_hi = 30\ngrid.n = 601")
+    setup = solver.setup_experiment(parse_config(_write(
+        tmp_path, explicit + "composite.beta = 40.0\n")))
+    assert (setup.grid.x_lo, setup.grid.x_hi) == (-30.0, 30.0)
+
+
 def test_cmd_shifts_single_family_matches_simulate(tmp_path, capsys):
     cfg_path = _write(tmp_path, SINGLE_SHOCK_RUN)
     assert main(["simulate", "--config", cfg_path,

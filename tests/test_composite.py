@@ -1,7 +1,8 @@
+import gc
 import math
 import tracemalloc
+import weakref
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,13 +206,21 @@ def test_interaction_norm_decreasing_and_floor(composite40):
 
 
 @pytest.mark.parametrize("edge", (0, -1), ids=("left", "right"))
-def test_interaction_norm_warns_on_nan_edge(composite40, edge):
+def test_interaction_norm_warns_on_nan_edge(composite40, edge, monkeypatch):
+    """A nan in W at a grid edge, from the leaf that holds that edge, is
+    a TruncationWarning, and the norm is nan."""
     grid = Grid1D(-50.0, 90.0, 2801)
-    W = composite40.fields(grid.x, 0.0).W.copy()
-    W[edge] = np.nan
-    stub = SimpleNamespace(interaction=lambda x, t: W)
-    with pytest.warns(TruncationWarning):
-        assert math.isnan(interaction_norm(stub, 0.0, grid))
+    x_edge = grid.x[edge]
+    interaction = CompositeWave.interaction
+
+    def nan_at_edge(self, x, t):
+        W = interaction(self, x, t)
+        W[x == x_edge] = np.nan
+        return W
+
+    monkeypatch.setattr(CompositeWave, "interaction", nan_at_edge)
+    with pytest.warns(TruncationWarning, match="residual nan at the grid"):
+        assert math.isnan(interaction_norm(composite40, 0.0, grid))
 
 
 def test_beta_doubling_shrinks_w(profiles, two_shock):
@@ -475,9 +484,9 @@ def test_block_evaluation_memory(composite40):
 
 
 def test_quadrature_memory(composite40):
-    """On a long grid the shift inputs hold 2 grid-sized arrays, the W
-    norm 1 and a Gaussian bump 1, beyond their inputs; none of them
-    writes v0, u0 or grid.x."""
+    """On a long grid the shift inputs and the W norm hold O(block)
+    temporaries beyond their inputs, no grid-sized array, and a Gaussian
+    bump 1 grid-sized array; none of them writes v0, u0 or grid.x."""
     grid = Grid1D(-60.0, 100.0, 500_000)
     x = grid.x
     composite40.interaction(x[:100], 0.0)
@@ -485,10 +494,11 @@ def test_quadrature_memory(composite40):
     bump = Perturbation("v", 0.05, 20.0, 1.0)
     v0 = V0 + bump(x)
     inputs = [(a, a.tobytes()) for a in (v0, U0, x)]
-    slack = 8_000_000
+    blocks = 24 * 8 * _BLOCK  # a leaf's composite evaluation and panels
+    assert blocks < x.nbytes
     calls = [
-        (compute_shift_inputs, (v0, U0, composite40, grid), 2 * x.nbytes + slack),
-        (interaction_norm, (composite40, 0.0, grid), x.nbytes + slack),
+        (compute_shift_inputs, (v0, U0, composite40, grid), blocks),
+        (interaction_norm, (composite40, 0.0, grid), blocks),
         # the bump has no block temporaries, so its slack is smaller
         (bump, (x,), x.nbytes + 1_000_000),
     ]
@@ -498,14 +508,30 @@ def test_quadrature_memory(composite40):
             assert a.tobytes() == before, fn
 
 
-@pytest.mark.parametrize("chi", ((1.0, 1.0), (1e-3, 3.0)),
-                         ids=("canonical", "chi-1e-3-3"))
-def test_quadratures_match_numpy_trapezoid(gas, chi):
-    """Shift inputs and the W norm integrate in place, and are numpy's
-    trapezoid over the grid bit for bit: on the canonical datum and on
-    the ~595,000-point grid of chi = (1e-3, 3) v_m.  The residuals carry
-    an offset of 5e-13 at the edges, below the boundary tolerance, so the
-    tail terms are not 0 and must be read before the quadrature."""
+def test_quadratures_leave_no_reference_cycle(composite40):
+    """The leaf callbacks of the shift inputs and the W norm form no
+    reference cycle: the composite, the grid and the data they read are
+    freed as soon as the caller drops them, with the cyclic garbage
+    collector off.  A cycle kept a sweep's grid-sized arrays alive until
+    the collector ran, and the peak RSS of a batch of data grew with
+    them."""
+    cw = composite40.shifted(0.0, 0.0)
+    grid = Grid1D(-60.0, 100.0, 2 * _BLOCK + 5)
+    V0, U0 = cw.state_fields(grid.x, 0.0)
+    refs = [weakref.ref(a) for a in (cw, grid, V0, U0)]
+    gc.disable()
+    try:
+        compute_shift_inputs(V0, U0, cw, grid)
+        interaction_norm(cw, 0.0, grid)
+        del cw, grid, V0, U0
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def _sweep_datum(gas, chi):
+    """Composite at beta = 40 / c_min on its auto grid at T = 0, as the
+    datum sweep builds it, for strengths chi = (chi1, chi2) at v_m = 1."""
     v_m = 1.0
     left = EndState(v_m + chi[0], 0.0)
     mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
@@ -514,22 +540,66 @@ def test_quadratures_match_numpy_trapezoid(gas, chi):
     p1, p2 = build_profiles(gas, ts)
     c_min = min(p1.c_minus, p1.c_plus, p2.c_minus, p2.c_plus)
     beta = 40.0 / c_min
-    grid = auto_grid(gas, ts, beta, 0.0)
+    return ts, CompositeWave(p1, p2, beta), auto_grid(gas, ts, beta, 0.0), c_min
+
+
+@pytest.mark.parametrize("chi", ((1.0, 1.0), (1e-3, 3.0), (3.0, 1e-3), None),
+                         ids=("canonical", "chi-1e-3-3", "chi-3-1e-3",
+                              "single-wave"))
+def test_quadratures_match_numpy_trapezoid(gas, chi):
+    """Shift inputs and the W norm, evaluated leaf by leaf, are numpy's
+    trapezoid over the whole grid bit for bit, against (V, U) and W
+    evaluated on the whole grid: on the canonical datum, on the
+    ~595,000-point grids of chi = (1e-3, 3) v_m in both orders, and for a
+    lone wave 1 of the canonical datum.  The residuals carry an offset
+    of 5e-13 at the edges, below the boundary tolerance, so the tail
+    terms are not 0."""
+    ts, cw0, grid, c_min = _sweep_datum(gas, chi or (1.0, 1.0))
+    width, beta = 1.0 / c_min, cw0.beta
+    if chi is None:
+        cw0 = CompositeWave(cw0.wave1, None, 0.0)
+        grid = auto_grid(gas, ts, 0.0, 0.0, family=1)
+        beta, chi = 0.0, (ts.chi1, ts.chi1)
     x = grid.x
-    cw0 = CompositeWave(p1, p2, beta)
     V0, U0 = cw0.state_fields(x, 0.0)
-    v0 = V0 + Perturbation("v", 0.05 * min(chi), 0.45 * beta, 1.0 / c_min)(x)
-    u0 = U0 + Perturbation("u", -0.03 * min(chi), 0.55 * beta, 1.0 / c_min)(x)
+    v0 = V0 + Perturbation("v", 0.05 * min(chi), 0.45 * beta, width)(x)
+    u0 = U0 + Perturbation("u", -0.03 * min(chi), 0.55 * beta, width)(x)
     v0 += 5e-13
     u0 -= 5e-13
     si = compute_shift_inputs(v0, u0, cw0, grid)
-    c_lo, c_hi = p1.c_minus, p2.c_plus
+    c_lo, c_hi = cw0.wave1.c_minus, cw0.waves[-1].c_plus
     for got, r in ((si.I01, v0 - V0), (si.I02, u0 - U0)):
         assert r[0] != 0.0 and r[-1] != 0.0
         assert got == float(np.trapezoid(r, x)) + r[0] / c_lo + r[-1] / c_hi
-    cw = cw0.shifted(*solve_shifts(si, ts))
-    W = cw.interaction(x, 0.0)
+    if cw0.wave2 is None:
+        cw = cw0.shifted(si.I01 / (ts.mid.v - ts.left.v), 0.0)
+    else:
+        cw = cw0.shifted(*solve_shifts(si, ts))
+    W = cw.fields(x, 0.0).W
     assert interaction_norm(cw, 0.0, grid) == float(np.sqrt(np.trapezoid(W * W, x)))
+
+
+@pytest.mark.parametrize("chi", ((1e-3, 3.0), (3.0, 1e-3)),
+                         ids=("chi-1e-3-3", "chi-3-1e-3"))
+def test_interaction_norm_forms_w_on_its_support(gas, chi, monkeypatch):
+    """On a sweep grid the W norm hands the composite the points of W's
+    support and at most two leaves more (each leaf shares one point with
+    the next), not the whole grid."""
+    _, cw, grid, _ = _sweep_datum(gas, chi)
+    x, t = grid.x, 0.0
+    lo = int(np.searchsorted(cw.xi2(x, t), cw.wave2._xi_zero_l, "left"))
+    hi = int(np.searchsorted(cw.xi1(x, t), cw.wave1._xi_zero_r, "right"))
+    sizes = []
+    interaction = CompositeWave.interaction
+
+    def counted(self, x, t):
+        sizes.append(x.size)
+        return interaction(self, x, t)
+
+    monkeypatch.setattr(CompositeWave, "interaction", counted)
+    interaction_norm(cw, t, grid)
+    assert 0 < hi - lo < grid.n // 4
+    assert sum(sizes) <= (hi - lo) + 2 * _BLOCK + len(sizes)
 
 
 @pytest.mark.parametrize("v0, u0", [

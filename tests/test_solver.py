@@ -18,8 +18,7 @@ from shockwave_lab import (CompositeWave, EndState, FieldState, GasModel,
                            verify, write_csv)
 from shockwave_lab import cli, diagnostics
 from shockwave_lab.cli import main
-from shockwave_lab.composite import (BOUNDARY_DECAY_TOL, W_BOUNDARY_TOL,
-                                     _shift_inputs)
+from shockwave_lab.composite import BOUNDARY_DECAY_TOL, W_BOUNDARY_TOL
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
                                   RiemannSpec, TimeSpec)
 from shockwave_lab.profile import decay_rates
@@ -733,17 +732,44 @@ def test_auto_grid_asymmetric_strengths_shrink(gas, chi):
 
 @pytest.mark.parametrize("family", [1, 2])
 def test_auto_grid_lone_wave_far_side_decayed(gas, family):
-    """With beta = 0 (one wave), the margin beyond the lone wave's side
-    that faces the other family comes from the inner-tail term: a strong
-    other wave leaves its own outer margin far too short."""
-    chi = (1e-3, 3.0) if family == 1 else (3.0, 1e-3)
-    ts = _datum(gas, 1.0, *chi)
-    grid = auto_grid(gas, ts, 0.0, 1.0)
+    """A lone wave's grid comes from its own speed and rates: both edges
+    lie beyond its tails, below 1e-13 at t = 0 and t = T, whichever wave
+    of the datum it is and however strong the other one."""
+    t_final = 1.0
+    for chi in ((1e-3, 3.0), (3.0, 1e-3), (1.0, 1.0)):
+        ts = _datum(gas, 1.0, *chi)
+        grid = auto_grid(gas, ts, 0.0, t_final, family=family)
+        wave = build_profiles(gas, ts)[family - 1]
+        cw = CompositeWave(wave, None, 0.0)
+        for t in (0.0, t_final):
+            V = cw.state_fields(np.array([grid.x_lo, grid.x_hi]), t)[0]
+            assert abs(V[0] - wave.state_l.v) <= 1e-13, (chi, t)
+            assert abs(V[1] - wave.state_r.v) <= 1e-13, (chi, t)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True),
+       alpha=st.floats(0.0, 2.0),
+       a=st.floats(0.3, 3.0),
+       v_m=st.floats(0.3, 3.0),
+       log_chi1=st.floats(math.log(1e-3), math.log(5.0)),
+       log_chi2=st.floats(math.log(1e-3), math.log(5.0)),
+       t_final=st.sampled_from([0.0, 5.0]),
+       family=st.sampled_from([1, 2]))
+def test_auto_grid_lone_wave_edges_decayed_across_ss_region(
+        gamma, alpha, a, v_m, log_chi1, log_chi2, t_final, family):
+    """A lone wave's grid leaves its tails within twice the 1e-13 its
+    margins aim for at both edges, at t = 0 and t = T, across the SS
+    region (1.24e-13 at most in a scan of 800 lone waves)."""
+    gas = GasModel(a=a, gamma=gamma, alpha=alpha)
+    ts = _datum(gas, v_m, v_m * math.exp(log_chi1), v_m * math.exp(log_chi2))
+    grid = auto_grid(gas, ts, 0.0, t_final, family=family)
     wave = build_profiles(gas, ts)[family - 1]
-    V = CompositeWave(wave, None, 0.0).state_fields(
-        np.array([grid.x_lo, grid.x_hi]), 1.0)[0]
-    assert abs(V[0] - wave.state_l.v) <= BOUNDARY_DECAY_TOL
-    assert abs(V[1] - wave.state_r.v) <= BOUNDARY_DECAY_TOL
+    cw = CompositeWave(wave, None, 0.0)
+    far = np.array([wave.state_l.v, wave.state_r.v])
+    for t in (0.0, t_final):
+        V = cw.state_fields(np.array([grid.x_lo, grid.x_hi]), t)[0]
+        assert np.max(np.abs(V - far)) <= 2e-13
 
 
 def _edge_residuals(gas, ts, beta, grid, t_final):
@@ -975,8 +1001,10 @@ def test_setup_experiment_memory():
             u0 = u0 + p(x)
     assert setup.v0.tobytes() == v0.tobytes()
     assert setup.u0.tobytes() == u0.tobytes()
-    assert setup.shift_inputs == _shift_inputs(v0 - V0, u0 - U0, cw0,
-                                               setup.grid)
+    c_lo, c_hi = cw0.wave1.c_minus, cw0.wave2.c_plus
+    si = setup.shift_inputs
+    for got, r in ((si.I01, v0 - V0), (si.I02, u0 - U0)):
+        assert got == np.trapezoid(r, x) + r[0] / c_lo + r[-1] / c_hi
 
 
 def _windowed_run_and_reference(monkeypatch, perts):
