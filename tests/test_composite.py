@@ -1,8 +1,8 @@
 import gc
 import math
 import tracemalloc
-import weakref
 import warnings
+import weakref
 
 import numpy as np
 import pytest
