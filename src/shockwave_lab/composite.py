@@ -38,9 +38,9 @@ They share the arithmetic of each field, so V and U, and W, are bitwise
 the same whichever entry point computed them.  Each checks once that x
 is ascending and free of nan and that t is finite.  Every composite
 field is elementwise in x, so each allocates its outputs once and fills
-them in slices of `_BLOCK` points, each block writing its own slice.
-The result is bit-identical for any split, and the memory of a call is
-its outputs plus O(`_BLOCK`) temporaries, which stay in cache.
+them in slices of `kernels._BLOCK` points, each block writing its own
+slice.  The result is bit-identical for any split, and the memory of a
+call is its outputs plus O(`_BLOCK`) temporaries, which stay in cache.
 
 V needs no positivity check.  Both gaps to the middle state are >= +0,
 never -0.0: wave 1's gap d1 to its right state, as V1 falls to v_m, and
@@ -56,8 +56,9 @@ terms of the viscous part are -0.0, and the pressure part is +0.0, the
 Taylor branch multiplying by pi = d1 d2 = +0 and the grouped branch
 giving (-0) - (-0).  These points are a prefix (wave 2's filled left
 tail) and a suffix (wave 1's filled right tail) of a block, so W is
-formed on the window between them and is +0.0 outside it; on the long
-grids of very unequal strengths most points lie outside.
+formed on the window between them and is +0.0 outside it, by the one
+method `CompositeWave._w_into` that `fields` and `interaction` share; on
+the long grids of very unequal strengths most points lie outside.
 
 A block whose points all lie in one of those tails is filled with +0.0
 without evaluating either wave: `CompositeWave._w_vanishes` decides it
@@ -67,15 +68,15 @@ the first against wave 1's `_xi_zero_r`.
 
 The quadratures over these fields, `compute_shift_inputs` and
 `interaction_norm`, never hold a grid-sized array.  They integrate with
-`kernels.trapz_points`, which asks for its integrand leaf by leaf, at
-most one `_BLOCK` of points at a time, and sums the panels in numpy's own
-order, so each result is numpy's trapezoid over the whole grid bit for
-bit.  `compute_shift_inputs` evaluates (V, U) and forms the residuals one
-leaf at a time; `interaction_norm` forms W one leaf at a time and skips
-every leaf on which `_w_vanishes` holds, whose panels sum to exactly
-+0.0.  On the long grids of very unequal strengths W is formed on a few
-percent of the points, and the memory of either call is its inputs plus
-O(`_BLOCK`) temporaries.
+`kernels.trapz_points`, which asks for its integrand leaf by leaf, each
+leaf at most `_BLOCK` points and so one composite block, and sums the
+panels in numpy's own order, so each result is numpy's trapezoid over
+the whole grid bit for bit.  `compute_shift_inputs` evaluates (V, U)
+and forms the residuals one leaf at a time; `interaction_norm` forms W
+one leaf at a time and skips every leaf on which `_w_vanishes` holds,
+whose panels sum to exactly +0.0.  On the long grids of very unequal
+strengths W is formed on a few percent of the points, and the memory of
+either call is its inputs plus O(`_BLOCK`) temporaries.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import trapz_points
+from .kernels import _BLOCK, trapz_points
 from .riemann import GasModel, TwoShockData, pressure_increment
 from .profile import ShockProfile, ascending_points
 
@@ -108,11 +109,6 @@ __all__ = [
 
 BOUNDARY_DECAY_TOL = 1e-12  # required perturbation decay at the grid edges
 W_BOUNDARY_TOL = 1e-14      # required W decay for trusted interaction norms
-# points per evaluation block: one fields() call makes ~40 temporaries the
-# size of its input, and on long grids they spill out of cache, where an
-# elementwise pass costs up to ~2-3x more per point; 16,384 measured
-# fastest on a 2-core Xeon, 8,192 and 32,768 slower
-_BLOCK = 16384
 
 
 class SeparationError(ValueError):
@@ -329,7 +325,7 @@ class CompositeWave:
             block(flat[sl], t, *(o[sl] for o in out))
         return [o.reshape(x.shape) for o in out]
 
-    # The blocks share _state_into and the W window, so V and U are
+    # The blocks share _state_into and _w_into, so V and U are
     # bitwise-identical between state_fields() and fields(), and W between
     # interaction() and fields().  Each takes an ascending 1-D x and fills
     # the output slices it is given.
@@ -368,44 +364,39 @@ class CompositeWave:
         if self._w_vanishes(x[0], x[-1], t):
             W.fill(0.0)
             return
-        g1, d1, b1 = w1._gap_values(self.xi1(x, t))
-        d2, g2, b2 = w2._gap_values(self.xi2(x, t))
-        lo, hi = _w_window(b1, b2)
-        W[:lo] = 0.0
-        W[hi:] = 0.0  # with W[:lo], all of W when the window is empty
-        if hi > lo:
-            u1x = -w1.s * w1._gap_slopes(g1, d1, b1, np.empty(x.shape))
-            u2x = -w2.s * w2._gap_slopes(d2, g2, b2, np.empty(x.shape))
-            W[lo:hi] = _w_stable(self.gas, self.mid.v, d1[lo:hi], d2[lo:hi],
-                                 u1x[lo:hi], u2x[lo:hi])
+        gaps1 = w1._gap_values(self.xi1(x, t))
+        gaps2 = w2._gap_values(self.xi2(x, t))
+        u1x = -w1.s * w1._gap_slopes(*gaps1, np.empty(x.shape))
+        u2x = -w2.s * w2._gap_slopes(*gaps2, np.empty(x.shape))
+        self._w_into(W, gaps1, gaps2, u1x, u2x)
 
     def _fields_block(self, x, t, V, U, Vx, Ux, W, V1x, V2x):
-        gas, w1, w2 = self.gas, self.wave1, self.wave2
-        (g1, d1, b1), gaps2 = self._state_into(x, t, V, U)
-        u1x = -w1.s * w1._gap_slopes(g1, d1, b1, V1x)
+        w1, w2 = self.wave1, self.wave2
+        gaps1, gaps2 = self._state_into(x, t, V, U)
+        u1x = -w1.s * w1._gap_slopes(*gaps1, V1x)
         if gaps2 is None:
             V2x.fill(0.0)
             u2x = 0.0
             W.fill(0.0)
         else:
-            d2, g2, b2 = gaps2
-            u2x = -w2.s * w2._gap_slopes(d2, g2, b2, V2x)
-            lo, hi = _w_window(b1, b2)
-            W[:lo] = 0.0
-            W[hi:] = 0.0
-            if hi > lo:
-                W[lo:hi] = _w_stable(gas, self.mid.v, d1[lo:hi], d2[lo:hi],
-                                     u1x[lo:hi], u2x[lo:hi])
+            u2x = -w2.s * w2._gap_slopes(*gaps2, V2x)
+            self._w_into(W, gaps1, gaps2, u1x, u2x)
         np.add(V1x, V2x, out=Vx)
         np.add(u1x, u2x, out=Ux)
 
-
-def _w_window(b1, b2):
-    """[lo, hi) outside which W is exactly +0.0, from the region bounds of
-    both waves' _gap_values: wave 2's filled left tail, where d2 = +0,
-    ends at lo, and wave 1's filled right tail, where d1 = +0, starts at
-    hi (see the module docstring)."""
-    return b2[0], b1[-1]
+    def _w_into(self, W, gaps1, gaps2, u1x, u2x):
+        """Writes W into W from both waves' gaps and region bounds, as
+        _state_into returns them, and their U_x: +0.0 up to lo, where
+        wave 2's filled left tail (d2 = +0) ends, and from hi, where wave
+        1's filled right tail (d1 = +0) starts (see the module docstring),
+        and _w_stable on [lo, hi) between them."""
+        (_, d1, b1), (d2, _, b2) = gaps1, gaps2
+        lo, hi = b2[0], b1[-1]
+        W[:lo] = 0.0
+        W[hi:] = 0.0  # with W[:lo], all of W when the window is empty
+        if hi > lo:
+            W[lo:hi] = _w_stable(self.gas, self.mid.v, d1[lo:hi], d2[lo:hi],
+                                 u1x[lo:hi], u2x[lo:hi])
 
 
 def compute_shift_inputs(v0, u0, cw: CompositeWave, grid) -> ShiftInputs:

@@ -200,7 +200,7 @@ class GridSpec:
                     f"grid.x_lo = {self.x_lo:g} and grid.x_hi = {self.x_hi:g} "
                     f"must strictly contain [0, {beta:g}], where the waves "
                     "start")
-            grid = Grid1D(self.x_lo, self.x_hi, self.n)
+            grid = Grid1D.uniform(self.x_lo, self.x_hi, self.n)
         else:
             try:
                 grid = auto_grid(gas, ts, beta, t_final, n=self.n, dx=self.dx,

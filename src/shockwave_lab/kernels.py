@@ -37,6 +37,8 @@ integrand and never writes it, and its memory is O(``_BLOCK``)
 temporaries beyond its inputs, where ``trapezoid(y, x)`` makes four
 arrays of ``y``'s size.  An integrand evaluated leaf by leaf, such as a
 composite wave's residuals, then never needs a grid-sized array at all.
+``_BLOCK`` is defined here once: the composite evaluates its fields in
+blocks of the same size, so a leaf is one composite block.
 
 ``g17_words(x, out, work)`` writes the text of ``"%.17g" % v`` for each
 value, byte for byte (see its section below): ~0.15 us a value in blocks
@@ -59,8 +61,12 @@ import numpy as np
 __all__ = ["gradient", "cumtrapz", "trapz", "trapz_points", "pairwise_sum",
            "g17_words", "write_csv"]
 
-# points per leaf of trapz_points, at most: a leaf's temporaries stay in
-# cache, and its points fit one block of the composite's evaluation
+# points per leaf of trapz_points at most, and per evaluation block of the
+# composite, which imports it, so a leaf is one block.  One composite
+# fields() call makes ~40 temporaries the size of its input, and on long
+# grids they spill out of cache, where an elementwise pass costs up to
+# ~2-3x more per point; 16,384 measured fastest on a 2-core Xeon, 8,192
+# and 32,768 slower
 _BLOCK = 16384
 # terms per leaf of pairwise_sum, at most: a leaf of _LEAF panels spans
 # _BLOCK points.  Any value of at least 128 gives the same sum.

@@ -97,6 +97,12 @@ class GasModel:
     def d2pressure(self, v):
         return self.a * self.gamma * (self.gamma + 1.0) * v ** (-self.gamma - 2.0)
 
+    def char_speed(self, v):
+        """The characteristic speed sqrt(-p'(v)) = sqrt(a gamma)
+        v^(-(gamma+1)/2), for v > 0 unchecked.  math.sqrt rounds as
+        np.sqrt does and keeps it one multiply on a float."""
+        return math.sqrt(self.a * self.gamma) * v ** (-0.5 * (self.gamma + 1.0))
+
 
 @dataclass(frozen=True)
 class EndState:
@@ -135,8 +141,7 @@ def char_speeds(gas: GasModel, v):
     """Characteristic speeds (lambda1, lambda2) = (-sqrt(-p'(v)), +sqrt(-p'(v)))."""
     _check_volume(v)
     scalar = np.ndim(v) == 0
-    v = np.asarray(v, dtype=np.float64)
-    lam = np.sqrt(gas.a * gas.gamma) * v ** (-0.5 * (gas.gamma + 1.0))
+    lam = gas.char_speed(np.asarray(v, dtype=np.float64))
     return _scalar_or_array(-lam, scalar), _scalar_or_array(lam, scalar)
 
 

@@ -48,8 +48,7 @@ the explicit reference path that the split step is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -107,40 +106,34 @@ class PositivityError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform grid with n points on [x_lo, x_hi]."""
+    """Ascending points x, spaced dx apart: the grid that uniform builds,
+    or a window of one."""
 
-    x_lo: float
-    x_hi: float
-    n: int
+    x: np.ndarray
+    dx: float
 
-    def __post_init__(self):
-        if self.n < 16:
+    @classmethod
+    def uniform(cls, x_lo: float, x_hi: float, n: int) -> "Grid1D":
+        """n equally spaced points from x_lo to x_hi, both included."""
+        if n < 16:
             raise ValueError("grid needs at least 16 points")
-        if not self.x_hi > self.x_lo:
+        if not x_hi > x_lo:
             raise ValueError("x_hi must exceed x_lo")
+        return cls(np.linspace(x_lo, x_hi, n), (x_hi - x_lo) / (n - 1))
 
-    @cached_property
-    def dx(self) -> float:
-        return (self.x_hi - self.x_lo) / (self.n - 1)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.n)
+    @property
+    def n(self) -> int:
+        return self.x.size
 
     def window(self, lo: int, hi: int) -> "Grid1D":
-        """Points lo, ..., hi - 1 of this grid as a grid of their own.
-
-        Its x is a view of this grid's x and its dx is this grid's dx, bit
-        for bit; a Grid1D rebuilt from x[lo], x[hi - 1] and hi - lo would
-        differ in both, since linspace rounds each point from its own end
-        points."""
+        """Points lo, ..., hi - 1 of this grid as a grid of their own: a
+        view of this grid's x, with this grid's dx.  A grid rebuilt by
+        uniform from x[lo], x[hi - 1] and hi - lo would differ in both,
+        since linspace rounds each point from its own end points."""
         if not 0 <= lo < hi <= self.n:
             raise ValueError(f"window [{lo}, {hi}) is not inside the "
                              f"{self.n} points of the grid")
-        x = self.x[lo:hi]
-        win = Grid1D(float(x[0]), float(x[-1]), hi - lo)
-        vars(win).update(x=x, dx=self.dx)  # the cached properties' values
-        return win
+        return Grid1D(self.x[lo:hi], self.dx)
 
 
 @dataclass
@@ -215,8 +208,7 @@ def hyperbolic_dt(gas: GasModel, state: FieldState, grid: Grid1D) -> float:
     vmin = float(state.v.min())
     if not vmin > 0.0:  # also catches a nan, which min propagates
         raise PositivityError("nonpositive specific volume", state.copy())
-    lam_max = math.sqrt(gas.a * gas.gamma) * vmin ** (-0.5 * (gas.gamma + 1.0))
-    return CFL_HYPERBOLIC * grid.dx / lam_max
+    return CFL_HYPERBOLIC * grid.dx / gas.char_speed(vmin)
 
 
 def stable_dt(gas: GasModel, state: FieldState, grid: Grid1D) -> float:
@@ -409,7 +401,7 @@ def auto_grid(gas: GasModel, ts: TwoShockData, beta: float, t_final: float,
             raise ValueError(f"dx = {dx:g} gives {n} points on the auto-sized "
                              f"domain [{x_lo:.6g}, {x_hi:.6g}]; a grid needs "
                              "at least 16")
-    return Grid1D(x_lo, x_hi, n)
+    return Grid1D.uniform(x_lo, x_hi, n)
 
 
 @dataclass
@@ -600,5 +592,6 @@ def run_simulation(cfg) -> SimulationResult:
             snapshots.append(snapshot(FieldState(t, v, u)))
         raise
 
-    return SimulationResult(**vars(exp), series=series, snapshots=snapshots,
+    setup = {f.name: getattr(exp, f.name) for f in fields(exp)}
+    return SimulationResult(**setup, series=series, snapshots=snapshots,
                             config=cfg)

@@ -86,7 +86,7 @@ def _canonical():
 
 def _uniform_grid(x_lo, x_hi, h):
     """The grid on [x_lo, x_hi] whose spacing is closest to h."""
-    return Grid1D(x_lo, x_hi, int(round((x_hi - x_lo) / h)) + 1)
+    return Grid1D.uniform(x_lo, x_hi, int(round((x_hi - x_lo) / h)) + 1)
 
 
 # ----------------------------------------------------------------- riemann
@@ -134,7 +134,7 @@ def _steady_residual_l2(profile, h):
     the profile sampled at step h, its pressure and viscous terms taken
     from the solver's semidiscretization (semidiscrete_rhs)."""
     xi, V, U = sample_uniform(profile, h)
-    grid = Grid1D(float(xi[0]), float(xi[-1]), xi.size)
+    grid = Grid1D.uniform(float(xi[0]), float(xi[-1]), xi.size)
     _, du = semidiscrete_rhs(profile.gas, FieldState(0.0, V, U), grid)
     R = -profile.s * (U[2:] - U[:-2]) / (2.0 * h) - du[1:-1]
     return float(np.sqrt(np.sum(R * R) * h))
@@ -299,7 +299,7 @@ def _psi_consistency_order(snap, cw):
     hs = []
     for k in (1, 2, 4):
         x = snap.x[::k]
-        grid_k = Grid1D(float(x[0]), float(x[-1]), x.size)
+        grid_k = Grid1D.uniform(float(x[0]), float(x[-1]), x.size)
         state = FieldState(snap.t, snap.v[::k].copy(), snap.u[::k].copy())
         fields = antiderivatives(state, cw, grid_k)
         psi_closed = closed_form_Psi(state, cw, fields)

@@ -617,7 +617,7 @@ def test_single_wave_run_ignores_beta(tmp_path):
     for tag, extra in (("plain", ""), ("beta", "composite.beta = 40.0\n")):
         cfg_path = _write(tmp_path, SINGLE_SHOCK_RUN + extra, f"{tag}.cfg")
         setup = solver.setup_experiment(parse_config(cfg_path))
-        grids.append((setup.grid.x_lo, setup.grid.x_hi, setup.grid.n))
+        grids.append((setup.grid.x[0], setup.grid.x[-1], setup.grid.n))
         out_dir = tmp_path / tag
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(out_dir)]) == 0
@@ -634,7 +634,7 @@ def test_single_wave_run_ignores_beta(tmp_path):
         "grid.dx = 0.1", "grid.x_lo = -30\ngrid.x_hi = 30\ngrid.n = 601")
     setup = solver.setup_experiment(parse_config(_write(
         tmp_path, explicit + "composite.beta = 40.0\n")))
-    assert (setup.grid.x_lo, setup.grid.x_hi) == (-30.0, 30.0)
+    assert (setup.grid.x[0], setup.grid.x[-1]) == (-30.0, 30.0)
 
 
 def test_cmd_shifts_single_family_matches_simulate(tmp_path, capsys):
@@ -822,7 +822,7 @@ def test_perturbation_rejects_non_finite(field, value):
 def test_grid_validation():
     from shockwave_lab import Grid1D
     with pytest.raises(ValueError):
-        Grid1D(0.0, 1.0, 8)
+        Grid1D.uniform(0.0, 1.0, 8)
 
 
 def test_missing_config_is_usage_error(capsys):

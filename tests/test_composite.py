@@ -28,7 +28,7 @@ SQ3 = np.sqrt(3.0)
 
 def _shift_grid(beta=40.0, dx=0.02, margin=27.0):
     n = int(round((beta + 2 * margin) / dx)) + 1
-    return Grid1D(-margin, beta + margin, n)
+    return Grid1D.uniform(-margin, beta + margin, n)
 
 
 def test_far_field_limits(composite40, two_shock):
@@ -198,18 +198,19 @@ def test_w_decay_constants_scaling():
 
 
 def test_interaction_norm_decreasing_and_floor(composite40):
-    grid = Grid1D(-50.0, 90.0, 2801)
+    grid = Grid1D.uniform(-50.0, 90.0, 2801)
     norms = [interaction_norm(composite40, t, grid) for t in (0.0, 2.0, 5.0)]
     assert norms[0] > norms[1] > norms[2] > 0.0
     # c' t > 60: exponential bound floor
-    assert interaction_norm(composite40, 50.0, Grid1D(-90.0, 130.0, 4401)) <= 1e-12
+    grid = Grid1D.uniform(-90.0, 130.0, 4401)
+    assert interaction_norm(composite40, 50.0, grid) <= 1e-12
 
 
 @pytest.mark.parametrize("edge", (0, -1), ids=("left", "right"))
 def test_interaction_norm_warns_on_nan_edge(composite40, edge, monkeypatch):
     """A nan in W at a grid edge, from the leaf that holds that edge, is
     a TruncationWarning, and the norm is nan."""
-    grid = Grid1D(-50.0, 90.0, 2801)
+    grid = Grid1D.uniform(-50.0, 90.0, 2801)
     x_edge = grid.x[edge]
     interaction = CompositeWave.interaction
 
@@ -226,8 +227,8 @@ def test_interaction_norm_warns_on_nan_edge(composite40, edge, monkeypatch):
 def test_beta_doubling_shrinks_w(profiles, two_shock):
     p1, p2 = profiles
     _, c_minus = predicted_w_decay(two_shock, p1, p2)
-    g10 = Grid1D(-35.0, 45.0, 1601)
-    g20 = Grid1D(-35.0, 55.0, 1801)
+    g10 = Grid1D.uniform(-35.0, 45.0, 1601)
+    g20 = Grid1D.uniform(-35.0, 55.0, 1801)
     w10 = interaction_norm(CompositeWave(p1, p2, 10.0), 0.0, g10)
     w20 = interaction_norm(CompositeWave(p1, p2, 20.0), 0.0, g20)
     assert w10 / w20 >= np.exp(c_minus * 10.0 * 0.5)
@@ -445,7 +446,7 @@ def test_blocks_split_invariant(datum, beta, t, x1, x2):
     assert cw.interaction(x, t).tobytes() == whole.W.tobytes()
     ws = [cw.interaction(x[lo:hi], t) for lo, hi in slices]
     assert np.concatenate(ws).tobytes() == whole.W.tobytes()
-    grid = Grid1D(float(x[0]), float(x[-1]), x.size)
+    grid = Grid1D.uniform(float(x[0]), float(x[-1]), x.size)
     W = cw.fields(grid.x, t).W
     with warnings.catch_warnings():
         # this grid does not reach the weak wave's tail at t = 2.5; the
@@ -487,7 +488,7 @@ def test_quadrature_memory(composite40):
     """On a long grid the shift inputs and the W norm hold O(block)
     temporaries beyond their inputs, no grid-sized array, and a Gaussian
     bump 1 grid-sized array; none of them writes v0, u0 or grid.x."""
-    grid = Grid1D(-60.0, 100.0, 500_000)
+    grid = Grid1D.uniform(-60.0, 100.0, 500_000)
     x = grid.x
     composite40.interaction(x[:100], 0.0)
     V0, U0 = composite40.state_fields(x, 0.0)
@@ -516,7 +517,7 @@ def test_quadratures_leave_no_reference_cycle(composite40):
     the collector ran, and the peak RSS of a batch of data grew with
     them."""
     cw = composite40.shifted(0.0, 0.0)
-    grid = Grid1D(-60.0, 100.0, 2 * _BLOCK + 5)
+    grid = Grid1D.uniform(-60.0, 100.0, 2 * _BLOCK + 5)
     V0, U0 = cw.state_fields(grid.x, 0.0)
     refs = [weakref.ref(a) for a in (cw, grid, V0, U0)]
     gc.disable()
@@ -602,6 +603,29 @@ def test_interaction_norm_forms_w_on_its_support(gas, chi, monkeypatch):
     assert sum(sizes) <= (hi - lo) + 2 * _BLOCK + len(sizes)
 
 
+def test_quadrature_leaf_is_one_composite_block(composite40, monkeypatch):
+    """kernels.trapz_points asks for leaves of at most _BLOCK points, the
+    composite's own block size, so on a grid of several leaves every
+    leaf the quadratures evaluate is one composite block: one _state_into
+    per state_fields call in compute_shift_inputs, one
+    _interaction_block per interaction call in interaction_norm."""
+    grid = Grid1D.uniform(-60.0, 100.0, 3 * _BLOCK + 1000)
+    V, U = composite40.state_fields(grid.x, 0.0)
+    calls = dict.fromkeys(("state_fields", "_state_into", "interaction",
+                           "_interaction_block"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name,
+                    _method=getattr(CompositeWave, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(CompositeWave, name, counted)
+    compute_shift_inputs(V, U, composite40, grid)
+    interaction_norm(composite40, 0.0, grid)
+    assert calls["state_fields"] >= 3 and calls["interaction"] >= 3
+    assert calls["_state_into"] == calls["state_fields"]
+    assert calls["_interaction_block"] == calls["interaction"]
+
+
 @pytest.mark.parametrize("v0, u0", [
     (np.zeros(3999), np.zeros(4000)),
     (np.zeros((1, 4000)), np.zeros(4000)),
@@ -609,7 +633,7 @@ def test_interaction_norm_forms_w_on_its_support(gas, chi, monkeypatch):
 ], ids=("short-v0", "row-v0", "scalar-u0"))
 def test_shift_inputs_reject_wrong_shapes(composite40, v0, u0):
     """v0 and u0 must be samples on the grid, both shapes in the error."""
-    grid = Grid1D(-60.0, 100.0, 4000)
+    grid = Grid1D.uniform(-60.0, 100.0, 4000)
     with pytest.raises(ValueError, match=r"must have shape \(4000,\)") as info:
         compute_shift_inputs(v0, u0, composite40, grid)
     assert str(np.shape(v0)) in str(info.value)
@@ -621,7 +645,7 @@ def test_interaction_norm_skips_fields(composite40, monkeypatch):
     def no_fields(*args, **kwargs):
         raise AssertionError("interaction_norm called fields")
 
-    grid = Grid1D(-50.0, 90.0, 2801)
+    grid = Grid1D.uniform(-50.0, 90.0, 2801)
     expected = interaction_norm(composite40, 2.0, grid)
     monkeypatch.setattr(CompositeWave, "fields", no_fields)
     assert interaction_norm(composite40, 2.0, grid) == expected

@@ -20,7 +20,7 @@ from shockwave_lab.verify import stability_config
 
 def _grid(beta=40.0, dx=0.05, margin=27.0):
     n = int(round((beta + 2 * margin) / dx)) + 1
-    return Grid1D(-margin, beta + margin, n)
+    return Grid1D.uniform(-margin, beta + margin, n)
 
 
 def _perturbed_state(cw, grid, t=0.0, bumps=()):
@@ -134,7 +134,7 @@ def test_psi_closed_form_alpha_positive(gas):
     dxs = (0.08, 0.04)
     for dx in dxs:
         n = int(round(80.0 / dx)) + 1
-        grid = Grid1D(-25.0, 55.0, n)
+        grid = Grid1D.uniform(-25.0, 55.0, n)
         state = _perturbed_state(cw, grid,
                                  bumps=(Perturbation("v", 0.05, 15.0, 1.0),))
         f = antiderivatives(state, cw, grid)
@@ -247,7 +247,7 @@ def test_energy_quadrature_oracle(composite40, gas):
         V = composite40.state_fields(np.array([x]), 0.0)[0][0]
         return phi_fn(x) ** 2 - Psi_fn(x) ** 2 / gas.dpressure(V)
 
-    expect, _ = quad(integrand, grid.x_lo, grid.x_hi, limit=200)
+    expect, _ = quad(integrand, grid.x[0], grid.x[-1], limit=200)
     assert e0 == pytest.approx(expect, rel=1e-7)
 
 
@@ -293,7 +293,7 @@ def test_pointwise_inequality_single_shock(profiles):
     """Degenerate composite: the steepening bound collapses to equality."""
     p1, _ = profiles
     cw = CompositeWave(p1, None, 0.0)
-    grid = Grid1D(-25.0, 25.0, 1001)
+    grid = Grid1D.uniform(-25.0, 25.0, 1001)
     flds = cw.fields(grid.x, 0.0)
     rep = pointwise_inequality_report(cw, flds, cw.gas.dpressure(flds.V))
     assert abs(rep.steepening) <= 1e-12
@@ -306,7 +306,7 @@ def test_steepening_check_sees_a_lone_wave_of_either_family(profiles, family):
     its speed implies: the check reads that violation for either family,
     its speed taken as |s| of the wave whichever family it is."""
     cw = CompositeWave(profiles[family - 1], None, 0.0)
-    grid = Grid1D(-25.0, 25.0, 1001)
+    grid = Grid1D.uniform(-25.0, 25.0, 1001)
     flds = cw.fields(grid.x, 0.0)
     flds = dataclasses.replace(flds, V1x=0.5 * flds.V1x)
     rep = pointwise_inequality_report(cw, flds, cw.gas.dpressure(flds.V))

@@ -12,6 +12,8 @@ from shockwave_lab import (BracketError, EndState, GasModel,
                            entropy_margins, hugoniot_u, in_ss_region,
                            rh_residuals, solve_intermediate)
 from shockwave_lab.riemann import VM_XTOL, _bisect_secant
+from shockwave_lab.solver import (CFL_HYPERBOLIC, FieldState, Grid1D,
+                                  hyperbolic_dt)
 
 SQ3 = np.sqrt(3.0)
 
@@ -46,10 +48,29 @@ def test_eos_domain_error(gas, bad):
 
 
 def test_char_speeds_values(gas):
+    """Hand values, and GasModel.char_speed as the one characteristic
+    speed: it equals, bit for bit, the expressions that char_speeds
+    (numpy's sqrt on an array) and hyperbolic_dt (math.sqrt on a float)
+    each wrote before, on a float, a 0-d array and an array, and
+    hyperbolic_dt is the CFL bound of char_speeds' lambda2 at min v."""
     l1, l2 = char_speeds(gas, 1.0)
     assert l1 == pytest.approx(-np.sqrt(2.0), rel=1e-12)
     l1, l2 = char_speeds(gas, 2.0)
     assert (l1, l2) == pytest.approx((-0.5, 0.5), rel=1e-12)
+    vs = np.array([0.5, 0.9, 1.0, 1.0 + 2.0 ** -40, 1.3, 2.0])
+    grid = Grid1D.uniform(0.0, 1.0, 16)
+    for g in (1.01, 1.4, 2.0, 3.0, 50.0, 1075.0):
+        model = GasModel(a=1.7, gamma=g, alpha=0.5)
+        e = -0.5 * (g + 1.0)
+        for v in (float(vs[1]), np.asarray(vs[4]), vs):
+            got = np.asarray(model.char_speed(v)).tobytes()
+            assert got == np.asarray(np.sqrt(1.7 * g) * v ** e).tobytes()
+            assert got == np.asarray(math.sqrt(1.7 * g) * v ** e).tobytes()
+        assert np.asarray(char_speeds(model, vs)[1]).tobytes() == \
+            np.asarray(np.sqrt(1.7 * g) * vs ** e).tobytes()
+        state = FieldState(0.0, np.linspace(2.0, 0.75, 16), np.zeros(16))
+        assert hyperbolic_dt(model, state, grid) == \
+            CFL_HYPERBOLIC * grid.dx / char_speeds(model, 0.75)[1]
 
 
 def test_char_speeds_symmetry():

@@ -50,13 +50,13 @@ def _record_calls(monkeypatch, name, arg):
 
 
 def test_constant_state_is_equilibrium(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     dv, du = semidiscrete_rhs(gas, _const_state(101), grid)
     assert np.all(dv == 0.0) and np.all(du == 0.0)
 
 
 def test_linear_velocity_field(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     m = 0.7
     state = FieldState(0.0, np.ones(101), m * grid.x)
     dv, du = semidiscrete_rhs(gas, state, grid)
@@ -65,7 +65,7 @@ def test_linear_velocity_field(gas):
 
 
 def test_rhs_positivity_guard(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     state.v[50] = -0.1
     with pytest.raises(PositivityError):
@@ -73,7 +73,7 @@ def test_rhs_positivity_guard(gas):
 
 
 def test_rhs_rejects_nan_volume(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     state.v[50] = np.nan
     with pytest.raises(PositivityError):
@@ -81,7 +81,7 @@ def test_rhs_rejects_nan_volume(gas):
 
 
 def test_rk4_step_rejects_nan_volume(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     state.v[50] = np.nan
     with pytest.raises(PositivityError):
@@ -95,7 +95,7 @@ def test_traveling_wave_identity_second_order(gas, profiles):
     dxs = (0.1, 0.05, 0.025)
     for dx in dxs:
         xi, V, U = sample_uniform(p1, dx)
-        grid = Grid1D(float(xi[0]), float(xi[-1]), xi.size)
+        grid = Grid1D.uniform(float(xi[0]), float(xi[-1]), xi.size)
         dv, _ = semidiscrete_rhs(gas, FieldState(0.0, V, U), grid)
         vx = profile_rhs(gas, p1.s, p1.state_l.v, V)
         r = dv[1:-1] + p1.s * vx[1:-1]
@@ -105,7 +105,7 @@ def test_traveling_wave_identity_second_order(gas, profiles):
 
 
 def test_stable_dt_hand_value(gas):
-    grid = Grid1D(0.0, 5.0, 101)  # dx = 0.05
+    grid = Grid1D.uniform(0.0, 5.0, 101)  # dx = 0.05
     dt = stable_dt(gas, FieldState(0.0, np.ones(101), np.zeros(101)), grid)
     assert dt == pytest.approx(5e-4, rel=1e-12)
 
@@ -113,13 +113,13 @@ def test_stable_dt_hand_value(gas):
 def test_stable_dt_viscous_scaling(gas):
     state = FieldState(0.0, np.ones(201), np.zeros(201))
     dt1 = stable_dt(gas, FieldState(0.0, np.ones(101), np.zeros(101)),
-                    Grid1D(0.0, 5.0, 101))
-    dt2 = stable_dt(gas, state, Grid1D(0.0, 5.0, 201))
+                    Grid1D.uniform(0.0, 5.0, 101))
+    dt2 = stable_dt(gas, state, Grid1D.uniform(0.0, 5.0, 201))
     assert dt2 <= dt1 / 4.0 + 1e-15
 
 
 def test_stable_dt_volume_rescale(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     for vref in (1.0, 2.0):
         state = FieldState(0.0, np.full(101, vref), np.zeros(101))
         lam = np.sqrt(gas.a * gas.gamma) * vref ** (-0.5 * (gas.gamma + 1.0))
@@ -129,7 +129,7 @@ def test_stable_dt_volume_rescale(gas):
 
 
 def test_rk4_preserves_equilibrium(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     out = rk4_step(gas, state, 1e-3, grid)
     assert np.all(out.v == state.v) and np.all(out.u == state.u)
@@ -138,7 +138,7 @@ def test_rk4_preserves_equilibrium(gas):
 
 def _bump_grid_state():
     """40-point grid on [0, 10] with a v bump and a u bump."""
-    grid = Grid1D(0.0, 10.0, 40)
+    grid = Grid1D.uniform(0.0, 10.0, 40)
     x = grid.x
     v0 = 1.0 + 0.4 * np.exp(-((x - 5.0) / 1.2) ** 2)
     u0 = 0.3 * np.exp(-((x - 4.2) / 1.0) ** 2)
@@ -227,7 +227,7 @@ def test_inviscid_step_matches_three_stage_formula(alpha):
 def test_inviscid_step_keeps_constant_state_bitwise(gas, v):
     """In increment form, a step on the pair in place keeps a state with
     a zero inviscid RHS bit for bit."""
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101, v=v)
     out = _inviscid_step(gas, state, 0.8 * hyperbolic_dt(gas, state, grid),
                          grid)
@@ -296,7 +296,7 @@ def test_crank_nicolson_damps_odd_even_mode(gas, two_shock, alpha, v):
     r = (dt/2) / (dx^2 v^(alpha+1)), on the stability grid's dx."""
     dx = auto_grid(gas, two_shock, 40.0, 50.0, n=4000).dx
     gas_alpha = GasModel(1.0, 2.0, alpha)
-    grid = Grid1D(0.0, 300 * dx, 301)
+    grid = Grid1D.uniform(0.0, 300 * dx, 301)
     sign = (-1.0) ** np.arange(grid.n)
     state = FieldState(0.0, np.full(grid.n, v), -0.2 + 1e-3 * sign)
     dt = hyperbolic_dt(gas_alpha, state, grid)
@@ -320,7 +320,7 @@ def test_merged_steps_damp_odd_even_mode(gas, two_shock, monkeypatch,
     hyperbolic dt, so the taus are recorded rather than assumed."""
     dx = auto_grid(gas, two_shock, 40.0, 50.0, n=4000).dx
     gas_alpha = GasModel(1.0, 2.0, alpha)
-    grid = Grid1D(0.0, 480 * dx, 481)
+    grid = Grid1D.uniform(0.0, 480 * dx, 481)
     sign = (-1.0) ** np.arange(grid.n)
     state = FieldState(0.0, np.full(grid.n, v), -0.2 + 1e-3 * sign)
     t_target = 5.5 * hyperbolic_dt(gas_alpha, state, grid)
@@ -541,7 +541,7 @@ def test_steppers_leave_their_input_untouched(gas):
 
 
 def test_strang_preserves_equilibrium(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     out = _split_step(gas, state, 1e-2, grid)
     assert np.all(out.v == state.v) and np.all(out.u == state.u)
@@ -551,7 +551,7 @@ def test_strang_preserves_equilibrium(gas):
 def test_mass_conservation_over_step(gas, two_shock, profiles):
     """v- and u-mass changes equal the discrete boundary flux integrals."""
     p1, _ = profiles
-    grid = Grid1D(-30.0, 30.0, 1201)
+    grid = Grid1D.uniform(-30.0, 30.0, 1201)
     x = grid.x
     V, U, _, _ = p1.evaluate(x)
     state = FieldState(0.0, V.copy(), U.copy())
@@ -580,7 +580,7 @@ def test_mass_conservation_over_step(gas, two_shock, profiles):
 
 
 def _compressed_state():
-    grid = Grid1D(0.0, 1.5, 31)
+    grid = Grid1D.uniform(0.0, 1.5, 31)
     v = np.full(31, 1e-3)
     u = np.linspace(1.0, -1.0, 31)  # strong compression
     return grid, FieldState(0.0, v, u)
@@ -609,7 +609,7 @@ def test_strang_positivity_abort(gas, monkeypatch):
 def test_nan_volume_fails_before_a_step(gas):
     """A nan in v fails the hyperbolic bound at the state's own time; it
     does not set dt = nan and fail a step later at t = nan."""
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     state.v[50] = np.nan
     with pytest.raises(PositivityError) as err:
@@ -627,7 +627,7 @@ def _recording_steps(monkeypatch):
 def test_one_viscous_solve_per_step(gas, monkeypatch):
     """Adjacent viscous half steps are merged: n steps to a target take
     n + 1 Crank-Nicolson solves, half steps at both ends."""
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     dt = hyperbolic_dt(gas, state, grid)
     dts = _recording_steps(monkeypatch)
@@ -643,7 +643,7 @@ def test_one_viscous_solve_per_step(gas, monkeypatch):
 
 
 def test_advance_clips_last_step_onto_target(gas, monkeypatch):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = _const_state(101)
     dt = hyperbolic_dt(gas, state, grid)
     t_target = 24.6 * dt  # the stable dt does not divide the interval
@@ -655,7 +655,7 @@ def test_advance_clips_last_step_onto_target(gas, monkeypatch):
 
 
 def test_advance_without_time_to_go_returns_state(gas, monkeypatch):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = FieldState(2.0, np.full(101, 1.3), np.full(101, -0.2))
     dts = _recording_steps(monkeypatch)
     for t_target in (2.0, 1.0):
@@ -664,7 +664,7 @@ def test_advance_without_time_to_go_returns_state(gas, monkeypatch):
 
 
 def test_effective_velocity_constant_volume(gas):
-    grid = Grid1D(0.0, 5.0, 101)
+    grid = Grid1D.uniform(0.0, 5.0, 101)
     state = FieldState(0.0, np.full(101, 2.0), np.sin(grid.x))
     h = effective_velocity(gas, state, grid)
     assert np.allclose(h, state.u, rtol=0, atol=1e-14)
@@ -675,7 +675,7 @@ def test_effective_velocity_exponential_volume(gas):
     k = 0.3
     errs = []
     for n in (101, 201, 401):
-        grid = Grid1D(0.0, 5.0, n)
+        grid = Grid1D.uniform(0.0, 5.0, n)
         state = FieldState(0.0, np.exp(k * grid.x), np.zeros(n))
         h = effective_velocity(gas, state, grid)
         errs.append(np.max(np.abs(h[1:-1] + k)))
@@ -685,15 +685,15 @@ def test_effective_velocity_exponential_volume(gas):
 
 def test_auto_grid_contains_wave_span(gas, two_shock):
     grid = auto_grid(gas, two_shock, beta=40.0, t_final=10.0)
-    assert grid.x_lo < two_shock.s1 * 10.0 - 17.0
-    assert grid.x_hi > 40.0 + two_shock.s2 * 10.0 + 17.0
+    assert grid.x[0] < two_shock.s1 * 10.0 - 17.0
+    assert grid.x[-1] > 40.0 + two_shock.s2 * 10.0 + 17.0
 
 
 def test_auto_grid_canonical_is_pinned(gas, two_shock):
     """The symmetric datum's margins are the two outer tails, both at
     c_min: the T = 50 grid is the one the stability values were set on."""
     grid = auto_grid(gas, two_shock, 40.0, 50.0, n=4000)
-    assert (grid.x_lo, grid.x_hi, grid.n) == (-69.22453359302851,
+    assert (grid.x[0], grid.x[-1], grid.n) == (-69.22453359302851,
                                               109.2245335930285, 4000)
 
 
@@ -742,7 +742,7 @@ def test_auto_grid_lone_wave_far_side_decayed(gas, family):
         wave = build_profiles(gas, ts)[family - 1]
         cw = CompositeWave(wave, None, 0.0)
         for t in (0.0, t_final):
-            V = cw.state_fields(np.array([grid.x_lo, grid.x_hi]), t)[0]
+            V = cw.state_fields(np.array([grid.x[0], grid.x[-1]]), t)[0]
             assert abs(V[0] - wave.state_l.v) <= 1e-13, (chi, t)
             assert abs(V[1] - wave.state_r.v) <= 1e-13, (chi, t)
 
@@ -768,7 +768,7 @@ def test_auto_grid_lone_wave_edges_decayed_across_ss_region(
     cw = CompositeWave(wave, None, 0.0)
     far = np.array([wave.state_l.v, wave.state_r.v])
     for t in (0.0, t_final):
-        V = cw.state_fields(np.array([grid.x_lo, grid.x_hi]), t)[0]
+        V = cw.state_fields(np.array([grid.x[0], grid.x[-1]]), t)[0]
         assert np.max(np.abs(V - far)) <= 2e-13
 
 
@@ -776,7 +776,7 @@ def _edge_residuals(gas, ts, beta, grid, t_final):
     """Largest |V - v_far| and |W| of the unshifted composite at the two
     grid edges, over t = 0 and t = t_final."""
     cw = CompositeWave(*build_profiles(gas, ts), beta)
-    edges = np.array([grid.x_lo, grid.x_hi])
+    edges = np.array([grid.x[0], grid.x[-1]])
     far = np.array([ts.left.v, ts.right.v])
     gap = w_edge = 0.0
     for t in (0.0, t_final):
@@ -906,14 +906,14 @@ def test_mirror_image_run_is_reflected():
             time=TimeSpec(t_final=t_final, record_dt=0.25,
                           snapshot_times=(t_final,))))
 
-    res = run(spec, perts, grid.x_lo, grid.x_hi)
+    res = run(spec, perts, grid.x[0], grid.x[-1])
     mirror = run(
         RiemannSpec(v_minus=spec.v_plus, u_minus=-res.two_shock.right.u,
                     v_plus=spec.v_minus, v_m=spec.v_m),
         tuple(Perturbation(p.target,
                            -p.amplitude if p.target == "u" else p.amplitude,
                            beta - p.center, p.width) for p in perts),
-        beta - grid.x_hi, beta - grid.x_lo)
+        beta - grid.x[-1], beta - grid.x[0])
 
     amp = max(abs(p.amplitude) for p in perts)
     snap, snap_m = res.snapshots[-1], mirror.snapshots[-1]
@@ -948,7 +948,7 @@ def test_scaled_image_run_is_rescaled():
         return run_simulation(ExperimentConfig(
             gas=gas, riemann=spec, beta=base.beta * scale_x,
             perturbations=perts,
-            grid=GridSpec(x_lo=grid.x_lo * scale_x, x_hi=grid.x_hi * scale_x,
+            grid=GridSpec(x_lo=grid.x[0] * scale_x, x_hi=grid.x[-1] * scale_x,
                           n=grid.n),
             time=TimeSpec(t_final=t_final * scale_t, record_dt=0.25 * scale_t,
                           snapshot_times=(t_final * scale_t,))))
@@ -1089,19 +1089,27 @@ def test_bump_beyond_the_waves_lies_inside_the_window(monkeypatch, center):
 
 
 def test_grid_window_is_a_view_with_the_parents_spacing():
-    """Grid1D.window shares the parent's points and dx bit for bit, where
-    a grid rebuilt from its end points would not."""
-    grid = Grid1D(-69.22453359302851, 109.2245335930285, 4000)
-    win = grid.window(1234, 3210)
-    assert win.n == 3210 - 1234
+    """A grid is its points and its spacing.  Grid1D.window is a slice of
+    them: its x is a view of the parent's x and its dx is the parent's,
+    bit for bit, where a grid rebuilt by Grid1D.uniform from the window's
+    end points would differ.  Grid1D.uniform checks n and the bounds
+    before it builds the points."""
+    assert [f.name for f in dataclasses.fields(Grid1D)] == ["x", "dx"]
+    grid = Grid1D.uniform(-69.22453359302851, 109.2245335930285, 4000)
+    lo, hi = 1234, 3210
+    win = grid.window(lo, hi)
     assert np.shares_memory(win.x, grid.x)
-    np.testing.assert_array_equal(win.x, grid.x[1234:3210])
+    np.testing.assert_array_equal(win.x, grid.x[lo:hi])
     assert win.dx.hex() == grid.dx.hex()
-    assert (win.x_lo, win.x_hi) == (grid.x[1234], grid.x[3209])
-    rebuilt = Grid1D(win.x_lo, win.x_hi, win.n)
-    assert (rebuilt.dx != grid.dx
-            or not np.array_equal(rebuilt.x, grid.x[1234:3210]))
+    assert win.n == hi - lo
     assert grid.window(0, grid.n).x.tobytes() == grid.x.tobytes()
+    rebuilt = Grid1D.uniform(win.x[0], win.x[-1], win.n)
+    assert rebuilt.dx != win.dx or not np.array_equal(rebuilt.x, win.x)
     for lo, hi in ((-1, 100), (0, 4001), (100, 100)):
         with pytest.raises(ValueError, match="window"):
             grid.window(lo, hi)
+    with pytest.raises(ValueError, match="at least 16 points"):
+        Grid1D.uniform(0.0, 1.0, 15)
+    for x_hi in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="x_hi must exceed x_lo"):
+            Grid1D.uniform(0.0, x_hi, 16)

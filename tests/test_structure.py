@@ -3,7 +3,8 @@ import sits at module level, where a reader sees what a module depends
 on, and the run-time imports among the package's modules form no cycle,
 so each module can be imported and read before the ones that use it.
 Imports under `if TYPE_CHECKING:` are for annotations only and do not
-count."""
+count.  A module-level name is assigned in one module only: a constant
+that two modules need is defined once and imported."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,22 @@ def _cycles(graph):
     return found
 
 
+def _module_assignments(tree):
+    """The names that the module-level statements of tree assign, dunder
+    names excluded."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names |= {n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name) and not n.id.startswith("__")}
+    return names
+
+
 def test_no_import_inside_a_function():
     nested = [f"{name}.py:{inner.lineno}"
               for name, tree in MODULES.items()
@@ -99,3 +116,12 @@ def test_guard_sees_a_cycle_and_skips_type_checking_blocks():
                      "    from .solver import Grid1D\n")
     assert {m for node in _runtime_nodes(tree)
             for m in _imported_modules(node)} == {"kernels"}
+
+
+def test_each_module_constant_assigned_once():
+    owners = {}
+    for name, tree in MODULES.items():
+        for assigned in _module_assignments(tree):
+            owners.setdefault(assigned, []).append(name)
+    twice = {k: v for k, v in owners.items() if len(v) > 1}
+    assert not twice, f"module-level names assigned in two modules: {twice}"
