@@ -23,8 +23,8 @@ formula into
 with d_i the gaps to the shared middle state, evaluates the bracketed
 differences with expm1/log1p, and switches the pressure second
 difference to its Taylor series in (d1, d2) when both gaps are small.
-The naive term-by-term form is kept as `w_naive` and serves as the
-independent cross-check where magnitudes are O(1).
+The naive term-by-term form is the tests' independent cross-check where
+magnitudes are O(1) (`w_naive` in tests/oracles.py).
 
 Each entry point computes only what it returns:
 
@@ -101,10 +101,8 @@ __all__ = [
     "TruncationWarning",
     "compute_shift_inputs",
     "solve_shifts",
-    "w_decay_constants",
     "predicted_w_decay",
     "interaction_norm",
-    "w_naive",
 ]
 
 BOUNDARY_DECAY_TOL = 1e-12  # required perturbation decay at the grid edges
@@ -212,20 +210,6 @@ def _grouped(gas: GasModel, vm: float, d_big, d_small):
     base = vm + d_big
     return (pressure_increment(gas, base, d_small)
             - pressure_increment(gas, vm, d_small))
-
-
-def w_naive(gas: GasModel, vm: float, V1, U1x, V2, U2x):
-    """Interaction residual from the literal term-by-term formula.
-
-    Independent cross-check of the stable evaluation; accurate only
-    where |W| is well above rounding of the O(1) pressure terms.
-    """
-    ap1 = gas.alpha + 1.0
-    V = V1 + V2 - vm
-    Ux = U1x + U2x
-    return (U2x / V2 ** ap1 + U1x / V1 ** ap1 - Ux / V ** ap1
-            + gas.pressure(V) + gas.pressure(vm)
-            - gas.pressure(V1) - gas.pressure(V2))
 
 
 def _w_stable(gas: GasModel, vm: float, d1, d2, u1x, u2x):
@@ -471,18 +455,16 @@ def solve_shifts(si: ShiftInputs, ts: TwoShockData):
     return b1, b2
 
 
-def w_decay_constants(s1: float, s2: float, c1: float, c2: float):
-    """(c', C_minus) = (min(-c1 s1, c2 s2), min(c1, c2)/6)."""
-    return min(-c1 * s1, c2 * s2), min(c1, c2) / 6.0
-
-
 def predicted_w_decay(ts: TwoShockData, p1: ShockProfile, p2: ShockProfile):
-    """Predicted interaction decay constants for a two-shock composite.
+    """Predicted interaction decay constants for a two-shock composite,
 
-    c1 is wave1's tail rate toward the middle state (its xi -> +inf
-    side) and c2 is wave2's rate toward the middle state (xi -> -inf).
+        (c', C_minus) = (min(-c1 s1, c2 s2), min(c1, c2)/6),
+
+    with c1 wave1's tail rate toward the middle state (its xi -> +inf
+    side) and c2 wave2's rate toward the middle state (xi -> -inf).
     """
-    return w_decay_constants(ts.s1, ts.s2, p1.c_plus, p2.c_minus)
+    c1, c2 = p1.c_plus, p2.c_minus
+    return min(-c1 * ts.s1, c2 * ts.s2), min(c1, c2) / 6.0
 
 
 def interaction_norm(cw: CompositeWave, t: float, grid) -> float:

@@ -102,10 +102,6 @@ class Perturbation:
         ratio = abs(self.amplitude) / tol
         return self.width * math.sqrt(math.log(ratio)) if ratio > 1.0 else 0.0
 
-    @property
-    def area(self) -> float:
-        return self.amplitude * self.width * math.sqrt(math.pi)
-
 
 @dataclass(frozen=True)
 class RiemannSpec:

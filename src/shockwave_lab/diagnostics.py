@@ -1,9 +1,9 @@
 """Monitored quantities of the perturbation analysis.
 
 Anti-derivative perturbations (phi, psi, Psi), discrete Sobolev norms,
-the nonlinear terms (f, F, G, p(v|V)), the interaction residual norm,
-the quadratic energy functionals, exponential rate fits, and the
-pointwise inequality checks evaluated analytically on the composite.
+the nonlinear terms f and p(v|V), the interaction residual norm, the
+quadratic energy functionals, exponential rate fits, and the pointwise
+inequality checks evaluated analytically on the composite.
 
 phi_x = v - V and psi_x = u - U are identities (not differenced); the
 derivatives v_x and u_x of the solution use the same central stencils as
@@ -14,8 +14,9 @@ Derivatives and integrals on the grid go through the kernels of
 `kernels`, which repeat the arithmetic of numpy's gradient and trapezoid
 and scipy's cumulative trapezoid bit for bit without their argument
 handling.  A record computes only what it stores: it evaluates the
-composite and p'(V) once, differentiates v once, and does not form F
-and G.
+composite and p'(V) once, differentiates v once, and does not form the
+energy method's F and G (the tests form them, `perturbation_terms` in
+tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ if TYPE_CHECKING:  # solver imports this module to record its runs
 
 __all__ = [
     "PerturbationFields",
-    "PerturbationTerms",
     "SobolevNorms",
     "RateFit",
     "InequalityReport",
@@ -47,7 +47,6 @@ __all__ = [
     "antiderivatives",
     "closed_form_Psi",
     "sobolev_norms",
-    "perturbation_terms",
     "energy_functionals",
     "fit_exponential_rate",
     "pointwise_inequality_report",
@@ -68,16 +67,6 @@ class PerturbationFields:
     phi_x: np.ndarray
     psi_x: np.ndarray
     Psi_x: np.ndarray
-
-
-@dataclass
-class PerturbationTerms:
-    """Pointwise nonlinear terms of the perturbation equations."""
-
-    f: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    p_rel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,6 +115,14 @@ def antiderivatives(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Pertu
     of a larger grid, either edge may cut a perturbation that the grid
     holds.  advance pins the edge rows, so a perturbation that reaches an
     edge during a run shows on the row next to it.
+
+    Psi(x_hi) is not 0 once the state has stepped: it is the O(dx^2) gap
+    between the central v_x in Psi_x and the trapezoid rule, so the
+    integral of Psi^2 (l2_Psi, E0) gains about Psi(x_hi)^2 per unit of
+    grid beyond the waves.  On the stability datum at t = 5 with auto
+    grids of n = 2000, 4000 and 8000, Psi(x_hi) is 1.5e-11, 3.6e-12 and
+    6.7e-13, while psi(x_hi) and phi(x_hi) stay at or below 1.7e-12; at
+    t = 0 Psi(x_hi) equals psi(x_hi) to within 3e-16.
     """
     x = grid.x
     dx = grid.dx
@@ -190,46 +187,6 @@ def sobolev_norms(f, dx: float) -> SobolevNorms:
     h2sq = h1sq + trapz(d2 * d2, dx)
     return SobolevNorms(l2=math.sqrt(l2sq), h1=math.sqrt(h1sq),
                         h2=math.sqrt(h2sq))
-
-
-def perturbation_terms(state: FieldState, cw: CompositeWave,
-                       grid: Grid1D) -> PerturbationTerms:
-    """Pointwise f, F, G and p(v|V) on the grid.
-
-    f = -p'(V) - (alpha+1) U_x / V^(alpha+2) is positive wherever
-    U_x <= 0.  With phi_x = v - V,
-
-        F = u_x (v^-(alpha+1) - V^-(alpha+1))
-            + (alpha+1) U_x phi_x / V^(alpha+2) - p(v|V),
-        G = v_x (v^-(alpha+1) - V^-(alpha+1))
-            + (alpha+1) V_x phi_x / V^(alpha+2),
-
-    with central-difference v_x and u_x; both vanish identically at zero
-    perturbation.
-    """
-    gas = cw.gas
-    ap1 = gas.alpha + 1.0
-    flds = cw.fields(grid.x, state.t)
-    V, Vx, Ux = flds.V, flds.Vx, flds.Ux
-    phi_x = state.v - V
-    V_ap2 = V ** (gas.alpha + 2.0)
-    f, p_rel = _f_and_p_rel(gas, V, gas.dpressure(V), Ux, V_ap2, phi_x)
-    inv_diff = 1.0 / state.v ** ap1 - 1.0 / V ** ap1
-    F = (gradient(state.u, grid.dx) * inv_diff
-         + ap1 * Ux * phi_x / V_ap2
-         - p_rel)
-    G = (gradient(state.v, grid.dx) * inv_diff
-         + ap1 * Vx * phi_x / V_ap2)
-    return PerturbationTerms(f=f, F=F, G=G, p_rel=p_rel)
-
-
-def _f_and_p_rel(gas, V, dpV, Ux, V_ap2, phi_x):
-    """f and p(v|V) of perturbation_terms, dpV = p'(V), V_ap2 = V^(alpha+2)."""
-    f = -dpV - (gas.alpha + 1.0) * Ux / V_ap2
-    # p(V + phi_x) - p(V) without cancellation, so p_rel keeps its digits
-    # where phi_x is small
-    p_rel = pressure_increment(gas, V, phi_x) - dpV * phi_x
-    return f, p_rel
 
 
 def energy_functionals(fields: PerturbationFields, dpV):
@@ -362,8 +319,10 @@ def make_record(state: FieldState, cw: CompositeWave, grid: Grid1D) -> Diagnosti
     flds = fields.composite
     gas = cw.gas
     dpV = gas.dpressure(flds.V)
-    f, p_rel = _f_and_p_rel(gas, flds.V, dpV, flds.Ux,
-                            flds.V ** (gas.alpha + 2.0), fields.phi_x)
+    f = -dpV - (gas.alpha + 1.0) * flds.Ux / flds.V ** (gas.alpha + 2.0)
+    # p(V + phi_x) - p(V) without cancellation, so p_rel keeps its digits
+    # where phi_x is small
+    p_rel = pressure_increment(gas, flds.V, fields.phi_x) - dpV * fields.phi_x
     dx = grid.dx
     nphi = sobolev_norms(fields.phi, dx)
     npsi = sobolev_norms(fields.psi, dx)

@@ -50,15 +50,13 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .riemann import (EndState, GasModel, TwoShockData, _check_volume,
-                      pressure_increment)
+from .riemann import EndState, GasModel, TwoShockData, pressure_increment
 
 __all__ = [
     "GAP_TOL",
     "ShockProfile",
     "DegenerateWaveError",
     "IntegrationError",
-    "profile_rhs",
     "decay_rates",
     "integrate_profile",
     "build_profiles",
@@ -97,20 +95,6 @@ def ascending_points(a, name):
                           and np.all(flat[1:] >= flat[:-1])):
         raise ValueError(f"{name} must be ascending and free of nan")
     return flat
-
-
-def profile_rhs(gas: GasModel, s: float, v_left: float, V):
-    """dV/dxi along the traveling wave anchored at the xi -> -inf volume.
-
-    Vanishes at v_left exactly and at the far volume up to the RH
-    residual of (s, v_left).
-    """
-    _check_volume(V)
-    scalar = np.ndim(V) == 0
-    V = np.asarray(V, dtype=np.float64)
-    bracket = s * s * (V - v_left) + gas.pressure(V) - gas.pressure(v_left)
-    out = -(V ** (gas.alpha + 1.0)) * bracket / s
-    return float(out) if scalar else out
 
 
 def decay_rates(gas: GasModel, state_l: EndState, state_r: EndState, s: float):
@@ -232,13 +216,6 @@ class ShockProfile:
     @property
     def xi_table(self) -> np.ndarray:
         return np.concatenate([self._xi_l[:-1], self._xi_r])
-
-    @property
-    def v_table(self) -> np.ndarray:
-        left = self.state_l.v + self._w_l[:-1]
-        right = self.state_r.v + self._w_r
-        right[0] = self.v0
-        return np.concatenate([left, right])
 
     # -- evaluation --------------------------------------------------
 

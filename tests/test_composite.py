@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import perturbation_area, w_naive
 from shockwave_lab import (CompositeWave, EndState, GasModel, Grid1D,
                            SeparationError, ShiftInputs, build_profiles,
                            compute_shift_inputs, hugoniot_u, interaction_norm,
-                           predicted_w_decay, solve_intermediate, solve_shifts,
-                           w_decay_constants)
+                           predicted_w_decay, solve_intermediate, solve_shifts)
 from shockwave_lab.composite import (_BLOCK, CompositeFields, TruncationError,
                                      TruncationWarning, _grouped,
-                                     _p_second_difference, _w_stable, w_naive)
+                                     _p_second_difference, _w_stable)
 from shockwave_lab import composite as composite_mod
 from shockwave_lab import profile as profile_mod
 from shockwave_lab.config import (ExperimentConfig, GridSpec, Perturbation,
@@ -97,7 +98,7 @@ def test_shift_inputs_gaussian_areas(composite40):
     bump_v = Perturbation("v", 0.07, 22.0, 1.1)
     v0 = V0 + bump_v(x)
     si = compute_shift_inputs(v0, U0, composite40, grid)
-    assert si.I01 == pytest.approx(bump_v.area, rel=1e-10)
+    assert si.I01 == pytest.approx(perturbation_area(bump_v), rel=1e-10)
     assert abs(si.I02) <= 1e-12
     # the shared-spacing trapezoid is numpy's, bit for bit
     c_lo, c_hi = composite40.wave1.c_minus, composite40.wave2.c_plus
@@ -106,7 +107,7 @@ def test_shift_inputs_gaussian_areas(composite40):
     bump_u = Perturbation("u", -0.04, 15.0, 0.8)
     si = compute_shift_inputs(V0, U0 + bump_u(x), composite40, grid)
     assert abs(si.I01) <= 1e-12
-    assert si.I02 == pytest.approx(bump_u.area, rel=1e-10)
+    assert si.I02 == pytest.approx(perturbation_area(bump_u), rel=1e-10)
 
 
 def test_shift_inputs_boundary_guard(composite40):
@@ -191,9 +192,10 @@ def test_predicted_w_decay_values(two_shock, profiles):
 
 
 def test_w_decay_constants_scaling():
-    c1 = c2 = 1.7
-    base, _ = w_decay_constants(-0.5, 0.5, c1, c2)
-    doubled, _ = w_decay_constants(-1.0, 1.0, c1, c2)
+    rates = types.SimpleNamespace(c_plus=1.7, c_minus=1.7)
+    speeds = lambda s: types.SimpleNamespace(s1=-s, s2=s)
+    base, _ = predicted_w_decay(speeds(0.5), rates, rates)
+    doubled, _ = predicted_w_decay(speeds(1.0), rates, rates)
     assert doubled == pytest.approx(2.0 * base, rel=1e-14)
 
 
@@ -383,10 +385,9 @@ def _split_case(datum, beta, t, x1, x2):
     """
     gas = GasModel(a=1.0, gamma=2.0, alpha=0.0)
     v_m, chi1, chi2 = datum
-    left = EndState(v_m + chi1, 0.0)
-    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
-    right = EndState(v_m + chi2, float(hugoniot_u(gas, mid, v_m + chi2)))
-    p1, p2 = build_profiles(gas, solve_intermediate(gas, left, right))
+    p1, p2 = build_profiles(gas, RiemannSpec(
+        v_minus=v_m + chi1, u_minus=0.0, v_plus=v_m + chi2,
+        v_m=v_m).resolve(gas))
     b1 = -(x1 - p1.s * t) if t > 0.0 else 0.0
     b2 = -((x2 - p2.s * t) - beta) if t > 0.0 else 0.0
     cw = CompositeWave(p1, p2, beta, b1, b2)
@@ -534,10 +535,8 @@ def _sweep_datum(gas, chi):
     """Composite at beta = 40 / c_min on its auto grid at T = 0, as the
     datum sweep builds it, for strengths chi = (chi1, chi2) at v_m = 1."""
     v_m = 1.0
-    left = EndState(v_m + chi[0], 0.0)
-    mid = EndState(v_m, float(hugoniot_u(gas, left, v_m)))
-    right = EndState(v_m + chi[1], float(hugoniot_u(gas, mid, v_m + chi[1])))
-    ts = solve_intermediate(gas, left, right)
+    ts = RiemannSpec(v_minus=v_m + chi[0], u_minus=0.0, v_plus=v_m + chi[1],
+                     v_m=v_m).resolve(gas)
     p1, p2 = build_profiles(gas, ts)
     c_min = min(p1.c_minus, p1.c_plus, p2.c_minus, p2.c_plus)
     beta = 40.0 / c_min

@@ -4,7 +4,10 @@ on, and the run-time imports among the package's modules form no cycle,
 so each module can be imported and read before the ones that use it.
 Imports under `if TYPE_CHECKING:` are for annotations only and do not
 count.  A module-level name is assigned in one module only: a constant
-that two modules need is defined once and imported."""
+that two modules need is defined once and imported.  Every function,
+class and method of the package has a caller in the package or in the
+benchmark (perfbench/): code that only tests call belongs beside the
+tests, in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -12,6 +15,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shockwave_lab"
 MODULES = {p.stem: ast.parse(p.read_text(), str(p))
            for p in sorted(PACKAGE.glob("*.py"))}
+BENCHMARK = {p.stem: ast.parse(p.read_text(), str(p))
+             for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))}
 
 
 def _type_checking_only(node):
@@ -90,6 +95,51 @@ def _module_assignments(tree):
     return names
 
 
+def _definitions(modules):
+    """(label, name) of each module-level function and class of modules,
+    and of each method of those classes that is not a dunder."""
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))
+                            and not item.name.startswith("__"))
+
+
+def _referenced_names(tree, strings):
+    """The names that tree reads as a name or an attribute, and with
+    strings, the string constants that are identifiers, as the benchmark's
+    (owner, "name", span) patch rows name what they wrap."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def _uncalled(package, benchmark):
+    """The labels of the definitions of package whose name neither
+    package nor benchmark references.  It matches by name, so a name
+    clash can hide a definition that nothing calls, never flag a called
+    one."""
+    called = set().union(
+        *(_referenced_names(tree, strings=False) for tree in package.values()),
+        *(_referenced_names(tree, strings=True) for tree in benchmark.values()))
+    return [label for label, name in _definitions(package)
+            if name not in called]
+
+
 def test_no_import_inside_a_function():
     nested = [f"{name}.py:{inner.lineno}"
               for name, tree in MODULES.items()
@@ -125,3 +175,30 @@ def test_each_module_constant_assigned_once():
             owners.setdefault(assigned, []).append(name)
     twice = {k: v for k, v in owners.items() if len(v) > 1}
     assert not twice, f"module-level names assigned in two modules: {twice}"
+
+
+def test_each_package_definition_has_a_caller():
+    uncalled = _uncalled(MODULES, BENCHMARK)
+    assert not uncalled, (f"package definitions that nothing in src/ or "
+                          f"perfbench/ calls: {uncalled}")
+
+
+def test_caller_guard_sees_an_uncalled_function_and_a_patch_row():
+    """The guard itself: a function that nothing calls is found, a method
+    read as an attribute is called, and a benchmark string row
+    (owner, "name", span) calls what it names."""
+    package = {"mod": ast.parse("class Box:\n"
+                                "    def __init__(self):\n"
+                                "        self.size()\n"
+                                "    def size(self):\n"
+                                "        return helper()\n"
+                                "def helper():\n"
+                                "    return Box\n"
+                                "def dead():\n"
+                                "    return 2\n"
+                                "def patched():\n"
+                                "    return 3\n")}
+    rows = ast.parse("import mod\n"
+                     "PATCHES = ((mod, 'patched', 'mod.patched'),)\n")
+    assert _uncalled(package, {}) == ["mod.dead", "mod.patched"]
+    assert _uncalled(package, {"spans": rows}) == ["mod.dead"]
