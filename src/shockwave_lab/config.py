@@ -56,6 +56,11 @@ class ConfigError(ValueError):
 # evolved waves.  On the unperturbed canonical run at t = 1, sup|v - V| / chi
 # is 1.1e-3 at dx * c_max = 0.26, 4.3e-3 at 0.53 and 1.7e-2 at 1.06.
 MAX_DX_RATE = 0.5
+# Bound on T / record_dt, the records of a schedule.  A record costs ~1 ms
+# on the 4000-point stability grid, so 1e5 of them take minutes, and their
+# schedule alone (TimeSpec.events) ~0.14 s and 14 MB; 1e6 took 1.85 s and
+# 124 MB before the first step.
+MAX_RECORDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,12 @@ class TimeSpec:
             raise ConfigError("time.T must be positive")
         if not self.record_dt > 0.0:
             raise ConfigError("time.record_dt must be positive")
+        # counted, not built: events() holds at most ceil(records) + 1
+        # records (records is inf where the quotient overflows)
+        records = self.t_final / self.record_dt
+        if not records < MAX_RECORDS:
+            raise ConfigError(f"time.record_dt: T / record_dt = {records:.6g} "
+                              f"records; a run takes fewer than {MAX_RECORDS}")
         files = {}  # each snapshot event needs a file of its own
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_final:

@@ -11,6 +11,8 @@ or tabulated form:
   energy method, f and p(v|V) written here and not read from
   `diagnostics.make_record`;
 - `v_table`: the volumes at a profile's table nodes;
+- `hermite_spline`: scipy's cubic Hermite through one half table of a
+  profile, which the package evaluates with its own numpy code;
 - `perturbation_area`: the mass of a Gaussian bump.
 """
 
@@ -18,8 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 
 from shockwave_lab.kernels import gradient
+from shockwave_lab.profile import _g_from_end
 from shockwave_lab.riemann import _check_volume, pressure_increment
 
 
@@ -101,6 +105,18 @@ def v_table(profile):
     right = profile.state_r.v + profile._w_r
     right[0] = profile.v0
     return np.concatenate([left, right])
+
+
+def hermite_spline(profile, side):
+    """scipy's CubicHermiteSpline through the profile's left ("l") or
+    right ("r") half table with the exact slopes g(V), without
+    extrapolation."""
+    left = side == "l"
+    xi, w = ((profile._xi_l, profile._w_l) if left
+             else (profile._xi_r, profile._w_r))
+    v_end = (profile.state_l if left else profile.state_r).v
+    d = _g_from_end(profile.gas, profile.s, v_end, w)
+    return CubicHermiteSpline(xi, w, d, extrapolate=False)
 
 
 def perturbation_area(bump):

@@ -1,4 +1,5 @@
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -739,6 +740,31 @@ def test_time_spec_rejects_snapshot_times_outside_the_run():
             TimeSpec(0.05, 0.025, snapshot_times=snaps)
     ends = (0.0, 0.05)
     assert TimeSpec(0.05, 0.025, snapshot_times=ends).snapshot_times == ends
+
+
+@pytest.mark.parametrize("record_dt", [1e-12, 1e-6, 5e-324])
+def test_time_spec_rejects_a_dense_record_schedule(record_dt):
+    """T / record_dt >= MAX_RECORDS is a ConfigError naming time.record_dt
+    and the count, found without building the schedule: at T = 1,
+    record_dt = 1e-6 took 1.85 s and 124 MB in events() before the
+    first step, and 1e-12 would need terabytes."""
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=re.escape(
+            f"time.record_dt: T / record_dt = {1.0 / record_dt:.6g} records")):
+        TimeSpec(1.0, record_dt)
+    assert time.perf_counter() - start < 0.1
+    spec = TimeSpec(1.0, 1.0 / (config.MAX_RECORDS - 1))
+    assert len(spec.events()) == config.MAX_RECORDS
+
+
+def test_dense_record_schedule_fails_the_command(tmp_path, capsys):
+    text = _with_value(SINGLE_SHOCK_RUN, "time.record_dt", "1e-12")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: time.record_dt: T / record_dt = 2e+11 records")
+    assert not out.exists()
 
 
 def test_time_spec_rejects_snapshot_times_sharing_a_file_name(tmp_path,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import perturbation_area, w_naive
+from oracles import hermite_spline, perturbation_area, w_naive
 from shockwave_lab import (CompositeWave, EndState, GasModel, Grid1D,
                            SeparationError, ShiftInputs, build_profiles,
                            compute_shift_inputs, hugoniot_u, interaction_norm,
@@ -686,15 +686,15 @@ def test_non_finite_t_rejected(composite40, entry, t):
 
 def _oracle_gaps(p, xi):
     """ShockProfile.gaps written out with both tails computed as
-    w_edge * exp(...) at every point."""
+    w_edge * exp(...) at every point and the tables read through scipy."""
     i0 = np.searchsorted(xi, p._xi_l[0], "left")
     j1 = np.searchsorted(xi, 0.0, "right")
     j2 = np.searchsorted(xi, p._xi_r[-1], "right")
     gl, gr = np.empty(xi.size), np.empty(xi.size)
     gl[:i0] = p._w_l[0] * np.exp(p.c_minus * (xi[:i0] - p._xi_l[0]))
     gr[j2:] = p._w_r[-1] * np.exp(-p.c_plus * (xi[j2:] - p._xi_r[-1]))
-    gl[i0:j1] = p._ip_l(xi[i0:j1])
-    gr[j1:j2] = p._ip_r(xi[j1:j2])
+    gl[i0:j1] = hermite_spline(p, "l")(xi[i0:j1])
+    gr[j1:j2] = hermite_spline(p, "r")(xi[j1:j2])
     jump = p.state_r.v - p.state_l.v
     gr[:j1] = gl[:j1] - jump
     gl[j1:] = gr[j1:] + jump

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import shockwave_lab
-from oracles import profile_rhs, v_table
+from oracles import hermite_spline, profile_rhs, v_table
 from shockwave_lab import (DegenerateWaveError, EndState, GasModel,
                            build_profiles, decay_rates, integrate_profile,
                            sample_uniform)
+from shockwave_lab import profile as profile_mod
 from shockwave_lab.config import RiemannSpec
 from shockwave_lab.riemann import pressure_increment
 from shockwave_lab.verify import _steady_residual_l2, measured_tail_rates
@@ -226,16 +227,17 @@ def test_interpolant_matches_independent_solve(gas_model, chi):
     DOP853 to 1e-12 chi, and at the midpoints of the table intervals,
     where the Hermite error peaks, the interpolant agrees to 1e-9 chi."""
     for p in build_profiles(gas_model, _datum(gas_model, 1.0, chi, chi)):
-        for xi, w, ip, v_end, orient in (
-                (p._xi_l, p._w_l, p._ip_l, p.state_l.v, -1.0),
-                (p._xi_r, p._w_r, p._ip_r, p.state_r.v, +1.0)):
+        for xi, w, c, v_end, orient in (
+                (p._xi_l, p._w_l, p._c_l, p.state_l.v, -1.0),
+                (p._xi_r, p._w_r, p._c_r, p.state_r.v, +1.0)):
             order = np.argsort(orient * xi)
             tau, w = orient * xi[order], w[order]
             ref = _dop853_gap(gas_model, p.s, v_end, p.v0 - v_end, tau[-1],
                               orient)
             assert np.max(np.abs(w - ref(tau)[0])) <= 1e-12 * chi
-            mid = 0.5 * (tau[1:] + tau[:-1])
-            err = np.max(np.abs(ip(orient * mid) - ref(mid)[0]))
+            mid = np.sort(orient * 0.5 * (tau[1:] + tau[:-1]))
+            err = np.max(np.abs(profile_mod._hermite(xi, c, mid)
+                                - ref(orient * mid)[0]))
             assert err <= 1e-9 * chi
 
 
@@ -277,3 +279,57 @@ def test_profiles_build_across_ss_region(gamma, alpha, a, v_m,
         xi = np.unique(np.concatenate([p._xi_l, p._xi_r, bounds, near, span]))
         assert xi[0] < bounds[0] and xi[-1] > bounds[1]
         assert not np.any(np.signbit(p.gaps(xi)[side]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_tables_match_scipy(p, rng):
+    """Each half table's coefficients, and its values at every node, at
+    the nodes' float neighbours, at +-0.0, at both ends and at random
+    points, are bit for bit scipy's CubicHermiteSpline.  The points are
+    evaluated all at once (more points than intervals: the nodes are
+    located among the points) and in subsets of fewer points than
+    intervals (each point is located among the nodes)."""
+    for side, xi, c in (("l", p._xi_l, p._c_l), ("r", p._xi_r, p._c_r)):
+        ref = hermite_spline(p, side)
+        assert np.array_equal(_bits(c), _bits(ref.c))
+        m = c.shape[1]
+        pts = np.concatenate([xi, np.nextafter(xi, -np.inf),
+                              np.nextafter(xi, np.inf), [-0.0, 0.0],
+                              rng.uniform(xi[0], xi[-1], 2 * m)])
+        pts = np.sort(pts[(pts >= xi[0]) & (pts <= xi[-1])], kind="stable")
+        assert pts[0] == xi[0] and pts[-1] == xi[-1]
+        want = ref(pts)
+        assert np.array_equal(_bits(profile_mod._hermite(xi, c, pts)),
+                              _bits(want))
+        for size in (1, 2, m - 1, m):
+            k = np.sort(rng.choice(pts.size, size, replace=False))
+            if size > 1:
+                k[[0, -1]] = 0, pts.size - 1
+            got = profile_mod._hermite(xi, c, pts[k])
+            assert np.array_equal(_bits(got), _bits(want[k])), size
+
+
+def test_tables_match_scipy_on_canonical_datum(profiles):
+    rng = np.random.default_rng(5)
+    for p in profiles:
+        _assert_tables_match_scipy(p, rng)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True),
+       alpha=st.floats(0.0, 2.0),
+       a=st.floats(0.3, 3.0),
+       v_m=st.floats(0.3, 3.0),
+       log_chi1=st.floats(math.log(1e-3), math.log(5.0)),
+       log_chi2=st.floats(math.log(1e-3), math.log(5.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_tables_match_scipy_across_ss_region(gamma, alpha, a, v_m,
+                                             log_chi1, log_chi2, seed):
+    gas = GasModel(a=a, gamma=gamma, alpha=alpha)
+    rng = np.random.default_rng(seed)
+    for p in build_profiles(gas, _datum(gas, v_m, v_m * math.exp(log_chi1),
+                                        v_m * math.exp(log_chi2))):
+        _assert_tables_match_scipy(p, rng)

@@ -10,6 +10,9 @@ benchmark (perfbench/): code that only tests call belongs beside the
 tests, in tests/oracles.py."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shockwave_lab"
@@ -202,3 +205,18 @@ def test_caller_guard_sees_an_uncalled_function_and_a_patch_row():
                      "PATCHES = ((mod, 'patched', 'mod.patched'),)\n")
     assert _uncalled(package, {}) == ["mod.dead", "mod.patched"]
     assert _uncalled(package, {"spans": rows}) == ["mod.dead"]
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    """Importing the CLI loads none of scipy.interpolate, scipy.special
+    and scipy.optimize, which add ~0.25 s and ~23 MB to its import; of
+    scipy, the package needs only scipy.linalg."""
+    heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize")
+    code = ("import sys, shockwave_lab.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert out.stdout.split() == []
